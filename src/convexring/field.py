@@ -98,14 +98,7 @@ def _comp_derivatives(values: np.ndarray, hs: float, ht: float):
 
 def _build_jet_table(grid: AnnularGrid, values: np.ndarray) -> dict:
     ss, tt = np.meshgrid(grid.s, grid.theta, indexing="ij")
-    jac = grid.map_jacobian(ss, tt)
-    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-    jinv = np.empty_like(jac)
-    jinv[..., 0, 0] = jac[..., 1, 1]
-    jinv[..., 0, 1] = -jac[..., 0, 1]
-    jinv[..., 1, 0] = -jac[..., 1, 0]
-    jinv[..., 1, 1] = jac[..., 0, 0]
-    jinv /= det[..., None, None]
+    jinv, _ = grid.map_jacobian_inverse(ss, tt)
 
     u_s, u_t, u_ss, u_st, u_tt = _comp_derivatives(values, grid.hs, grid.htheta)
     comp_grad = np.stack([u_s, u_t], axis=-1)

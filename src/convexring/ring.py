@@ -363,6 +363,19 @@ class AnnularGrid:
         x_t = (1.0 - s) * self.ring.outer.d1(theta) + s * self.ring.inner.d1(theta)
         return np.stack([x_s, x_t], axis=-1)
 
+    def map_jacobian_inverse(self, s, theta) -> tuple[np.ndarray, np.ndarray]:
+        """(J^{-1}, det J) of the blend map; J^{-1} has shape (..., 2, 2),
+        rows d(s)/d(x) and d(theta)/d(x)."""
+        jac = self.map_jacobian(s, theta)
+        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+        jinv = np.empty_like(jac)
+        jinv[..., 0, 0] = jac[..., 1, 1]
+        jinv[..., 0, 1] = -jac[..., 0, 1]
+        jinv[..., 1, 0] = -jac[..., 1, 0]
+        jinv[..., 1, 1] = jac[..., 0, 0]
+        jinv /= det[..., None, None]
+        return jinv, det
+
     def map_second(self, s, theta):
         """Second derivatives of the blend map: (x_ss, x_st, x_tt).
 

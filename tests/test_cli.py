@@ -154,6 +154,21 @@ def test_unknown_curve_kind_exits_1(tmp_path, capsys):
     assert "square" in capsys.readouterr().err
 
 
+def test_linear_solver_option_exits_1(tmp_path, capsys):
+    # the solver has one direct linear-solve path and no option to pick one
+    for name in ("stabilized-iterative", "direct-banded"):
+        cfg = write_config(tmp_path, solve={"linear_solver": name})
+        out = tmp_path / name
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        line = next(i for i, text in enumerate(Path(cfg).read_text().splitlines(), start=1)
+                    if '"solve"' in text)
+        assert err.startswith(f"error: config line {line}: ")
+        assert "linear_solver" in err
+        assert not (out / "trace.json").exists()
+
+
 # -- levels -------------------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from convexring.solve import (
     SolveOptions,
     SolverError,
     _Assembler,
+    _assembler,
     build_supersolution,
     continuation_solve,
     minimal_graph_residual,
@@ -24,7 +25,7 @@ from convexring.solve import (
     solve_minimal_graph,
     solve_prescribed_mean_curvature,
 )
-from convexring.spaceform import SpaceFormChart
+from convexring.spaceform import SpaceFormChart, conformal_factor
 
 
 def _circle_ring(eps=0.0, r_out=2.0, r_in=1.0):
@@ -38,6 +39,12 @@ def _ellipse_ring():
     outer = make_curve("ellipse", radii=(2.0, 1.4))
     inner = make_curve("circle", radius=0.5)
     return make_ring(chart, outer, inner)
+
+
+def _readme_ring():
+    chart = SpaceFormChart(epsilon=0.0)
+    return make_ring(chart, make_curve("ellipse", radii=(3.0, 2.0)),
+                     make_curve("ellipse", radii=(1.2, 0.8)))
 
 
 def _harmonic_errors(ns, ntheta):
@@ -103,21 +110,83 @@ def test_residual_affine_field_is_truncation_small():
     assert np.log2(errs[0] / errs[1]) > 1.8
 
 
+def _sphere_ellipse_ring():
+    chart = SpaceFormChart(epsilon=1.0)
+    outer = make_curve("ellipse", radii=(1.2, 0.9))
+    inner = make_curve("ellipse", center=(0.1, 0.0), radii=(0.5, 0.3))
+    return make_ring(chart, outer, inner)
+
+
 def test_jacobian_matches_directional_difference():
     rng = np.random.default_rng(7)
-    grid = build_grid(_circle_ring(eps=1.0, r_out=1.2, r_in=0.5), 7, 16)
-    asm = _Assembler(grid)
-    v = 0.3 * rng.standard_normal((7, 16))
-    direction = rng.standard_normal((5, 16))
-    jac = asm.jacobian(v)
-    reference = (jac @ direction.ravel()).reshape(5, 16)
-
     h = 1e-6
-    vp, vm = v.copy(), v.copy()
-    vp[1:-1] += h * direction
-    vm[1:-1] -= h * direction
-    fd = (asm.residual(vp) - asm.residual(vm)) / (2 * h)
-    assert np.max(np.abs(fd - reference)) < 1e-6 * max(1.0, np.max(np.abs(reference)))
+    for ring in (_circle_ring(eps=1.0, r_out=1.2, r_in=0.5), _sphere_ellipse_ring()):
+        grid = build_grid(ring, 7, 16)
+        asm = _Assembler(grid)
+        for linear in (False, True):
+            v = 0.3 * rng.standard_normal((7, 16))
+            direction = rng.standard_normal((5, 16))
+            jac = asm.jacobian(v, linear=linear)
+            reference = (jac @ direction.ravel()).reshape(5, 16)
+
+            vp, vm = v.copy(), v.copy()
+            vp[1:-1] += h * direction
+            vm[1:-1] -= h * direction
+            fd = (asm.residual(vp, linear=linear) - asm.residual(vm, linear=linear)) / (2 * h)
+            scale = max(1.0, np.max(np.abs(reference)))
+            assert np.max(np.abs(fd - reference)) < 1e-6 * scale, (ring.outer.kind, linear)
+
+
+def test_face_flux_matches_tensor_formulas():
+    # reference: p = J^{-T} d, g = det J^{-1} A(p) and B = det J^{-1} dA/dp J^{-T}
+    # with A(p) = lambda^(n-2) p / W, written with full 2x2 tensors
+    rng = np.random.default_rng(5)
+    grid = build_grid(_sphere_ellipse_ring(), 9, 24)
+    asm = _Assembler(grid)
+    sf = np.meshgrid(grid.s[:-1] + 0.5 * grid.hs, grid.theta, indexing="ij")
+    tf = np.meshgrid(grid.s[1:-1], grid.theta + 0.5 * grid.htheta, indexing="ij")
+    for (ss, tt), geo, a in ((sf, asm._sface, 0), (tf, asm._tface, 1)):
+        jinv, det = grid.map_jacobian_inverse(ss, tt)
+        lam = conformal_factor(grid.ring.chart, grid.map_point(ss, tt))
+        lam_pow = lam ** (grid.ring.chart.dim - 2)
+        u_s, u_t = rng.standard_normal((2,) + ss.shape)
+        p = np.einsum("...ai,...a->...i", jinv, np.stack([u_s, u_t], axis=-1))
+        for linear in (False, True):
+            w = np.ones_like(lam) if linear else np.sqrt(1.0 + np.sum(p * p, axis=-1) / lam**2)
+            m = (lam_pow / w)[..., None, None] * np.eye(2)
+            if not linear:
+                m -= (lam_pow / (lam**2 * w**3))[..., None, None] * p[..., :, None] * p[..., None, :]
+            g = det[..., None] * np.einsum("...ai,...i->...a", jinv, (lam_pow / w)[..., None] * p)
+            b = det[..., None, None] * np.einsum("...ai,...ij,...bj->...ab", jinv, m, jinv)
+            flux = asm._flux(geo, u_s, u_t, linear)
+            d_s, d_t = asm._sensitivity(geo, u_s, u_t, linear)
+            for got, want in ((flux, g[..., a]), (d_s, b[..., a, 0]), (d_t, b[..., a, 1])):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_jacobian_calls_share_the_sparsity_pattern():
+    rng = np.random.default_rng(11)
+    grid = build_grid(_sphere_ellipse_ring(), 9, 24)
+    asm = _assembler(grid)
+    first = asm.jacobian(0.3 * rng.standard_normal((9, 24)))
+    second = asm.jacobian(0.3 * rng.standard_normal((9, 24)))
+    assert np.shares_memory(first.indptr, second.indptr)
+    assert np.shares_memory(first.indices, second.indices)
+    assert not np.array_equal(first.data, second.data)
+    # the harmonic operator uses the same pattern
+    harmonic = asm.jacobian(np.zeros((9, 24)), linear=True)
+    assert np.shares_memory(first.indices, harmonic.indices)
+
+
+def test_assembler_is_cached_per_grid():
+    grid = build_grid(_ellipse_ring(), 9, 24)
+    asm = _assembler(grid)
+    assert _assembler(grid) is asm
+    finer = grid.refine()
+    assert _assembler(finer) is not asm
+    assert _assembler(finer).grid is finer
+    # an equal but separately built grid gets its own assembler
+    assert _assembler(build_grid(_ellipse_ring(), 9, 24)) is not asm
 
 
 def test_minimal_graph_converges_and_obeys_report_contract():
@@ -257,18 +326,37 @@ def test_continuation_failure_carries_partial_trace():
     assert "tau=0.0" in str(excinfo.value)
 
 
-def test_iterative_linear_solver_agrees_with_direct():
-    grid = build_grid(_circle_ring(), 13, 32)
-    direct, _ = solve_minimal_graph(grid, 0.5)
-    iterative, report = solve_minimal_graph(
-        grid, 0.5, options=SolveOptions(linear_solver="stabilized-iterative"))
-    assert report.converged
-    assert np.max(np.abs(direct.values - iterative.values)) < 1e-8
+def test_linear_solver_option_is_gone():
+    # one direct SuperLU path; naming a linear solver is a TypeError, which
+    # the CLI reports as a config error (see test_cli)
+    with pytest.raises(TypeError):
+        SolveOptions(linear_solver="stabilized-iterative")
+    with pytest.raises(TypeError):
+        SolveOptions(linear_tol=1e-12)
+
+
+def test_readme_ring_keeps_newton_counts_and_lu_fill():
+    ring = _readme_ring()
+    # iteration counts of the COLAMD-ordered solver on the 33x64 README ring
+    for tau, count in ((0.5, 4), (1.0, 5)):
+        _, report = solve_minimal_graph(build_grid(ring, 33, 64), tau)
+        assert report.converged
+        assert report.newton_iterations == count
+    # the minimum-degree ordering on A^T + A: COLAMD gave 941244 at 65x128
+    _, report = solve_minimal_graph(build_grid(ring, 65, 128), 1.0)
+    assert report.newton_iterations == 5
+    assert 0 < report.lu_fill < 600_000
+
+
+def test_lu_fill_is_zero_without_a_factorisation():
+    grid = build_grid(_circle_ring(), 9, 24)
+    u, _ = solve_minimal_graph(grid, 0.3)
+    _, report = solve_minimal_graph(grid, 0.3, init=u)
+    assert report.newton_iterations == 0
+    assert report.lu_fill == 0
 
 
 def test_options_validation():
-    with pytest.raises(SolverError):
-        SolveOptions(linear_solver="gaussian")
     with pytest.raises(SolverError):
         SolveOptions(newton_tol=-1.0)
     with pytest.raises(SolverError):
