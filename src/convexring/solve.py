@@ -119,24 +119,28 @@ class _Assembler:
     W = 1, which is the harmonic (conformal Laplace) operator; nothing
     stored here depends on that choice.  Use :func:`_assembler` for the
     cached instance of a grid.
+
+    The assembler keeps no reference to its grid: it is the value of a
+    weak-key cache keyed by the grid, and a reference back would keep every
+    grid alive.
     """
 
     def __init__(self, grid: AnnularGrid):
-        self.grid = grid
         self.n = grid.ring.chart.dim
+        self.ns, self.ntheta = grid.ns, grid.ntheta
         self.hs, self.ht = grid.hs, grid.htheta
 
         sf = grid.s[:-1] + 0.5 * grid.hs
-        self._sface = self._face_geometry(*np.meshgrid(sf, grid.theta, indexing="ij"), 0)
+        self._sface = self._face_geometry(grid, *np.meshgrid(sf, grid.theta, indexing="ij"), 0)
         tf = grid.theta + 0.5 * grid.htheta
-        self._tface = self._face_geometry(*np.meshgrid(grid.s[1:-1], tf, indexing="ij"), 1)
+        self._tface = self._face_geometry(grid, *np.meshgrid(grid.s[1:-1], tf, indexing="ij"), 1)
         # node data on interior rows
         self.det_node = grid.det[1:-1]
         self.lam_node_n = conformal_factor(grid.ring.chart, grid.nodes[1:-1]) ** self.n
 
-    def _face_geometry(self, ss, tt, normal):
-        jinv, det = self.grid.map_jacobian_inverse(ss, tt)
-        lam = conformal_factor(self.grid.ring.chart, self.grid.map_point(ss, tt))
+    def _face_geometry(self, grid, ss, tt, normal):
+        jinv, det = grid.map_jacobian_inverse(ss, tt)
+        lam = conformal_factor(grid.ring.chart, grid.map_point(ss, tt))
         r0, r1 = jinv[..., 0, :], jinv[..., 1, :]
         g00 = np.sum(r0 * r0, axis=-1)
         g01 = np.sum(r0 * r1, axis=-1)
@@ -208,7 +212,7 @@ class _Assembler:
         one (3, 3, ns-2, ntheta) table of values indexed by (a+1, b+1, i-1, j);
         ``order`` picks the entries whose column is an unknown, in CSC order.
         """
-        ns, nt = self.grid.ns, self.grid.ntheta
+        ns, nt = self.ns, self.ntheta
         n_int = (ns - 2) * nt
         a, b, i, j = np.meshgrid(np.arange(-1, 2), np.arange(-1, 2),
                                  np.arange(1, ns - 1), np.arange(nt), indexing="ij")

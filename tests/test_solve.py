@@ -7,6 +7,9 @@ consistency, residual decrease, comparison with the supersolution); the
 radial ODE oracle comparison lives with the verification suite.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -184,9 +187,21 @@ def test_assembler_is_cached_per_grid():
     assert _assembler(grid) is asm
     finer = grid.refine()
     assert _assembler(finer) is not asm
-    assert _assembler(finer).grid is finer
+    assert (_assembler(finer).ns, _assembler(finer).ntheta) == (finer.ns, finer.ntheta)
     # an equal but separately built grid gets its own assembler
     assert _assembler(build_grid(_ellipse_ring(), 9, 24)) is not asm
+
+
+def test_assembler_cache_releases_dropped_grids():
+    grid = build_grid(_ellipse_ring(), 9, 24)
+    f, _ = solve_minimal_graph(grid, 0.5)
+    minimal_graph_residual(f)
+    grid_ref = weakref.ref(grid)
+    asm_ref = weakref.ref(_assembler(grid))
+    del grid, f
+    gc.collect()
+    assert grid_ref() is None
+    assert asm_ref() is None
 
 
 def test_minimal_graph_converges_and_obeys_report_contract():
