@@ -4,17 +4,24 @@ Each check certifies one qualitative property of the solved minimal graph
 (oracle agreement, gradient bounds, supersolution domination, tau scaling,
 convexity and rank, monotonicity, boundary gradient growth).  A check passes
 when its margin is nonnegative; tolerances already include the 10 h^2 slack
-that discretization is entitled to.
+that discretization is entitled to.  The checks share one solve on the grid
+passed in, and each time includes the solves its check triggered; a check
+that raises is listed as ERROR with its message.
 """
 
-from convexring import run_suite
+from convexring import SpaceFormChart, build_grid, make_curve, make_ring, run_suite
 
-reports = run_suite(oracle_grid_sizes=(33, 65, 129))
+# the default grid of run_suite, built explicitly: 33 x 64 on the flat ring
+# between the circles of radius 1 and 2
+ring = make_ring(SpaceFormChart(epsilon=0.0, dim=2),
+                 make_curve("circle", radius=2.0),
+                 make_curve("circle", radius=1.0))
+reports = run_suite(build_grid(ring, 33, 64), oracle_grid_sizes=(33, 65, 129))
 
 width = max(len(r.name) for r in reports)
 print(f"{'check':<{width}}  {'result':<6}  {'margin':>12}  {'tolerance':>10}  time")
 for r in reports:
-    status = "pass" if r.passed else "FAIL"
+    status = "ERROR" if r.error else "pass" if r.passed else "FAIL"
     print(f"{r.name:<{width}}  {status:<6}  {r.margin:>12.6f}  "
           f"{r.tolerance:>10.4g}  {r.runtime_s:5.2f}s")
 
@@ -24,5 +31,5 @@ if all(r.passed for r in reports):
 else:
     for r in reports:
         if not r.passed:
-            print(f"FAILED: {r.name}: {r.claim}")
+            print(f"FAILED: {r.name}: {r.error or r.claim}")
             print(f"  extras: {r.extras}")

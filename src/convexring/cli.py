@@ -1,11 +1,14 @@
 """Command-line front end: config parsing, run orchestration, and exports.
 
-One JSON config document drives every command.  Exit codes are scriptable:
-0 success, 1 config problem (reported with the line of the offending key),
-2 solver/continuation failure (partial outputs are kept), 3 verification
-failure or check error.  Reports are byte-identical across reruns except for
-the single top-level "timestamp" key, which holds every volatile quantity
-(wall-clock times, write date).
+One JSON config document drives every command.  Exit codes are scriptable,
+each failure printing one line on stderr: 0 success, 1 config problem or
+unreadable snapshot (naming the line of the offending key, if any), 2 solver
+or continuation failure, level diagnostics included (partial outputs are
+kept), 3 verification failure or check error.  ``verify`` makes one ``run_suite``
+call, the library's driver, so its checks share their solves and each
+runtime includes the solves its check triggered.  Reports are byte-identical
+across reruns except for the single top-level "timestamp" key, which holds
+every volatile quantity (wall-clock times, write date).
 
 Config keys by command:
 
@@ -25,7 +28,7 @@ import argparse
 import datetime
 import json
 import sys
-import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
@@ -41,8 +44,8 @@ from .levelgeom import (
 )
 from .ring import AnnularGrid, ConvexRing, build_grid, make_curve, make_ring
 from .solve import ContinuationError, SolveOptions, SolverError, continuation_solve
-from .spaceform import ChartDomainError, SpaceFormChart
-from .verify import SUITE_CHECKS, OracleInfeasibleError, radial_oracle, run_suite
+from .spaceform import SpaceFormChart
+from .verify import radial_oracle, run_suite
 
 
 class ConfigError(ValueError):
@@ -65,6 +68,15 @@ def _fail(raw: str, key: str, message: str) -> None:
     raise ConfigError(f"config {where}{message}")
 
 
+@contextmanager
+def _errors_at(raw: str, key: str, errors=(ValueError, TypeError)):
+    """Report the listed exceptions raised in the block as a config error at key."""
+    try:
+        yield
+    except errors as exc:
+        _fail(raw, key, str(exc))
+
+
 def load_config(path: str) -> tuple[dict, str]:
     try:
         raw = Path(path).read_text()
@@ -84,19 +96,18 @@ def _build_chart(cfg: dict, raw: str, allow_negative: bool) -> SpaceFormChart:
     section = cfg.get("chart")
     if not isinstance(section, dict):
         _fail(raw, "chart", 'missing or invalid "chart" section')
-    epsilon = float(section.get("epsilon", 0.0))
+    with _errors_at(raw, "epsilon"):
+        epsilon = float(section.get("epsilon", 0.0))
     if epsilon < 0.0 and not allow_negative:
         _fail(raw, "epsilon",
               "epsilon < 0 requires --experimental-negative-curvature")
-    try:
+    with _errors_at(raw, "chart"):  # ChartDomainError is a ValueError
         return SpaceFormChart(
             epsilon=epsilon,
             dim=int(section.get("dim", 2)),
             chart_radius=section.get("chart_radius"),
             allow_negative_curvature=allow_negative,
         )
-    except (ChartDomainError, ValueError, TypeError) as exc:
-        _fail(raw, "chart", str(exc))
 
 
 def _build_curve(entry: Any, raw: str, key: str):
@@ -104,10 +115,8 @@ def _build_curve(entry: Any, raw: str, key: str):
         _fail(raw, key, f'"{key}" must be a curve object with a "kind"')
     params = {k: tuple(v) if isinstance(v, list) else v
               for k, v in entry.items() if k != "kind"}
-    try:
+    with _errors_at(raw, key):
         return make_curve(entry["kind"], **params)
-    except (ValueError, TypeError) as exc:
-        _fail(raw, key, str(exc))
 
 
 def _build_ring(cfg: dict, raw: str, chart: SpaceFormChart) -> ConvexRing:
@@ -116,40 +125,32 @@ def _build_ring(cfg: dict, raw: str, chart: SpaceFormChart) -> ConvexRing:
         _fail(raw, "ring", 'missing or invalid "ring" section')
     outer = _build_curve(section.get("outer"), raw, "outer")
     inner = _build_curve(section.get("inner"), raw, "inner")
-    try:
+    with _errors_at(raw, "ring"):
         return make_ring(chart, outer, inner)
-    except ValueError as exc:
-        _fail(raw, "ring", str(exc))
 
 
 def _build_grid(cfg: dict, raw: str, ring: ConvexRing) -> AnnularGrid:
     section = cfg.get("grid")
     if not isinstance(section, dict):
         _fail(raw, "grid", 'missing or invalid "grid" section')
-    try:
+    with _errors_at(raw, "grid"):
         return build_grid(ring, int(section.get("ns", 33)), int(section.get("ntheta", 64)))
-    except (ValueError, TypeError) as exc:
-        _fail(raw, "grid", str(exc))
 
 
 def _solve_options(cfg: dict, raw: str) -> SolveOptions:
     section = cfg.get("solve", {})
     if not isinstance(section, dict):
         _fail(raw, "solve", '"solve" must be an options object')
-    try:
+    with _errors_at(raw, "solve", (SolverError, TypeError)):
         return SolveOptions(**section)
-    except (SolverError, TypeError) as exc:
-        _fail(raw, "solve", str(exc))
 
 
 def _tau_targets(cfg: dict, raw: str) -> list[float]:
     targets = cfg.get("tau")
     if not isinstance(targets, list) or not targets:
         _fail(raw, "tau", '"tau" must be a non-empty list of continuation targets')
-    try:
+    with _errors_at(raw, "tau"):
         values = [float(t) for t in targets]
-    except (ValueError, TypeError):
-        _fail(raw, "tau", "targets must be numbers")
     if any(not 0.0 < t <= 1.0 for t in values):
         _fail(raw, "tau", "targets must lie in (0, 1]")
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -281,13 +282,14 @@ def _level_svg(ring: ConvexRing, reports: list[LevelSetReport]) -> str:
 def cmd_levels(cfg: dict, raw: str, snapshot: str, out_dir: Path) -> int:
     try:
         f = load_field(snapshot)
-    except OSError as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read snapshot {snapshot}: {exc}") from exc
 
     levels = cfg.get("levels")
     if not isinstance(levels, list) or not levels:
         _fail(raw, "levels", '"levels" must be a non-empty list')
-    values = [float(c) for c in levels]
+    with _errors_at(raw, "levels"):
+        values = [float(c) for c in levels]
     if f.boundary_values is not None:
         lo, hi = sorted(f.boundary_values)
         for c in values:
@@ -320,50 +322,30 @@ def cmd_levels(cfg: dict, raw: str, snapshot: str, out_dir: Path) -> int:
 
 def cmd_verify(cfg: dict, raw: str, out_dir: Path, allow_negative: bool) -> int:
     chart = _build_chart(cfg, raw, allow_negative)
-    ring = _build_ring(cfg, raw, chart)
-    grid_section = cfg.get("grid", {})
-    if not isinstance(grid_section, dict):
-        _fail(raw, "grid", 'invalid "grid" section')
-    ns = int(grid_section.get("ns", 33))
-    ntheta = int(grid_section.get("ntheta", 64))
-    _build_grid(cfg, raw, ring)  # fail early on fold or size problems
-
+    grid = _build_grid(cfg, raw, _build_ring(cfg, raw, chart))
     selected = cfg.get("checks")
-    if selected is None:
-        selected = list(SUITE_CHECKS)
-    if not isinstance(selected, list):
+    if selected is not None and not isinstance(selected, list):
         _fail(raw, "checks", '"checks" must be a list of check names')
-    unknown = [c for c in selected if c not in SUITE_CHECKS]
-    if unknown:
-        _fail(raw, "checks", f"unknown checks {unknown}; available: {list(SUITE_CHECKS)}")
-
-    verify_section = cfg.get("verify", {})
-    if not isinstance(verify_section, dict):
+    section = cfg.get("verify", {})
+    if not isinstance(section, dict):
         _fail(raw, "verify", '"verify" must be an options object')
-    tau = float(verify_section.get("tau", 0.5))
-    oracle_sizes = tuple(verify_section.get("oracle_grid_sizes", (64, 128, 256)))
+    with _errors_at(raw, "verify"):
+        tau = float(section.get("tau", 0.5))
+        oracle_sizes = tuple(section.get("oracle_grid_sizes", (64, 128, 256)))
     options = _solve_options(cfg, raw)
 
-    if not selected:
+    with _errors_at(raw, "checks", ValueError):  # unknown names, before any check runs
+        reports = run_suite(grid, tau=tau, checks=selected,
+                            oracle_grid_sizes=oracle_sizes, options=options)
+    if not reports:
         print("warning: empty check list, nothing verified", file=sys.stderr)
-        _write_json(out_dir / "verification.json",
-                    {"timestamp": _timestamp({}), "reports": []})
-        return 0
 
-    entries, runtimes, had_error = [], {}, False
-    for name in selected:
-        t0 = time.perf_counter()
-        try:
-            report, = run_suite(ring=ring, ns=ns, ntheta=ntheta, tau=tau,
-                                checks=[name], oracle_grid_sizes=oracle_sizes,
-                                options=options)
-        except Exception as exc:
-            had_error = True
-            runtimes[name] = time.perf_counter() - t0
-            entries.append({"name": name, "error": str(exc)})
-            print(f"{name:<28} ERROR  {exc}")
+    entries = []
+    for report in reports:
+        if report.error is not None:
+            entries.append({"name": report.name, "error": report.error})
+            print(f"{report.name:<28} ERROR  {report.error}")
             continue
-        runtimes[name] = report.runtime_s
         entries.append({
             "name": report.name,
             "passed": report.passed,
@@ -376,27 +358,24 @@ def cmd_verify(cfg: dict, raw: str, out_dir: Path, allow_negative: bool) -> int:
         print(f"{report.name:<28} {status}   margin={report.margin:+.6g}  "
               f"tolerance={report.tolerance:.6g}")
 
+    runtimes = {r.name: r.runtime_s for r in reports}
     _write_json(out_dir / "verification.json",
                 {"timestamp": _timestamp(runtimes), "reports": entries})
-    all_passed = not had_error and all(e.get("passed") for e in entries)
-    return 0 if all_passed else 3
+    return 0 if all(r.passed for r in reports) else 3
 
 
 def cmd_oracle(cfg: dict, raw: str, out_dir: Path) -> int:
     section = cfg.get("oracle")
     if not isinstance(section, dict):
         _fail(raw, "oracle", 'missing or invalid "oracle" section')
-    try:
+    with _errors_at(raw, "oracle"):  # OracleInfeasibleError is a ValueError
         oracle = radial_oracle(
             float(section.get("r_inner", 1.0)),
             float(section.get("r_outer", 2.0)),
             float(section["tau"]) if "tau" in section else 0.3,
             int(section.get("n", 2)),
         )
-    except (OracleInfeasibleError, ValueError) as exc:
-        _fail(raw, "oracle", str(exc))
-    samples = int(section.get("samples", 33))
-    radii = np.linspace(oracle.r_inner, oracle.r_outer, samples)
+        radii = np.linspace(oracle.r_inner, oracle.r_outer, int(section.get("samples", 33)))
     rows = ["r,u,du"]
     print(f"flux constant c = {oracle.c:.12g}")
     print("r,u,du")

@@ -270,8 +270,9 @@ def save_field(f: ScalarField, path: str) -> None:
 
 
 def field_from_dict(d: dict[str, Any]) -> ScalarField:
-    if d.get("format") != SNAPSHOT_FORMAT:
-        raise FieldShapeError(f"not a field snapshot: format={d.get('format')!r}")
+    fmt = d.get("format") if isinstance(d, dict) else None
+    if fmt != SNAPSHOT_FORMAT:
+        raise FieldShapeError(f"not a field snapshot: format={fmt!r}")
     ring = ring_from_dict(d["ring"])
     grid = build_grid(ring, d["grid"]["ns"], d["grid"]["ntheta"])
     values = np.asarray(d["values"], dtype=float)

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .field import ScalarField
-from .levelgeom import extract_level
+from .levelgeom import SingularGradientError, TopologyError, extract_level
 from .ring import AnnularGrid
 from .spaceform import conformal_factor
 
@@ -438,7 +438,8 @@ def continuation_solve(grid: AnnularGrid, targets: Sequence[float],
     The first solve runs at min(tau_start, smallest target) from the harmonic
     initializer; later solves start from the previous solution rescaled to
     the new boundary value.  A failed solve halves the step toward the target
-    (down to 2^-10 of the leg) before giving up with the partial trace."""
+    (down to 2^-10 of the leg) before giving up with the partial trace, as
+    does a converged step whose level diagnostics fail."""
     options = options or SolveOptions()
     targets = [float(t) for t in targets]
     if any(not 0.0 < t <= 1.0 for t in targets):
@@ -469,7 +470,11 @@ def continuation_solve(grid: AnnularGrid, targets: Sequence[float],
                                    boundary_values=(0.0, tau_try))
             f, report = solve_minimal_graph(grid, tau_try, options=options, init=init)
             if report.converged:
-                min_grad, kappa_min, boundary_grad = _step_diagnostics(f, tau_try)
+                try:
+                    min_grad, kappa_min, boundary_grad = _step_diagnostics(f, tau_try)
+                except (TopologyError, SingularGradientError) as exc:
+                    raise ContinuationError(
+                        f"step diagnostics failed at tau={tau_try}: {exc}", trace) from exc
                 trace.steps.append(StepRecord(
                     tau=tau_try, report=report, field=f,
                     min_interior_gradient=min_grad,

@@ -111,11 +111,14 @@ class PointJet:
     one_sided: bool = False
 
 
+def _lambda(chart: SpaceFormChart, pts: np.ndarray):
+    # the one expression for lambda; pts are already validated
+    return 1.0 / (1.0 + 0.25 * chart.epsilon * np.sum(pts * pts, axis=-1))
+
+
 def conformal_factor(chart: SpaceFormChart, x) -> np.ndarray | float:
     """lambda(x) = 1/(1 + (eps/4)|x|^2), broadcasting over leading axes."""
-    pts = chart.validate_points(x)
-    r2 = np.sum(pts * pts, axis=-1)
-    lam = 1.0 / (1.0 + 0.25 * chart.epsilon * r2)
+    lam = _lambda(chart, chart.validate_points(x))
     return float(lam) if lam.ndim == 0 else lam
 
 
@@ -126,8 +129,7 @@ def _log_lambda_derivatives(chart: SpaceFormChart, pts: np.ndarray):
     d2(log lambda)_ab = -(eps/2) lambda delta_ab + (eps^2/4) x_a x_b lambda^2
     """
     eps = chart.epsilon
-    r2 = np.sum(pts * pts, axis=-1)
-    lam = 1.0 / (1.0 + 0.25 * eps * r2)
+    lam = _lambda(chart, pts)
     d1 = -0.5 * eps * pts * lam[..., None]
     eye = np.eye(chart.dim)
     d2 = (
@@ -145,9 +147,12 @@ def christoffel(chart: SpaceFormChart, x) -> np.ndarray:
     Gamma^c_{ab} = delta_ca phi_b + delta_cb phi_a - delta_ab phi_c
     with phi = log(lambda).
     """
-    pts = chart.validate_points(x)
-    _, phi, _ = _log_lambda_derivatives(chart, pts)
-    eye = np.eye(chart.dim)
+    _, phi, _ = _log_lambda_derivatives(chart, chart.validate_points(x))
+    return _christoffel(phi)
+
+
+def _christoffel(phi: np.ndarray) -> np.ndarray:
+    eye = np.eye(phi.shape[-1])
     # indices: [..., c, a, b]
     gamma = (
         eye[:, :, None] * phi[..., None, None, :]
@@ -168,8 +173,8 @@ def frame_components(chart: SpaceFormChart, x, coord_grad, coord_hess):
     pts = chart.validate_points(x)
     du = np.asarray(coord_grad, dtype=float)
     d2u = np.asarray(coord_hess, dtype=float)
-    lam = 1.0 / (1.0 + 0.25 * chart.epsilon * np.sum(pts * pts, axis=-1))
-    gamma = christoffel(chart, pts)
+    lam, phi = _log_lambda_derivatives(chart, pts)[:2]  # frees d2 before the einsum
+    gamma = _christoffel(phi)
     correction = np.einsum("...cab,...c->...ab", gamma, du)
     grad = du / lam[..., None]
     hess = (d2u - correction) / (lam * lam)[..., None, None]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -183,6 +184,7 @@ class VerificationReport:
     claim: str
     runtime_s: float
     extras: dict[str, Any] = dc_field(default_factory=dict)
+    error: str | None = None  # message of the exception a suite check raised
 
 
 def _finish(name: str, margin: float, tolerance: float, claim: str,
@@ -436,68 +438,72 @@ def check_hopf_boundary_bound(trace: ContinuationTrace) -> VerificationReport:
 
 # -- default suite -------------------------------------------------------------
 
-SUITE_CHECKS = (
-    "solver-vs-oracle",
-    "gradient-max-principle",
-    "supersolution",
-    "tau-estimates",
-    "small-tau-regime",
-    "convexity-and-rank",
-    "gradient-monotonicity",
-    "hopf-boundary-bound",
-)
+
+@dataclass
+class _SuiteRun:
+    """One suite run: its inputs and the solves its checks share."""
+
+    grid: AnnularGrid
+    tau: float
+    oracle_sizes: Sequence[int]
+    options: SolveOptions | None
+
+    @cached_property
+    def u(self) -> ScalarField:
+        u, report = solve_minimal_graph(self.grid, self.tau, options=self.options)
+        if not report.converged:
+            raise SolverError(f"suite solve at tau={self.tau} did not converge")
+        return u
+
+    @cached_property
+    def omega(self) -> ScalarField:
+        return solve_harmonic(self.grid, self.tau, self.options)
 
 
-def run_suite(ring=None, ns: int = 33, ntheta: int = 64, tau: float = 0.5,
+_SUITE: dict[str, Callable[[_SuiteRun], VerificationReport]] = {
+    "solver-vs-oracle": lambda r: check_solver_vs_oracle(r.oracle_sizes, options=r.options),
+    "gradient-max-principle": lambda r: check_gradient_max_principle(r.u),
+    "supersolution": lambda r: check_supersolution(r.u, r.omega, r.tau),
+    "tau-estimates": lambda r: check_tau_estimates(r.grid, (0.1, 0.2, 0.4, 0.8), r.options),
+    "small-tau-regime": lambda r: check_small_tau_regime(r.grid, options=r.options),
+    "convexity-and-rank": lambda r: check_convexity_and_rank(r.u),
+    "gradient-monotonicity": lambda r: check_gradient_monotonicity(r.u),
+    "hopf-boundary-bound": lambda r: check_hopf_boundary_bound(
+        continuation_solve(r.grid, (0.25, 0.5, 0.75, 1.0), options=r.options)),
+}
+SUITE_CHECKS = tuple(_SUITE)
+
+
+def run_suite(grid: AnnularGrid | None = None, tau: float = 0.5,
               checks: Sequence[str] | None = None,
               oracle_grid_sizes: Sequence[int] = (64, 128, 256),
               options: SolveOptions | None = None) -> list[VerificationReport]:
-    """Run the named checks (default: all) on one ring and return the reports.
+    """Run the named checks (default: all) on one grid (default: 33x64 on the
+    flat ring between the circles of radius 1 and 2) and return the reports.
 
-    The solver-vs-oracle check always runs on the canonical flat circle ring
-    regardless of the configured ring, since that is where the oracle lives."""
-    if ring is None:
-        chart = SpaceFormChart(epsilon=0.0)
-        ring = make_ring(chart, make_curve("circle", radius=2.0),
-                         make_curve("circle", radius=1.0))
+    The checks share one solve and one harmonic solve at ``tau``; runtime_s
+    includes the solves a check triggered.  A check that raises gets a failed
+    report carrying ``error``, and the rest still run.  The solver-vs-oracle
+    check always runs on the canonical flat circle ring, where the oracle lives."""
     selected = SUITE_CHECKS if checks is None else tuple(checks)
     unknown = [c for c in selected if c not in SUITE_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {list(SUITE_CHECKS)}")
+    if grid is None:
+        chart = SpaceFormChart(epsilon=0.0)
+        grid = build_grid(make_ring(chart, make_curve("circle", radius=2.0),
+                                    make_curve("circle", radius=1.0)), 33, 64)
 
-    grid = build_grid(ring, ns, ntheta)
-    cache: dict[str, Any] = {}
-
-    def solved() -> ScalarField:
-        if "u" not in cache:
-            u, report = solve_minimal_graph(grid, tau, options=options)
-            if not report.converged:
-                raise SolverError(f"suite solve at tau={tau} did not converge")
-            cache["u"] = u
-        return cache["u"]
-
-    def harmonic() -> ScalarField:
-        if "omega" not in cache:
-            cache["omega"] = solve_harmonic(grid, tau, options)
-        return cache["omega"]
-
+    run = _SuiteRun(grid, tau, oracle_grid_sizes, options)
     reports = []
-    for check in selected:
-        if check == "solver-vs-oracle":
-            reports.append(check_solver_vs_oracle(oracle_grid_sizes, options=options))
-        elif check == "gradient-max-principle":
-            reports.append(check_gradient_max_principle(solved()))
-        elif check == "supersolution":
-            reports.append(check_supersolution(solved(), harmonic(), tau))
-        elif check == "tau-estimates":
-            reports.append(check_tau_estimates(grid, (0.1, 0.2, 0.4, 0.8), options))
-        elif check == "small-tau-regime":
-            reports.append(check_small_tau_regime(grid, options=options))
-        elif check == "convexity-and-rank":
-            reports.append(check_convexity_and_rank(solved()))
-        elif check == "gradient-monotonicity":
-            reports.append(check_gradient_monotonicity(solved()))
-        elif check == "hopf-boundary-bound":
-            trace = continuation_solve(grid, (0.25, 0.5, 0.75, 1.0), options=options)
-            reports.append(check_hopf_boundary_bound(trace))
+    for name in selected:
+        t0 = time.perf_counter()
+        try:
+            report = _SUITE[name](run)
+        except Exception as exc:
+            report = VerificationReport(name=name, passed=False, margin=float("nan"),
+                                        tolerance=float("nan"), claim="",
+                                        runtime_s=0.0, error=str(exc))
+        report.runtime_s = time.perf_counter() - t0
+        reports.append(report)
     return reports

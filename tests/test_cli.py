@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from convexring import cli, solve, verify
 from convexring.cli import main
 from convexring.field import load_field
+from convexring.levelgeom import TopologyError, extract_level
 
 
 def base_config(**overrides):
@@ -76,6 +78,30 @@ def test_solve_failure_keeps_partial_outputs_and_exits_2(tmp_path, capsys):
     trace = json.loads((out / "trace.json").read_text())
     assert trace["completed"] is False
     assert "tau=0" in trace["failure"]
+
+
+def test_solve_diagnostic_failure_keeps_partial_outputs_and_exits_2(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def fails_on_second_step(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 3:  # three levels per accepted step
+            raise TopologyError("injected level topology failure")
+        return extract_level(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "extract_level", fails_on_second_step)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "step diagnostics failed at tau=0.3" in err
+    trace = json.loads((out / "trace.json").read_text())
+    assert trace["completed"] is False
+    assert [s["tau"] for s in trace["steps"]] == [0.05]
+    assert (out / "field_tau_0.05.json").is_file()
+    assert not (out / "field_tau_0.3.json").exists()
 
 
 def test_solve_reports_progress_lines(tmp_path, capsys):
@@ -167,6 +193,36 @@ def test_linear_solver_option_exits_1(tmp_path, capsys):
         assert err.startswith(f"error: config line {line}: ")
         assert "linear_solver" in err
         assert not (out / "trace.json").exists()
+
+
+@pytest.mark.parametrize("command, overrides, snapshot", [
+    ("solve", {"chart": {"epsilon": "x"}}, None),
+    ("verify", {"grid": {"ns": "x"}, "checks": ["gradient-max-principle"]}, None),
+    ("verify", {"verify": {"tau": "x"}, "checks": ["gradient-max-principle"]}, None),
+    ("verify", {"verify": {"oracle_grid_sizes": 5}, "checks": ["solver-vs-oracle"]}, None),
+    ("levels", {"levels": ["a"]}, "solved"),
+    ("levels", {"levels": [0.1]}, "not json\n"),
+    ("levels", {"levels": [0.1]}, "{}\n"),
+    ("levels", {"levels": [0.1]}, "[]\n"),
+    ("oracle", {"oracle": {"samples": "x"}}, None),
+], ids=["epsilon", "grid-ns", "verify-tau", "oracle-grid-sizes", "levels",
+        "snapshot-not-json", "snapshot-not-a-field", "snapshot-a-list",
+        "oracle-samples"])
+def test_bad_input_exits_1_with_one_line(command, overrides, snapshot, solved_run,
+                                         tmp_path, capsys):
+    argv = [command, "--config", write_config(tmp_path, **overrides),
+            "--out", str(tmp_path / "out")]
+    if snapshot == "solved":
+        argv += ["--snapshot", str(solved_run[1] / "field_tau_0.3.json")]
+    elif snapshot is not None:
+        path = tmp_path / "snapshot.json"
+        path.write_text(snapshot)
+        argv += ["--snapshot", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 # -- levels -------------------------------------------------------------------
@@ -291,6 +347,56 @@ def test_verify_unknown_check_exits_1(tmp_path, capsys):
     rc = main(["verify", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
     assert "no-such-check" in capsys.readouterr().err
+
+
+README_CONFIG = {
+    "chart": {"epsilon": 0.0, "dim": 2},
+    "ring": {
+        "outer": {"kind": "ellipse", "radii": [3.0, 2.0]},
+        "inner": {"kind": "ellipse", "radii": [1.2, 0.8]},
+    },
+    "grid": {"ns": 65, "ntheta": 128},
+    "tau": [0.5, 1.0],
+    "levels": [0.25, 0.5, 0.75],
+    "checks": ["gradient-max-principle", "supersolution", "convexity-and-rank"],
+    "oracle": {"r_inner": 1.0, "r_outer": 2.0, "tau": 0.3, "samples": 33},
+}
+
+
+def _count_calls(monkeypatch, module, name, counts, key):
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        counts[key] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+@pytest.mark.parametrize("all_checks", [False, True], ids=["readme", "all-checks"])
+def test_verify_shares_one_grid_and_one_solve(all_checks, tmp_path, monkeypatch):
+    counts = {"solve": 0, "harmonic": 0, "grid": 0}
+    # continuation_solve calls the solver through the solve module
+    for module in (verify, solve):
+        _count_calls(monkeypatch, module, "solve_minimal_graph", counts, "solve")
+    _count_calls(monkeypatch, verify, "solve_harmonic", counts, "harmonic")
+    for module in (verify, cli):
+        _count_calls(monkeypatch, module, "build_grid", counts, "grid")
+    cfg = dict(README_CONFIG)
+    if all_checks:
+        del cfg["checks"]
+        # the counts do not depend on the oracle grid sizes; small ones keep it quick
+        cfg["verify"] = {"oracle_grid_sizes": [17, 33, 65]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg, indent=1) + "\n")
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "v")]) == 0
+    if all_checks:
+        # 3 oracle solves on 3 oracle grids, the shared solve, 4 tau-estimates
+        # solves, 3 small-tau solves and 5 continuation steps; one harmonic
+        # solve shared by supersolution plus 3 in small-tau-regime
+        assert counts == {"solve": 16, "harmonic": 4, "grid": 4}
+    else:
+        assert counts == {"solve": 1, "harmonic": 1, "grid": 1}
 
 
 # -- oracle ----------------------------------------------------------------

@@ -12,9 +12,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from convexring import verify
 from convexring.field import ScalarField, sample_field
 from convexring.ring import build_grid, make_curve, make_ring
 from convexring.solve import (
+    SolveOptions,
     continuation_solve,
     minimal_graph_residual,
     solve_harmonic,
@@ -365,9 +367,46 @@ def test_run_suite_default_checks_pass():
 
 
 def test_run_suite_subset_and_validation():
-    reports = run_suite(ns=9, ntheta=24, checks=["gradient-max-principle"])
+    reports = run_suite(grid=build_grid(_circle_ring(), 9, 24),
+                        checks=["gradient-max-principle"])
     assert len(reports) == 1
     assert reports[0].name == "gradient-max-principle"
     assert run_suite(checks=[]) == []
     with pytest.raises(ValueError):
         run_suite(checks=["no-such-check"])
+
+
+def test_run_suite_reports_a_raising_check_and_runs_the_rest(monkeypatch):
+    # only the continuation of hopf-boundary-bound gets options it cannot
+    # meet, so that check raises while the shared solve of the others succeeds
+    stalling = SolveOptions(newton_tol=1e-30, max_newton=6, min_step=0.6)
+    real = verify.continuation_solve
+    monkeypatch.setattr(verify, "continuation_solve",
+                        lambda grid, targets, options=None: real(grid, targets, stalling))
+    names = ["gradient-max-principle", "hopf-boundary-bound", "gradient-monotonicity"]
+    reports = run_suite(grid=build_grid(_circle_ring(), 9, 24), checks=names)
+    assert [r.name for r in reports] == names
+    first, failed, last = reports
+    assert not failed.passed
+    assert np.isnan(failed.margin)
+    assert "continuation stalled" in failed.error
+    assert failed.runtime_s > 0.0
+    for report in (first, last):
+        assert report.error is None
+        assert np.isfinite(report.margin)
+
+
+def test_run_suite_check_runtime_includes_its_solves(monkeypatch):
+    traces = []
+    real = verify.continuation_solve
+
+    def recording(*args, **kwargs):
+        traces.append(real(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(verify, "continuation_solve", recording)
+    report, = run_suite(grid=build_grid(_circle_ring(), 17, 32),
+                        checks=["hopf-boundary-bound"])
+    trace, = traces
+    assert len(trace.steps) == 5
+    assert report.runtime_s >= sum(step.report.wall_time for step in trace.steps)
