@@ -36,10 +36,10 @@ import numpy as np
 
 from .field import _atomic_write_text, load_field, save_field
 from .levelgeom import (
-    LevelRangeError,
     LevelSetReport,
     SingularGradientError,
     TopologyError,
+    _check_level,
     extract_level,
 )
 from .ring import AnnularGrid, ConvexRing, build_grid, make_curve, make_ring
@@ -288,20 +288,15 @@ def cmd_levels(cfg: dict, raw: str, snapshot: str, out_dir: Path) -> int:
     levels = cfg.get("levels")
     if not isinstance(levels, list) or not levels:
         _fail(raw, "levels", '"levels" must be a non-empty list')
-    with _errors_at(raw, "levels"):
+    with _errors_at(raw, "levels"):  # LevelRangeError is a ValueError
         values = [float(c) for c in levels]
-    if f.boundary_values is not None:
-        lo, hi = sorted(f.boundary_values)
         for c in values:
-            if not lo < c < hi:
-                _fail(raw, "levels", f"level {c} outside the open range ({lo}, {hi})")
+            _check_level(f, c)
 
     reports = []
     for c in values:
         try:
             reports.append(extract_level(f, c))
-        except LevelRangeError as exc:
-            _fail(raw, "levels", str(exc))
         except (TopologyError, SingularGradientError) as exc:
             print(f"level {c:.6g}: {exc}", file=sys.stderr)
             return 3
@@ -331,7 +326,12 @@ def cmd_verify(cfg: dict, raw: str, out_dir: Path, allow_negative: bool) -> int:
         _fail(raw, "verify", '"verify" must be an options object')
     with _errors_at(raw, "verify"):
         tau = float(section.get("tau", 0.5))
-        oracle_sizes = tuple(section.get("oracle_grid_sizes", (64, 128, 256)))
+        oracle_sizes = tuple(int(n) for n in section.get("oracle_grid_sizes", (64, 128, 256)))
+        if not 0.0 < tau <= 1.0:
+            raise ValueError("verify tau must lie in (0, 1]")
+        # the oracle grids are n x n (ntheta >= 8); an order needs two distinct sizes
+        if len(set(oracle_sizes)) < max(len(oracle_sizes), 2) or min(oracle_sizes) < 8:
+            raise ValueError("oracle_grid_sizes must be two or more distinct sizes >= 8")
     options = _solve_options(cfg, raw)
 
     with _errors_at(raw, "checks", ValueError):  # unknown names, before any check runs

@@ -6,6 +6,8 @@ the level-set principal curvatures are kept deliberately separate:
 * :func:`second_fundamental_form` builds h_ij = -u_{;ij}/|grad u| in an
   adapted tangent frame and exposes its eigenvalues (the principal
   curvatures of the level set with respect to the normal grad u / |grad u|).
+  This frame route evaluates stacked jets over leading axes, so
+  :func:`extract_level` and :func:`rank_scan` make one call each.
 * :func:`sigma_k_level` never touches the tangent frame: it contracts the
   gradient with the Newton transformation of the full covariant Hessian,
 
@@ -14,8 +16,9 @@ the level-set principal curvatures are kept deliberately separate:
   where T_k(A) = sum_{j<=k} (-1)^j sigma_{k-j}(A) A^j and the sigma_j(A) come
   from trace identities, not eigenvalues.
 
-Agreement of the two routes is a nontrivial identity and is enforced by the
-test suite; do not collapse them into one implementation.
+The sigma_k route stays scalar (one jet per call) and separate: agreement of
+the two routes is a nontrivial identity enforced by the test suite; do not
+collapse them into one implementation.
 """
 
 from __future__ import annotations
@@ -48,27 +51,48 @@ class TopologyError(RuntimeError):
 # -- frames and curvature -----------------------------------------------------
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b along the last axis; stacked matmul makes np.dot's BLAS call per
+    vector, so values match np.dot and np.linalg.norm bit for bit."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _tangent_frame(unit_normal: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt tangent basis seeded from coordinate axes.
+    """Gram-Schmidt tangent bases seeded from coordinate axes, over leading axes.
 
     Axes are taken in order of increasing |axis . normal| (ties resolved by
     lowest index), which makes the frame deterministic.
-    Returns an (n-1, n) array of orthonormal tangent vectors.
+    Returns (..., n-1, n) arrays of orthonormal tangent vectors.
     """
-    n = unit_normal.shape[0]
-    order = np.argsort(np.abs(unit_normal), kind="stable")
-    frame = []
-    for axis in order[: n - 1]:
-        v = np.zeros(n)
-        v[axis] = 1.0
-        v = v - np.dot(v, unit_normal) * unit_normal
-        for t in frame:
-            v = v - np.dot(v, t) * t
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
+    n = unit_normal.shape[-1]
+    order = np.argsort(np.abs(unit_normal), axis=-1, kind="stable")
+    frame: list[np.ndarray] = []
+    for k in range(n - 1):
+        v = (np.arange(n) == order[..., k:k + 1]).astype(float)
+        for t in [unit_normal, *frame]:
+            v = v - _dot(v, t)[..., None] * t
+        norm = np.sqrt(_dot(v, v))
+        if np.any(norm < 1e-12):
             raise SingularGradientError("degenerate tangent frame")
-        frame.append(v / norm)
-    return np.array(frame)
+        frame.append(v / norm[..., None])
+    return np.stack(frame, axis=-2)
+
+
+def _level_forms(points: np.ndarray, grad: np.ndarray, hess: np.ndarray,
+                 grad_floor: float) -> np.ndarray:
+    """h = -T D2u T^T / |grad u| over leading axes, T the tangent frames.
+
+    Raises SingularGradientError naming the first point, in C order, where
+    |grad u| is below the floor."""
+    norm = np.sqrt(_dot(grad, grad))
+    low = np.flatnonzero(norm < grad_floor)
+    if low.size:
+        point = np.reshape(points, (norm.size, -1))[low[0]].tolist()
+        raise SingularGradientError(
+            f"|grad u| = {norm.flat[low[0]]:.3e} below floor {grad_floor:.1e} at {point}")
+    tangents = _tangent_frame(grad / norm[..., None])
+    h = -tangents @ hess @ np.swapaxes(tangents, -1, -2) / norm[..., None, None]
+    return 0.5 * (h + np.swapaxes(h, -1, -2))
 
 
 def second_fundamental_form(jet: PointJet, grad_floor: float = GRAD_FLOOR) -> np.ndarray:
@@ -78,16 +102,8 @@ def second_fundamental_form(jet: PointJet, grad_floor: float = GRAD_FLOOR) -> np
     grad u / |grad u|; they are positive when the level set is convex toward
     increasing u.
     """
-    g = np.asarray(jet.grad, dtype=float)
-    norm = float(np.linalg.norm(g))
-    if norm < grad_floor:
-        raise SingularGradientError(
-            f"|grad u| = {norm:.3e} below floor {grad_floor:.1e} at {jet.point.tolist()}"
-        )
-    e_n = g / norm
-    tangents = _tangent_frame(e_n)
-    h = -tangents @ np.asarray(jet.hess, dtype=float) @ tangents.T / norm
-    return 0.5 * (h + h.T)
+    return _level_forms(jet.point, np.asarray(jet.grad, dtype=float),
+                        np.asarray(jet.hess, dtype=float), grad_floor)
 
 
 def principal_curvatures(jet: PointJet, grad_floor: float = GRAD_FLOOR) -> np.ndarray:
@@ -187,59 +203,52 @@ class LevelSetReport:
     grad_min: float
 
 
+def _check_level(f: ScalarField, c: float) -> None:
+    """Raise LevelRangeError unless c lies strictly between the boundary
+    values (the field's extremes when it has none)."""
+    if f.boundary_values is not None:
+        lo, hi = sorted(f.boundary_values)
+    else:
+        lo, hi = float(f.values.min()), float(f.values.max())
+    if not lo < c < hi:
+        raise LevelRangeError(f"level {c} outside the open range ({lo}, {hi})")
+
+
 def extract_level(f: ScalarField, c: float,
                   grad_floor: float = GRAD_FLOOR) -> LevelSetReport:
     """Trace the level set {u = c} through the grid.
 
-    Walks every theta column, finds the unique radial edge where u crosses c
+    Finds in every theta column the unique radial edge where u crosses c
     (linear interpolation in s), and evaluates curvature from the
     linearly interpolated covariant jet.  The returned polyline is ordered by
     theta and closed.
     """
+    _check_level(f, c)
     grid = f.grid
-    values = f.values
-    if f.boundary_values is not None:
-        lo, hi = sorted(f.boundary_values)
-    else:
-        lo, hi = float(values.min()), float(values.max())
-    if not lo < c < hi:
-        raise LevelRangeError(f"level {c} outside the open range ({lo}, {hi})")
+    d = f.values - c
+    crosses = d[:-1] * d[1:] <= 0
+    # an exact hit at node i > 0 shows up in edges i-1 and i; keep edge i-1
+    crosses[1:] &= d[1:-1] != 0
+    counts = crosses.sum(axis=0)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        raise TopologyError(f"level {c} crosses theta column {bad[0]} {counts[bad[0]]} times")
 
+    cols = np.arange(grid.ntheta)
+    i = np.argmax(crosses, axis=0)
+    denom = d[i, cols] - d[i + 1, cols]
+    t = np.divide(d[i, cols], denom, out=np.zeros(grid.ntheta), where=denom != 0)
+    pts = grid.map_point(grid.s[i] + t * grid.hs, grid.theta)
     table = f.jet_table()
-    pts = np.empty((grid.ntheta + 1, 2))
-    kap = np.empty(grid.ntheta + 1)
-    grad_min = np.inf
-    for j in range(grid.ntheta):
-        col = values[:, j] - c
-        crossings = np.nonzero(col[:-1] * col[1:] <= 0)[0]
-        # an exact node hit shows up in both adjacent edges; deduplicate
-        if len(crossings) > 1:
-            crossings = [i for i in crossings if col[i] != 0 or i == 0] or [crossings[0]]
-            uniq = [crossings[0]]
-            for i in crossings[1:]:
-                if i != uniq[-1] + 1 or col[i] != 0:
-                    uniq.append(i)
-            crossings = uniq
-        if len(crossings) != 1:
-            raise TopologyError(
-                f"level {c} crosses theta column {j} {len(crossings)} times"
-            )
-        i = int(crossings[0])
-        denom = col[i] - col[i + 1]
-        t = 0.0 if denom == 0 else col[i] / denom
-        s_star = grid.s[i] + t * grid.hs
-        pts[j] = grid.map_point(s_star, grid.theta[j])
-        grad = (1 - t) * table["grad"][i, j] + t * table["grad"][i + 1, j]
-        hess = (1 - t) * table["hess"][i, j] + t * table["hess"][i + 1, j]
-        jet = PointJet(point=pts[j], value=c, grad=grad, hess=hess)
-        h = second_fundamental_form(jet, grad_floor)
-        kap[j] = h[0, 0]
-        grad_min = min(grad_min, float(np.linalg.norm(grad)))
-    pts[-1] = pts[0]
-    kap[-1] = kap[0]
+    tg, th = t[:, None], t[:, None, None]
+    grad = (1 - tg) * table["grad"][i, cols] + tg * table["grad"][i + 1, cols]
+    hess = (1 - th) * table["hess"][i, cols] + th * table["hess"][i + 1, cols]
+    kap = _level_forms(pts, grad, hess, grad_floor)[:, 0, 0]
+    pts = np.vstack([pts, pts[:1]])
+    kap = np.append(kap, kap[0])
     return LevelSetReport(
-        level=float(c), points=pts, kappa=kap,
-        kappa_min=float(np.min(kap)), grad_min=float(grad_min),
+        level=float(c), points=pts, kappa=kap, kappa_min=float(np.min(kap)),
+        grad_min=float(np.min(np.sqrt(_dot(grad, grad)))),
     )
 
 
@@ -273,49 +282,33 @@ def rank_scan(source, levels: Sequence[float] | None = None,
     by ``levels``) or a callable ``x -> PointJet`` (requires ``points``).
     The default threshold is 10 h^2 for fields and 1e-8 for analytic jets.
     """
-    jets: list[PointJet] = []
     if isinstance(source, ScalarField):
         grid = source.grid
         if rank_threshold is None:
             rank_threshold = 10.0 * grid.max_spacing**2
         table = source.jet_table()
-        band = None
+        keep = np.ones((grid.ns - 2, grid.ntheta), dtype=bool)
         if levels is not None:
-            band = (min(levels), max(levels))
-        for i in range(1, grid.ns - 1):
-            for j in range(grid.ntheta):
-                if band is not None and not band[0] <= table["value"][i, j] <= band[1]:
-                    continue
-                jets.append(PointJet(
-                    point=grid.nodes[i, j], value=float(table["value"][i, j]),
-                    grad=table["grad"][i, j], hess=table["hess"][i, j],
-                ))
+            value = table["value"][1:-1]
+            keep = (min(levels) <= value) & (value <= max(levels))
+        points, grad, hess = (a[1:-1][keep] for a in (grid.nodes, table["grad"], table["hess"]))
     else:
         if points is None:
             raise ValueError("analytic source needs explicit sample points")
         if rank_threshold is None:
             rank_threshold = 1e-8
         jets = [source(np.asarray(p, dtype=float)) for p in points]
-    if not jets:
+        points, grad, hess = (np.array([getattr(jet, key) for jet in jets], dtype=float)
+                              for key in ("point", "grad", "hess"))
+    if len(points) == 0:
         raise ValueError("rank scan has no sample points")
 
-    min_rank = None
-    max_rank = None
-    lam_min = np.inf
-    where = jets[0].point
-    for jet in jets:
-        eigs = principal_curvatures(jet, grad_floor)
-        rank = int(np.sum(eigs > rank_threshold))
-        if min_rank is None or rank < min_rank:
-            min_rank = rank
-        if max_rank is None or rank > max_rank:
-            max_rank = rank
-        if eigs[0] < lam_min:
-            lam_min = float(eigs[0])
-            where = jet.point
+    eigs = np.linalg.eigvalsh(_level_forms(points, grad, hess, grad_floor))
+    ranks = np.sum(eigs > rank_threshold, axis=-1)
+    k = int(np.argmin(eigs[:, 0]))
     return RankScan(
-        samples=len(jets), min_rank=int(min_rank), max_rank=int(max_rank),
-        lambda_min=lam_min, location=np.asarray(where), threshold=float(rank_threshold),
+        samples=len(eigs), min_rank=int(ranks.min()), max_rank=int(ranks.max()),
+        lambda_min=float(eigs[k, 0]), location=points[k], threshold=float(rank_threshold),
     )
 
 

@@ -33,6 +33,7 @@ from .ring import AnnularGrid, build_grid, make_curve, make_ring
 from .solve import (
     ContinuationTrace,
     SolveOptions,
+    SolveReport,
     SolverError,
     build_supersolution,
     continuation_solve,
@@ -449,8 +450,12 @@ class _SuiteRun:
     options: SolveOptions | None
 
     @cached_property
+    def _solution(self) -> tuple[ScalarField, SolveReport]:
+        return solve_minimal_graph(self.grid, self.tau, options=self.options)
+
+    @property
     def u(self) -> ScalarField:
-        u, report = solve_minimal_graph(self.grid, self.tau, options=self.options)
+        u, report = self._solution  # kept when it did not converge: one solve per run
         if not report.converged:
             raise SolverError(f"suite solve at tau={self.tau} did not converge")
         return u

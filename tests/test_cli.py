@@ -9,8 +9,10 @@ import pytest
 
 from convexring import cli, solve, verify
 from convexring.cli import main
-from convexring.field import load_field
+from convexring.field import ScalarField, load_field, save_field
 from convexring.levelgeom import TopologyError, extract_level
+from convexring.ring import build_grid, make_curve, make_ring
+from convexring.spaceform import SpaceFormChart
 
 
 def base_config(**overrides):
@@ -200,12 +202,22 @@ def test_linear_solver_option_exits_1(tmp_path, capsys):
     ("verify", {"grid": {"ns": "x"}, "checks": ["gradient-max-principle"]}, None),
     ("verify", {"verify": {"tau": "x"}, "checks": ["gradient-max-principle"]}, None),
     ("verify", {"verify": {"oracle_grid_sizes": 5}, "checks": ["solver-vs-oracle"]}, None),
+    ("verify", {"verify": {"tau": 3.0}, "checks": ["gradient-max-principle"]}, None),
+    ("verify", {"verify": {"tau": 0}, "checks": ["gradient-max-principle"]}, None),
+    ("verify", {"verify": {"oracle_grid_sizes": ["a"]}, "checks": ["solver-vs-oracle"]}, None),
+    ("verify", {"verify": {"oracle_grid_sizes": [4, 8]}, "checks": ["solver-vs-oracle"]}, None),
+    ("verify", {"verify": {"oracle_grid_sizes": [16, 16]}, "checks": ["solver-vs-oracle"]}, None),
+    ("verify", {"verify": {"oracle_grid_sizes": [16]}, "checks": ["solver-vs-oracle"]}, None),
+    ("verify", {"verify": {"oracle_grid_sizes": []}, "checks": ["solver-vs-oracle"]}, None),
     ("levels", {"levels": ["a"]}, "solved"),
     ("levels", {"levels": [0.1]}, "not json\n"),
     ("levels", {"levels": [0.1]}, "{}\n"),
     ("levels", {"levels": [0.1]}, "[]\n"),
     ("oracle", {"oracle": {"samples": "x"}}, None),
-], ids=["epsilon", "grid-ns", "verify-tau", "oracle-grid-sizes", "levels",
+], ids=["epsilon", "grid-ns", "verify-tau", "oracle-grid-sizes",
+        "verify-tau-above-1", "verify-tau-zero", "oracle-grid-size-not-int",
+        "oracle-grid-size-below-8", "oracle-grid-sizes-repeated",
+        "oracle-grid-size-single", "oracle-grid-sizes-empty", "levels",
         "snapshot-not-json", "snapshot-not-a-field", "snapshot-a-list",
         "oracle-samples"])
 def test_bad_input_exits_1_with_one_line(command, overrides, snapshot, solved_run,
@@ -257,13 +269,25 @@ def test_levels_writes_csv_and_svg(solved_run, tmp_path, capsys):
 
 
 def test_levels_outside_boundary_range_exits_1(solved_run, tmp_path, capsys):
-    _, out = solved_run
-    cfg = write_config(tmp_path, levels=[0.9])
-    rc = main(["levels", "--config", cfg,
-               "--snapshot", str(out / "field_tau_0.3.json"),
-               "--out", str(tmp_path)])
-    assert rc == 1
-    assert "outside" in capsys.readouterr().err
+    # every level is range-checked before any is extracted; a snapshot without
+    # boundary values is checked against its extremes (0, 1), and on this folded
+    # profile level 0.5 crosses every column twice, but the out-of-range 1.5
+    # after it is a config error and wins
+    grid = build_grid(make_ring(SpaceFormChart(epsilon=0.0),
+                                make_curve("circle", radius=2.0),
+                                make_curve("circle", radius=1.0)), 17, 16)
+    ss, _ = np.meshgrid(grid.s, grid.theta, indexing="ij")
+    folded = tmp_path / "folded.json"
+    save_field(ScalarField(grid, np.sin(np.pi * ss), None), str(folded))
+    solved = solved_run[1] / "field_tau_0.3.json"
+    for snapshot, levels in ((solved, [0.9]), (solved, [0.1, 0.9]), (folded, [0.5, 1.5])):
+        cfg = write_config(tmp_path, levels=levels)
+        lvl_out = tmp_path / f"lvl_{snapshot.stem}_{len(levels)}"
+        rc = main(["levels", "--config", cfg, "--snapshot", str(snapshot),
+                   "--out", str(lvl_out)])
+        assert rc == 1
+        assert f"level {levels[-1]} outside the open range" in capsys.readouterr().err
+        assert not list(lvl_out.glob("*.csv"))
 
 
 def test_levels_missing_snapshot_exits_1(tmp_path, capsys):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from convexring.field import ScalarField, sample_field
+from convexring.field import ScalarField, fd_jet, sample_field
 from convexring.levelgeom import (
     LevelRangeError,
     RankScan,
@@ -22,6 +24,7 @@ from convexring.levelgeom import (
     structure_condition_check,
 )
 from convexring.ring import build_grid, make_curve, make_ring
+from convexring.solve import solve_minimal_graph
 from convexring.spaceform import PointJet, SpaceFormChart
 
 
@@ -218,6 +221,67 @@ def test_rank_scan_level_band_restriction():
 def test_rank_scan_requires_points_for_analytic_source():
     with pytest.raises(ValueError):
         rank_scan(lambda x: None)
+
+
+@pytest.fixture(scope="module")
+def sphere_chart_field():
+    """A solved field on an ellipse ring in the epsilon = 1 chart."""
+    chart = SpaceFormChart(epsilon=1.0, dim=2)
+    ring = make_ring(chart, make_curve("ellipse", radii=(0.9, 0.6)),
+                     make_curve("ellipse", radii=(0.35, 0.25), center=(0.03, -0.02)))
+    u, report = solve_minimal_graph(build_grid(ring, 33, 64), 0.5)
+    assert report.converged
+    return u
+
+
+def test_rank_scan_matches_a_per_node_loop(sphere_chart_field):
+    f = sphere_chart_field
+    grid = f.grid
+    for levels in (None, [0.2, 0.3]):
+        scan = rank_scan(f, levels=levels)
+        jets = [fd_jet(f, (i, j)) for i in range(1, grid.ns - 1) for j in range(grid.ntheta)]
+        if levels is not None:
+            jets = [jet for jet in jets if min(levels) <= jet.value <= max(levels)]
+        eigs = [principal_curvatures(jet) for jet in jets]
+        ranks = [int(np.sum(e > scan.threshold)) for e in eigs]
+        first_min = int(np.argmin([e[0] for e in eigs]))
+        assert scan.samples == len(jets)
+        assert (scan.min_rank, scan.max_rank) == (min(ranks), max(ranks))
+        assert scan.lambda_min == pytest.approx(eigs[first_min][0], rel=1e-12)
+        assert np.array_equal(scan.location, jets[first_min].point)
+
+
+def test_extract_level_matches_a_per_column_loop(sphere_chart_field):
+    f = sphere_chart_field
+    grid = f.grid
+    for c in (0.1, 0.25, 0.4):
+        rep = extract_level(f, c)
+        grad_norms = []
+        for j in range(grid.ntheta):
+            col = f.values[:, j] - c
+            i = next(i for i in range(grid.ns - 1) if col[i] * col[i + 1] <= 0)
+            t = col[i] / (col[i] - col[i + 1])
+            below, above = fd_jet(f, (i, j)), fd_jet(f, (i + 1, j))
+            point = grid.map_point(grid.s[i] + t * grid.hs, grid.theta[j])
+            jet = PointJet(point=point, value=c,
+                           grad=(1 - t) * below.grad + t * above.grad,
+                           hess=(1 - t) * below.hess + t * above.hess)
+            assert np.allclose(rep.points[j], point, rtol=0.0, atol=1e-15)
+            assert rep.kappa[j] == pytest.approx(principal_curvatures(jet)[0], rel=1e-12)
+            grad_norms.append(np.linalg.norm(jet.grad))
+        assert rep.grad_min == pytest.approx(min(grad_norms), rel=1e-12)
+        assert np.array_equal(rep.points[-1], rep.points[0])
+        assert rep.kappa[-1] == rep.kappa[0]
+
+
+def test_batched_geometry_names_the_first_singular_point(sphere_chart_field):
+    f = sphere_chart_field
+    first_node = f.grid.nodes[1, 0].tolist()
+    with pytest.raises(SingularGradientError, match=re.escape(f"at {first_node}")):
+        rank_scan(f, grad_floor=1e9)
+    first_point = extract_level(f, 0.25).points[0].tolist()
+    with pytest.raises(SingularGradientError, match=re.escape(f"at {first_point}")):
+        extract_level(f, 0.25, grad_floor=1e9)
 
 
 def test_structure_condition_three_examples():

@@ -410,3 +410,23 @@ def test_run_suite_check_runtime_includes_its_solves(monkeypatch):
     trace, = traces
     assert len(trace.steps) == 5
     assert report.runtime_s >= sum(step.report.wall_time for step in trace.steps)
+
+
+def test_run_suite_solves_once_when_the_shared_solve_fails(monkeypatch):
+    # a solve that does not converge is remembered, not repeated by each check
+    calls = []
+    real = verify.solve_minimal_graph
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "solve_minimal_graph", counting)
+    names = ["gradient-max-principle", "supersolution", "convexity-and-rank",
+             "gradient-monotonicity"]
+    reports = run_suite(grid=build_grid(_circle_ring(), 9, 24), checks=names,
+                        options=SolveOptions(newton_tol=1e-30))
+    assert len(calls) == 1
+    assert [r.name for r in reports] == names
+    assert all(not r.passed for r in reports)
+    assert {r.error for r in reports} == {"suite solve at tau=0.5 did not converge"}
