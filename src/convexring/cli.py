@@ -42,7 +42,7 @@ from .levelgeom import (
     _check_level,
     extract_level,
 )
-from .ring import AnnularGrid, ConvexRing, build_grid, make_curve, make_ring
+from .ring import AnnularGrid, ConvexRing, build_grid, curve_from_dict, make_ring
 from .solve import ContinuationError, SolveOptions, SolverError, continuation_solve
 from .spaceform import SpaceFormChart
 from .verify import radial_oracle, run_suite
@@ -113,10 +113,8 @@ def _build_chart(cfg: dict, raw: str, allow_negative: bool) -> SpaceFormChart:
 def _build_curve(entry: Any, raw: str, key: str):
     if not isinstance(entry, dict) or "kind" not in entry:
         _fail(raw, key, f'"{key}" must be a curve object with a "kind"')
-    params = {k: tuple(v) if isinstance(v, list) else v
-              for k, v in entry.items() if k != "kind"}
     with _errors_at(raw, key):
-        return make_curve(entry["kind"], **params)
+        return curve_from_dict(entry)
 
 
 def _build_ring(cfg: dict, raw: str, chart: SpaceFormChart) -> ConvexRing:

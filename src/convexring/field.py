@@ -97,8 +97,8 @@ def _comp_derivatives(values: np.ndarray, hs: float, ht: float):
 
 
 def _build_jet_table(grid: AnnularGrid, values: np.ndarray) -> dict:
-    ss, tt = np.meshgrid(grid.s, grid.theta, indexing="ij")
-    jinv, _ = grid.map_jacobian_inverse(ss, tt)
+    s = grid.s[:, None]
+    jinv, _ = grid.map_jacobian_inverse(s, grid.theta)
 
     u_s, u_t, u_ss, u_st, u_tt = _comp_derivatives(values, grid.hs, grid.htheta)
     comp_grad = np.stack([u_s, u_t], axis=-1)
@@ -111,7 +111,7 @@ def _build_jet_table(grid: AnnularGrid, values: np.ndarray) -> dict:
     # coordinate gradient: Du = J^{-T} (u_s, u_t)
     coord_grad = np.einsum("...ai,...a->...i", jinv, comp_grad)
     # subtract the map's curvature term before the two-sided pullback
-    _, x_st, x_tt = grid.map_second(ss, tt)
+    _, x_st, x_tt = grid.map_second(s, grid.theta)
     correction = np.zeros_like(comp_hess)
     correction[..., 0, 1] = np.einsum("...i,...i->...", x_st, coord_grad)
     correction[..., 1, 0] = correction[..., 0, 1]
@@ -121,13 +121,7 @@ def _build_jet_table(grid: AnnularGrid, values: np.ndarray) -> dict:
     )
 
     grad, hess = frame_components(grid.ring.chart, grid.nodes, coord_grad, coord_hess)
-    return {
-        "value": values,
-        "grad": grad,
-        "hess": hess,
-        "coord_grad": coord_grad,
-        "coord_hess": coord_hess,
-    }
+    return {"value": values, "grad": grad, "hess": hess}
 
 
 def fd_jet(f: ScalarField, index: tuple[int, int]) -> PointJet:

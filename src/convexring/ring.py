@@ -1,15 +1,20 @@
 """Convex boundary curves and the blended annular grid between them.
 
 A ring is the region between two closed strictly convex curves, the inner one
-strictly contained in the outer one.  Curves are parametrized
-counterclockwise by an angle theta in [0, 2pi); the grid between them blends
-boundary positions linearly,
+strictly contained in the outer one.  Every curve, whatever its kind, is
+parametrized counterclockwise by an angle theta in [0, 2pi) through one formula,
+
+    gamma(theta) = c + r(theta) * (a cos theta, b sin theta),
+
+and the grid between them blends boundary positions linearly,
 
     x(s, theta) = (1 - s) * gamma_outer(theta) + s * gamma_inner(theta),
 
 so the s = 0 row lies exactly on the outer boundary and s = 1 exactly on the
-inner one.  Convexity, containment, and grid folding are all validated at
-construction time by dense sampling.
+inner one.  The ``map_*`` methods broadcast s against theta: given s[:, None]
+and a row of angles they evaluate each curve once per angle.  Convexity,
+containment, and grid folding are all validated at construction time by
+dense sampling.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .spaceform import SpaceFormChart, conformal_factor
+from .spaceform import SpaceFormChart, _log_lambda_derivatives
 
 TWO_PI = 2.0 * np.pi
 VALIDATION_SAMPLES = 720
@@ -37,81 +42,69 @@ class GridFoldError(ValueError):
     """The blended grid map degenerates (Jacobian determinant changes sign)."""
 
 
+# the theta-derivatives of cos(k theta) and sin(k theta) of order 0, 1, 2
+# are sign * wave(k theta) * k^order
+_COS_DERIVATIVES = ((1.0, np.cos), (-1.0, np.sin), (-1.0, np.cos))
+_SIN_DERIVATIVES = ((1.0, np.sin), (1.0, np.cos), (-1.0, np.sin))
+
+
 @dataclass(frozen=True)
 class ConvexCurve:
-    """Closed convex curve with analytic parametric derivatives.
+    """Closed convex curve x(theta) = c + r(theta) * (a cos theta, b sin theta).
 
-    kind is one of "circle", "ellipse", "fourier".  Use :func:`make_curve`,
-    which validates convexity; the constructor itself does not.
+    One formula serves every kind, with
+    r(theta) = r0 + sum_k cos_coeffs[k-1] cos(k theta) + sin_coeffs[k-1] sin(k theta):
+    a circle has r0 = radius and axes (a, b) = (1, 1), an ellipse r0 = 1 and
+    axes = its semiaxes, a fourier curve its series and axes (1, 1).  ``kind``
+    only names the config and snapshot format.  ``point``, ``d1`` and ``d2``
+    take theta of any shape and append an axis of length 2, so the grid's
+    ``map_*`` methods broadcast over (s, theta) and evaluate each curve once
+    per angle.  Use :func:`make_curve`, which validates convexity; the
+    constructor itself does not.
     """
 
     kind: str
     center: tuple[float, float] = (0.0, 0.0)
-    radius: float = 0.0                       # circle
-    radii: tuple[float, float] = (0.0, 0.0)   # ellipse semiaxes (a, b)
-    r0: float = 0.0                           # fourier base radius
-    cos_coeffs: tuple[float, ...] = ()        # fourier cos(k theta) amplitudes, k >= 1
+    axes: tuple[float, float] = (1.0, 1.0)
+    r0: float = 1.0
+    cos_coeffs: tuple[float, ...] = ()        # amplitudes of cos(k theta), k >= 1
     sin_coeffs: tuple[float, ...] = ()
 
-    def _radial(self, theta):
-        """Radius function and its first two derivatives (fourier kind)."""
-        r = np.full_like(theta, self.r0, dtype=float)
-        dr = np.zeros_like(r)
-        d2r = np.zeros_like(r)
-        for k, a in enumerate(self.cos_coeffs, start=1):
-            r += a * np.cos(k * theta)
-            dr += -a * k * np.sin(k * theta)
-            d2r += -a * k * k * np.cos(k * theta)
-        for k, b in enumerate(self.sin_coeffs, start=1):
-            r += b * np.sin(k * theta)
-            dr += b * k * np.cos(k * theta)
-            d2r += -b * k * k * np.sin(k * theta)
-        return r, dr, d2r
+    def _radius(self, theta, order: int):
+        """The order-th theta-derivative of r; a scalar without a series."""
+        r = self.r0 if order == 0 else 0.0
+        for coeffs, derivatives in ((self.cos_coeffs, _COS_DERIVATIVES),
+                                    (self.sin_coeffs, _SIN_DERIVATIVES)):
+            sign, wave = derivatives[order]
+            for k, c in enumerate(coeffs, start=1):
+                amp = sign * c
+                for _ in range(order):  # rounds as c * k * k, not as c * k**2
+                    amp *= k
+                r = r + amp * wave(k * theta)
+        return r
+
+    def _frame(self, theta):
+        """theta with a trailing axis, e = (a cos, b sin) and e' = (-a sin, b cos)."""
+        theta = np.asarray(theta, dtype=float)
+        a, b = self.axes
+        cos, sin = np.cos(theta), np.sin(theta)
+        e = np.stack([a * cos, b * sin], axis=-1)
+        de = np.stack([-a * sin, b * cos], axis=-1)
+        return theta[..., None], e, de
 
     def point(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        c = np.asarray(self.center)
-        if self.kind == "circle":
-            e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            return c + self.radius * e
-        if self.kind == "ellipse":
-            a, b = self.radii
-            return c + np.stack([a * np.cos(theta), b * np.sin(theta)], axis=-1)
-        if self.kind == "fourier":
-            r, _, _ = self._radial(theta)
-            e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            return c + r[..., None] * e
-        raise ValueError(f"unknown curve kind {self.kind!r}")
+        t, e, _ = self._frame(theta)
+        return np.asarray(self.center) + self._radius(t, 0) * e
 
     def d1(self, theta) -> np.ndarray:
-        """First parametric derivative d(gamma)/d(theta)."""
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "circle":
-            return self.radius * np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-        if self.kind == "ellipse":
-            a, b = self.radii
-            return np.stack([-a * np.sin(theta), b * np.cos(theta)], axis=-1)
-        if self.kind == "fourier":
-            r, dr, _ = self._radial(theta)
-            e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            ep = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-            return dr[..., None] * e + r[..., None] * ep
-        raise ValueError(f"unknown curve kind {self.kind!r}")
+        """First parametric derivative r' e + r e'."""
+        t, e, de = self._frame(theta)
+        return self._radius(t, 1) * e + self._radius(t, 0) * de
 
     def d2(self, theta) -> np.ndarray:
-        """Second parametric derivative."""
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "circle":
-            return -self.radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        if self.kind == "ellipse":
-            a, b = self.radii
-            return np.stack([-a * np.cos(theta), -b * np.sin(theta)], axis=-1)
-        if self.kind == "fourier":
-            r, dr, d2r = self._radial(theta)
-            e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            ep = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-            return (d2r - r)[..., None] * e + (2.0 * dr)[..., None] * ep
-        raise ValueError(f"unknown curve kind {self.kind!r}")
+        """Second parametric derivative (r'' - r) e + 2 r' e', as e'' = -e."""
+        t, e, de = self._frame(theta)
+        return (self._radius(t, 2) - self._radius(t, 0)) * e + (2.0 * self._radius(t, 1)) * de
 
     def chart_curvature(self, theta) -> np.ndarray:
         """Signed curvature in chart coordinates; positive for convex CCW curves."""
@@ -130,9 +123,9 @@ class ConvexCurve:
     def to_dict(self) -> dict[str, Any]:
         d: dict[str, Any] = {"kind": self.kind, "center": list(self.center)}
         if self.kind == "circle":
-            d["radius"] = self.radius
+            d["radius"] = self.r0
         elif self.kind == "ellipse":
-            d["radii"] = list(self.radii)
+            d["radii"] = list(self.axes)
         else:
             d["r0"] = self.r0
             d["cos_coeffs"] = list(self.cos_coeffs)
@@ -141,19 +134,12 @@ class ConvexCurve:
 
 
 def curve_from_dict(d: dict[str, Any]) -> ConvexCurve:
-    kind = d["kind"]
-    kwargs: dict[str, Any] = {"center": tuple(d.get("center", (0.0, 0.0)))}
-    if kind == "circle":
-        kwargs["radius"] = d["radius"]
-    elif kind == "ellipse":
-        kwargs["radii"] = tuple(d["radii"])
-    elif kind == "fourier":
-        kwargs["r0"] = d["r0"]
-        kwargs["cos_coeffs"] = tuple(d.get("cos_coeffs", ()))
-        kwargs["sin_coeffs"] = tuple(d.get("sin_coeffs", ()))
-    else:
-        raise ValueError(f"unknown curve kind {kind!r}")
-    return make_curve(kind, **kwargs)
+    """The curve of a config or snapshot spec {"kind": ..., parameters}."""
+    params = dict(d)
+    return make_curve(params.pop("kind"), **params)
+
+
+_REQUIRED_PARAMETER = {"circle": "radius", "ellipse": "radii", "fourier": "r0"}
 
 
 def make_curve(kind: str, **params) -> ConvexCurve:
@@ -164,36 +150,39 @@ def make_curve(kind: str, **params) -> ConvexCurve:
       ellipse  -- center, radii=(a, b)
       fourier  -- center, r0, cos_coeffs, sin_coeffs
                   (radius r(theta) = r0 + sum_k a_k cos(k theta) + b_k sin(k theta))
+
+    A missing or non-finite parameter is a ValueError naming the kind.
     """
+    if kind not in _REQUIRED_PARAMETER:
+        raise ValueError(f"unknown curve kind {kind!r}")
+    if _REQUIRED_PARAMETER[kind] not in params:
+        raise ValueError(f"{kind} curve is missing {_REQUIRED_PARAMETER[kind]!r}")
     center = tuple(float(c) for c in params.pop("center", (0.0, 0.0)))
     if kind == "circle":
         radius = float(params.pop("radius"))
         if radius <= 0:
             raise ValueError("circle radius must be positive")
-        curve = ConvexCurve(kind="circle", center=center, radius=radius)
+        curve = ConvexCurve(kind="circle", center=center, r0=radius)
     elif kind == "ellipse":
         a, b = (float(v) for v in params.pop("radii"))
         if a <= 0 or b <= 0:
             raise ValueError("ellipse semiaxes must be positive")
-        curve = ConvexCurve(kind="ellipse", center=center, radii=(a, b))
-    elif kind == "fourier":
-        r0 = float(params.pop("r0"))
-        cos_coeffs = tuple(float(v) for v in params.pop("cos_coeffs", ()))
-        sin_coeffs = tuple(float(v) for v in params.pop("sin_coeffs", ()))
-        curve = ConvexCurve(
-            kind="fourier", center=center, r0=r0,
-            cos_coeffs=cos_coeffs, sin_coeffs=sin_coeffs,
-        )
+        curve = ConvexCurve(kind="ellipse", center=center, axes=(a, b))
     else:
-        raise ValueError(f"unknown curve kind {kind!r}")
+        curve = ConvexCurve(
+            kind="fourier", center=center, r0=float(params.pop("r0")),
+            cos_coeffs=tuple(float(v) for v in params.pop("cos_coeffs", ())),
+            sin_coeffs=tuple(float(v) for v in params.pop("sin_coeffs", ())),
+        )
     if params:
         raise ValueError(f"unexpected parameters for {kind}: {sorted(params)}")
+    values = (*curve.center, *curve.axes, curve.r0, *curve.cos_coeffs, *curve.sin_coeffs)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{kind} curve parameters must be finite")
 
     theta = np.linspace(0.0, TWO_PI, VALIDATION_SAMPLES, endpoint=False)
-    if kind == "fourier":
-        r, _, _ = curve._radial(theta)
-        if np.min(r) <= 0:
-            raise ConvexityError("fourier radius function must stay positive")
+    if np.min(curve._radius(theta, 0)) <= 0:
+        raise ConvexityError("fourier radius function must stay positive")
     kappa = curve.chart_curvature(theta)
     k_min = float(np.min(kappa))
     if k_min <= 0:
@@ -211,14 +200,10 @@ def geodesic_curvature(curve: ConvexCurve, chart: SpaceFormChart, theta) -> np.n
     kappa_g = (kappa_chart + d_nu log lambda) / lambda with nu the outward
     chart normal.  Reduces to the chart curvature when eps = 0.
     """
-    theta = np.asarray(theta, dtype=float)
-    pts = curve.point(theta)
+    pts = chart.validate_points(curve.point(theta))
+    lam, dlog, _ = _log_lambda_derivatives(chart, pts)
     nu = curve.outward_normal(theta)
-    lam = conformal_factor(chart, pts)
-    # d(log lambda) = -(eps/2) * lambda * x
-    dlog = -0.5 * chart.epsilon * np.asarray(lam)[..., None] * pts
-    kappa = curve.chart_curvature(theta)
-    return (kappa + np.sum(dlog * nu, axis=-1)) / lam
+    return (curve.chart_curvature(theta) + np.sum(dlog * nu, axis=-1)) / lam
 
 
 @dataclass(frozen=True)
@@ -328,9 +313,9 @@ class AnnularGrid:
         self.hs = 1.0 / (ns - 1)
         self.htheta = TWO_PI / ntheta
 
-        ss, tt = np.meshgrid(self.s, self.theta, indexing="ij")
-        self.nodes = self.map_point(ss, tt)              # (ns, ntheta, 2)
-        jac = self.map_jacobian(ss, tt)
+        # (s[:, None], theta) broadcasts: each curve is evaluated at ntheta angles
+        self.nodes = self.map_point(self.s[:, None], self.theta)   # (ns, ntheta, 2)
+        jac = self.map_jacobian(self.s[:, None], self.theta)
         self.det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
         self._validate_determinants(self.det)
 
@@ -361,7 +346,7 @@ class AnnularGrid:
         s = np.asarray(s, dtype=float)[..., None]
         x_s = self.ring.inner.point(theta) - self.ring.outer.point(theta)
         x_t = (1.0 - s) * self.ring.outer.d1(theta) + s * self.ring.inner.d1(theta)
-        return np.stack([x_s, x_t], axis=-1)
+        return np.stack(np.broadcast_arrays(x_s, x_t), axis=-1)
 
     def map_jacobian_inverse(self, s, theta) -> tuple[np.ndarray, np.ndarray]:
         """(J^{-1}, det J) of the blend map; J^{-1} has shape (..., 2, 2),
@@ -379,7 +364,8 @@ class AnnularGrid:
     def map_second(self, s, theta):
         """Second derivatives of the blend map: (x_ss, x_st, x_tt).
 
-        x_ss vanishes identically (the blend is linear in s)."""
+        x_ss vanishes identically (the blend is linear in s); x_ss and x_st
+        depend on theta alone and keep its shape."""
         s = np.asarray(s, dtype=float)[..., None]
         x_st = self.ring.inner.d1(theta) - self.ring.outer.d1(theta)
         x_tt = (1.0 - s) * self.ring.outer.d2(theta) + s * self.ring.inner.d2(theta)

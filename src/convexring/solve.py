@@ -2,15 +2,15 @@
 
 The chart form of the equation is conservative,
 
-    d/dx_a ( lambda^(n-2) du/dx_a / W ) = lambda^n H(x),
+    d/dx_a ( du/dx_a / W ) = lambda^2 H(x),
     W = sqrt(1 + lambda^(-2) |Du|^2),
 
-with H = 0 for minimal graphs (the left side is -lambda^n times the mean
-curvature of the graph).  Discretization is conservative flux differencing on
-the mapped grid: fluxes live on cell faces, face gradients come from compact
-stencils pushed through the analytic blend-map Jacobian, and the divergence
-is taken back at nodes.  Newton's method uses the exact flux Jacobian
-dA/dp = lambda^(n-2) (I/W - lambda^(-2) p p^T / W^3) and damped line search.
+in two dimensions, with H = 0 for minimal graphs (the left side is -lambda^2
+times the mean curvature of the graph).  Discretization is conservative flux
+differencing on the mapped grid: fluxes live on cell faces, face gradients
+come from compact stencils pushed through the analytic blend-map Jacobian,
+and the divergence is taken back at nodes.  Newton's method uses the exact flux Jacobian
+dA/dp = I/W - lambda^(-2) p p^T / W^3 and damped line search.
 
 Every linear system is solved by one sparse LU factorisation (SuperLU) with
 the minimum-degree ordering on A^T + A, which suits the structurally
@@ -23,6 +23,7 @@ Dirichlet rows (s = 0 outer, s = 1 inner) are never touched by the solvers.
 
 from __future__ import annotations
 
+import numbers
 import time
 import weakref
 from dataclasses import dataclass, field as dc_field
@@ -63,10 +64,10 @@ class SolveOptions:
     min_step: float = 2.0**-20         # line-search floor
 
     def __post_init__(self):
-        if min(self.newton_tol, self.min_step) <= 0.0:
-            raise SolverError("tolerances must be positive")
-        if self.max_newton < 1:
-            raise SolverError("max_newton must be at least 1")
+        if not all(0.0 < t < np.inf for t in (self.newton_tol, self.min_step)):
+            raise SolverError("tolerances must be positive and finite")
+        if not (isinstance(self.max_newton, numbers.Integral) and self.max_newton >= 1):
+            raise SolverError(f"max_newton must be an integer >= 1, got {self.max_newton!r}")
 
 
 @dataclass
@@ -113,7 +114,7 @@ class _Assembler:
 
     Fluxes are evaluated on s-faces (i+1/2, j) and theta-faces (i, j+1/2);
     theta-faces are only needed on interior rows.  Each face family only
-    needs its normal flux component g = det lambda^(n-2) (G d)_a / W, with
+    needs its normal flux component g = det (G d)_a / W, with
     d = (u_s, u_t) and G = J^{-1} J^{-T} the contravariant metric of the
     blend map (a = 0 on s-faces, 1 on theta-faces).  ``linear=True`` freezes
     W = 1, which is the harmonic (conformal Laplace) operator; nothing
@@ -126,26 +127,26 @@ class _Assembler:
     """
 
     def __init__(self, grid: AnnularGrid):
-        self.n = grid.ring.chart.dim
         self.ns, self.ntheta = grid.ns, grid.ntheta
         self.hs, self.ht = grid.hs, grid.htheta
 
         sf = grid.s[:-1] + 0.5 * grid.hs
-        self._sface = self._face_geometry(grid, *np.meshgrid(sf, grid.theta, indexing="ij"), 0)
+        self._sface = self._face_geometry(grid, sf[:, None], grid.theta, 0)
         tf = grid.theta + 0.5 * grid.htheta
-        self._tface = self._face_geometry(grid, *np.meshgrid(grid.s[1:-1], tf, indexing="ij"), 1)
+        self._tface = self._face_geometry(grid, grid.s[1:-1, None], tf, 1)
         # node data on interior rows
         self.det_node = grid.det[1:-1]
-        self.lam_node_n = conformal_factor(grid.ring.chart, grid.nodes[1:-1]) ** self.n
+        self.lam2_node = conformal_factor(grid.ring.chart, grid.nodes[1:-1]) ** 2
 
-    def _face_geometry(self, grid, ss, tt, normal):
-        jinv, det = grid.map_jacobian_inverse(ss, tt)
-        lam = conformal_factor(grid.ring.chart, grid.map_point(ss, tt))
+    @staticmethod
+    def _face_geometry(grid, s, theta, normal):
+        jinv, det = grid.map_jacobian_inverse(s, theta)
+        lam = conformal_factor(grid.ring.chart, grid.map_point(s, theta))
         r0, r1 = jinv[..., 0, :], jinv[..., 1, :]
         g00 = np.sum(r0 * r0, axis=-1)
         g01 = np.sum(r0 * r1, axis=-1)
         g11 = np.sum(r1 * r1, axis=-1)
-        return {"k": det * lam ** (self.n - 2), "g00": g00, "g01": g01, "g11": g11,
+        return {"det": det, "g00": g00, "g01": g01, "g11": g11,
                 "inv_lam2": 1.0 / (lam * lam), "normal": normal}
 
     # face computational gradients (u_s, u_t) as arrays over faces
@@ -174,18 +175,18 @@ class _Assembler:
         return q0, q1, 1.0 / np.sqrt(1.0 + (u_s * q0 + u_t * q1) * geo["inv_lam2"])
 
     def _flux(self, geo, u_s, u_t, linear):
-        """Normal face flux g = k (G d)_a / W with k = det lambda^(n-2)."""
+        """Normal face flux g = det (G d)_a / W."""
         q0, q1, w_inv = self._face_terms(geo, u_s, u_t, linear)
-        return geo["k"] * w_inv * (q0 if geo["normal"] == 0 else q1)
+        return geo["det"] * w_inv * (q0 if geo["normal"] == 0 else q1)
 
     def _sensitivity(self, geo, u_s, u_t, linear):
-        """(dg/du_s, dg/du_t) = k (G_ab / W - (G d)_a (G d)_b / (lambda^2 W^3))."""
+        """(dg/du_s, dg/du_t) = det (G_ab / W - (G d)_a (G d)_b / (lambda^2 W^3))."""
         q0, q1, w_inv = self._face_terms(geo, u_s, u_t, linear)
         if geo["normal"] == 0:
             ga0, ga1, qa = geo["g00"], geo["g01"], q0
         else:
             ga0, ga1, qa = geo["g01"], geo["g11"], q1
-        c = geo["k"] * w_inv
+        c = geo["det"] * w_inv
         if linear:
             return c * ga0, c * ga1
         d = c * w_inv * w_inv * geo["inv_lam2"] * qa
@@ -200,7 +201,7 @@ class _Assembler:
         div += (gt - np.roll(gt, 1, axis=1)) / self.ht
         r = div / self.det_node
         if source is not None:
-            r = r - self.lam_node_n * source
+            r = r - self.lam2_node * source
         return r
 
     @cached_property
@@ -322,7 +323,7 @@ def solve_harmonic(grid: AnnularGrid, tau: float,
 def minimal_graph_residual(f: ScalarField) -> np.ndarray:
     """Divergence-form residual per node (zero rows for the Dirichlet data).
 
-    This is -lambda^n times the mean curvature of the graph; it vanishes to
+    This is -lambda^2 times the mean curvature of the graph; it vanishes to
     O(h^2) on samples of an exact minimal graph and to the Newton tolerance
     on converged solver output."""
     out = np.zeros_like(f.values)
@@ -395,7 +396,7 @@ def solve_prescribed_mean_curvature(grid: AnnularGrid, tau: float,
                                     options: SolveOptions | None = None,
                                     init: ScalarField | None = None,
                                     ) -> tuple[ScalarField, SolveReport]:
-    """Same Newton contract with the source term lambda^n H(x).
+    """Same Newton contract with the source term lambda^2 H(x).
 
     ``h_fn`` maps an (..., 2) array of chart points to H values.  H = 0
     recovers the minimal graph solve.  Non-solvable data yields a

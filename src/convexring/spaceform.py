@@ -53,6 +53,8 @@ class SpaceFormChart:
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         eps = float(self.epsilon)
+        if not np.isfinite(eps):
+            raise ValueError(f"epsilon must be finite, got {eps}")
         if eps < 0 and not self.allow_negative_curvature:
             raise ValueError(
                 "epsilon < 0 is experimental and outside the supported theory; "
@@ -69,8 +71,8 @@ class SpaceFormChart:
             # radius (eps < 0) while leaving room for generic test points
             radius = limit if np.isinf(limit) else (0.9 if eps > 0 else 0.5) * limit
         radius = float(radius)
-        if radius <= 0:
-            raise ValueError("chart_radius must be positive")
+        if not radius > 0:  # NaN fails too
+            raise ValueError(f"chart_radius must be positive, got {radius}")
         if np.isfinite(limit) and radius >= limit:
             raise ValueError(
                 f"chart_radius {radius} must be < {limit} for epsilon={eps}"

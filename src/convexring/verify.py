@@ -451,7 +451,7 @@ class _SuiteRun:
 
     @cached_property
     def _solution(self) -> tuple[ScalarField, SolveReport]:
-        return solve_minimal_graph(self.grid, self.tau, options=self.options)
+        return solve_minimal_graph(self.grid, self.tau, options=self.options, init=self.omega)
 
     @property
     def u(self) -> ScalarField:

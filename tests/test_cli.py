@@ -214,12 +214,26 @@ def test_linear_solver_option_exits_1(tmp_path, capsys):
     ("levels", {"levels": [0.1]}, "{}\n"),
     ("levels", {"levels": [0.1]}, "[]\n"),
     ("oracle", {"oracle": {"samples": "x"}}, None),
+    ("solve", {"chart": {"epsilon": float("nan")}}, None),
+    # a ring that solves in a sound eps=1 chart, so only the NaN radius can fail
+    ("solve", {"chart": {"epsilon": 1.0, "chart_radius": float("nan")},
+               "ring": {"outer": {"kind": "circle", "radius": 1.0},
+                        "inner": {"kind": "circle", "radius": 0.5}}}, None),
+    ("solve", {"solve": {"newton_tol": float("nan")}}, None),
+    ("solve", {"solve": {"max_newton": float("nan")}}, None),
+    ("solve", {"solve": {"max_newton": 2.5}}, None),
+    ("solve", {"ring": {"outer": {"kind": "circle"},
+                        "inner": {"kind": "circle", "radius": 1.0}}}, None),
+    ("solve", {"ring": {"outer": {"kind": "circle", "radius": 2.0},
+                        "inner": {"kind": "fourier", "cos_coeffs": [0.01]}}}, None),
 ], ids=["epsilon", "grid-ns", "verify-tau", "oracle-grid-sizes",
         "verify-tau-above-1", "verify-tau-zero", "oracle-grid-size-not-int",
         "oracle-grid-size-below-8", "oracle-grid-sizes-repeated",
         "oracle-grid-size-single", "oracle-grid-sizes-empty", "levels",
         "snapshot-not-json", "snapshot-not-a-field", "snapshot-a-list",
-        "oracle-samples"])
+        "oracle-samples", "epsilon-nan", "chart-radius-nan", "newton-tol-nan",
+        "max-newton-nan", "max-newton-not-int", "circle-without-radius",
+        "fourier-without-r0"])
 def test_bad_input_exits_1_with_one_line(command, overrides, snapshot, solved_run,
                                          tmp_path, capsys):
     argv = [command, "--config", write_config(tmp_path, **overrides),
@@ -233,7 +247,7 @@ def test_bad_input_exits_1_with_one_line(command, overrides, snapshot, solved_ru
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: ")
+    assert err.startswith("error: config line " if snapshot is None else "error: ")
     assert "Traceback" not in err
 
 
@@ -403,7 +417,9 @@ def test_verify_shares_one_grid_and_one_solve(all_checks, tmp_path, monkeypatch)
     # continuation_solve calls the solver through the solve module
     for module in (verify, solve):
         _count_calls(monkeypatch, module, "solve_minimal_graph", counts, "solve")
-    _count_calls(monkeypatch, verify, "solve_harmonic", counts, "harmonic")
+    # solve_minimal_graph without an init runs a harmonic solve of its own
+    for module in (verify, solve):
+        _count_calls(monkeypatch, module, "solve_harmonic", counts, "harmonic")
     for module in (verify, cli):
         _count_calls(monkeypatch, module, "build_grid", counts, "grid")
     cfg = dict(README_CONFIG)
@@ -416,9 +432,11 @@ def test_verify_shares_one_grid_and_one_solve(all_checks, tmp_path, monkeypatch)
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "v")]) == 0
     if all_checks:
         # 3 oracle solves on 3 oracle grids, the shared solve, 4 tau-estimates
-        # solves, 3 small-tau solves and 5 continuation steps; one harmonic
-        # solve shared by supersolution plus 3 in small-tau-regime
-        assert counts == {"solve": 16, "harmonic": 4, "grid": 4}
+        # solves, 3 small-tau solves and 5 continuation steps; harmonic
+        # solves: one per oracle solve, one shared by the shared solve and
+        # supersolution, 4 in tau-estimates, 3 in small-tau-regime and one
+        # for the first continuation step
+        assert counts == {"solve": 16, "harmonic": 12, "grid": 4}
     else:
         assert counts == {"solve": 1, "harmonic": 1, "grid": 1}
 

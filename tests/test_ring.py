@@ -61,6 +61,76 @@ def test_parametric_derivatives_match_fd():
         assert np.allclose(c.d2(theta), fd2, atol=1e-3)
 
 
+def _per_kind_reference(kind, center, radius=0.0, radii=(0.0, 0.0), r0=0.0,
+                        cos_coeffs=(), sin_coeffs=()):
+    """point, d1 and d2 written out separately for each curve kind."""
+
+    def radial(theta):
+        r = np.full_like(theta, r0)
+        dr = np.zeros_like(r)
+        d2r = np.zeros_like(r)
+        for k, a in enumerate(cos_coeffs, start=1):
+            r += a * np.cos(k * theta)
+            dr += -a * k * np.sin(k * theta)
+            d2r += -a * k * k * np.cos(k * theta)
+        for k, b in enumerate(sin_coeffs, start=1):
+            r += b * np.sin(k * theta)
+            dr += b * k * np.cos(k * theta)
+            d2r += -b * k * k * np.sin(k * theta)
+        return r, dr, d2r
+
+    def formulas(theta):
+        c = np.asarray(center)
+        e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        ep = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
+        if kind == "circle":
+            return c + radius * e, radius * ep, -radius * e
+        if kind == "ellipse":
+            a, b = radii
+            return (c + np.stack([a * np.cos(theta), b * np.sin(theta)], axis=-1),
+                    np.stack([-a * np.sin(theta), b * np.cos(theta)], axis=-1),
+                    np.stack([-a * np.cos(theta), -b * np.sin(theta)], axis=-1))
+        r, dr, d2r = radial(theta)
+        return (c + r[..., None] * e, dr[..., None] * e + r[..., None] * ep,
+                (d2r - r)[..., None] * e + (2.0 * dr)[..., None] * ep)
+
+    return formulas
+
+
+def test_one_formula_matches_the_per_kind_formulas_bit_for_bit():
+    rng = np.random.default_rng(17)
+    theta = rng.uniform(-2.0, 8.0, size=(7, 33))
+    specs = [
+        dict(kind="circle", center=(0.3, -0.2), radius=1.7),
+        dict(kind="ellipse", center=(-0.4, 0.25), radii=(2.3, 1.1)),
+        dict(kind="fourier", center=(0.1, 0.05), r0=1.2,
+             cos_coeffs=(0.04, 0.0, 0.013, 0.0, 0.0037), sin_coeffs=(0.0, 0.031, 0.0, 0.0071)),
+    ]
+    for spec in specs:
+        curve = curve_from_dict(spec)
+        reference = _per_kind_reference(**spec)
+        for t in (theta, theta[0, 0]):
+            for got, want in zip((curve.point(t), curve.d1(t), curve.d2(t)), reference(t)):
+                assert got.shape == want.shape
+                # + 0.0 maps -0.0 to 0.0: signed zeros may differ
+                assert np.array_equal(got + 0.0, want + 0.0), spec["kind"]
+
+
+def test_missing_or_non_finite_curve_parameter_is_rejected():
+    for kind, key in (("circle", "radius"), ("ellipse", "radii"), ("fourier", "r0")):
+        with pytest.raises(ValueError, match=f"{kind} curve is missing '{key}'"):
+            make_curve(kind, center=(0.0, 0.0))
+    for kind, params in (
+        ("circle", {"radius": np.nan}),
+        ("circle", {"radius": np.inf}),
+        ("ellipse", {"radii": (2.0, np.inf)}),
+        ("ellipse", {"radii": (2.0, 1.0), "center": (np.nan, 0.0)}),
+        ("fourier", {"r0": 1.0, "sin_coeffs": (0.0, np.nan)}),
+    ):
+        with pytest.raises(ValueError, match=f"{kind} curve parameters must be finite"):
+            make_curve(kind, **params)
+
+
 def test_dented_curve_rejected():
     with pytest.raises(ConvexityError):
         make_curve("fourier", r0=1.0, cos_coeffs=(0.0, 0.0, 0.3))
