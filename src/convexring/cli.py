@@ -43,9 +43,15 @@ from .levelgeom import (
     extract_level,
 )
 from .ring import AnnularGrid, ConvexRing, build_grid, curve_from_dict, make_ring
-from .solve import ContinuationError, SolveOptions, SolverError, continuation_solve
+from .solve import (
+    ContinuationError,
+    SolveOptions,
+    SolverError,
+    continuation_solve,
+    continuation_targets,
+)
 from .spaceform import SpaceFormChart
-from .verify import radial_oracle, run_suite
+from .verify import radial_oracle, run_suite, suite_inputs
 
 
 class ConfigError(ValueError):
@@ -148,12 +154,7 @@ def _tau_targets(cfg: dict, raw: str) -> list[float]:
     if not isinstance(targets, list) or not targets:
         _fail(raw, "tau", '"tau" must be a non-empty list of continuation targets')
     with _errors_at(raw, "tau"):
-        values = [float(t) for t in targets]
-    if any(not 0.0 < t <= 1.0 for t in values):
-        _fail(raw, "tau", "targets must lie in (0, 1]")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        _fail(raw, "tau", "targets must be strictly increasing")
-    return values
+        return continuation_targets(targets)
 
 
 # -- serialization helpers -----------------------------------------------------
@@ -323,13 +324,8 @@ def cmd_verify(cfg: dict, raw: str, out_dir: Path, allow_negative: bool) -> int:
     if not isinstance(section, dict):
         _fail(raw, "verify", '"verify" must be an options object')
     with _errors_at(raw, "verify"):
-        tau = float(section.get("tau", 0.5))
-        oracle_sizes = tuple(int(n) for n in section.get("oracle_grid_sizes", (64, 128, 256)))
-        if not 0.0 < tau <= 1.0:
-            raise ValueError("verify tau must lie in (0, 1]")
-        # the oracle grids are n x n (ntheta >= 8); an order needs two distinct sizes
-        if len(set(oracle_sizes)) < max(len(oracle_sizes), 2) or min(oracle_sizes) < 8:
-            raise ValueError("oracle_grid_sizes must be two or more distinct sizes >= 8")
+        tau, oracle_sizes = suite_inputs(section.get("tau", 0.5),
+                                         section.get("oracle_grid_sizes", (64, 128, 256)))
     options = _solve_options(cfg, raw)
 
     with _errors_at(raw, "checks", ValueError):  # unknown names, before any check runs
@@ -374,13 +370,10 @@ def cmd_oracle(cfg: dict, raw: str, out_dir: Path) -> int:
             int(section.get("n", 2)),
         )
         radii = np.linspace(oracle.r_inner, oracle.r_outer, int(section.get("samples", 33)))
-    rows = ["r,u,du"]
+    rows = ["r,u,du"] + [f"{r:.17g},{u:.17g},{du:.17g}"
+                         for r, u, du in zip(radii, oracle.u(radii), oracle.du(radii))]
     print(f"flux constant c = {oracle.c:.12g}")
-    print("r,u,du")
-    for r in radii:
-        line = f"{r:.17g},{float(oracle.u(r)):.17g},{float(oracle.du(r)):.17g}"
-        rows.append(line)
-        print(line)
+    print("\n".join(rows))
     _atomic_write_text(str(out_dir / "oracle.csv"), "\n".join(rows) + "\n")
     return 0
 

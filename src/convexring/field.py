@@ -20,6 +20,8 @@ from .ring import AnnularGrid, build_grid, ring_from_dict
 from .spaceform import PointJet, frame_components
 
 SNAPSHOT_FORMAT = "convexring-field"
+INVERT_TOL = 1e-12    # invert_blend_map residual, relative to max(1, |point - inner centre|)
+INVERT_MAX_ITER = 20  # invert_blend_map Newton steps per starting point
 
 
 class FieldShapeError(ValueError):
@@ -139,8 +141,7 @@ def fd_jet(f: ScalarField, index: tuple[int, int]) -> PointJet:
     )
 
 
-def invert_blend_map(grid: AnnularGrid, point, tol: float = 1e-12,
-                     max_iter: int = 20) -> tuple[float, float]:
+def invert_blend_map(grid: AnnularGrid, point) -> tuple[float, float]:
     """Newton-invert x(s, theta) = point; returns (s, theta) with theta in
     [0, 2pi).  Raises InversionError on non-convergence and DomainError when
     the preimage lies outside the ring (s outside [0, 1])."""
@@ -150,9 +151,9 @@ def invert_blend_map(grid: AnnularGrid, point, tol: float = 1e-12,
 
     def newton(s0: float, t0: float):
         s, t = s0, t0
-        for _ in range(max_iter):
+        for _ in range(INVERT_MAX_ITER + 1):  # the extra pass tests the last step
             r = grid.map_point(s, t) - x
-            if np.linalg.norm(r) <= tol * scale:
+            if np.linalg.norm(r) <= INVERT_TOL * scale:
                 return s, t
             jac = grid.map_jacobian(s, t)
             try:
@@ -160,9 +161,6 @@ def invert_blend_map(grid: AnnularGrid, point, tol: float = 1e-12,
             except np.linalg.LinAlgError:
                 return None
             s, t = s + ds, t + dt
-        r = grid.map_point(s, t) - x
-        if np.linalg.norm(r) <= tol * scale:
-            return s, t
         return None
 
     t0 = float(np.arctan2(x[1] - center[1], x[0] - center[0])) % (2 * np.pi)

@@ -34,6 +34,8 @@ from .field import ScalarField
 from .spaceform import PointJet, SpaceFormChart, frame_components
 
 GRAD_FLOOR = 1e-8
+FD_STEP = 1e-5    # central-difference step of fd_scalar_sampler
+PSD_TOL = 1e-10   # smallest eigenvalue structure_condition_check accepts is -PSD_TOL
 
 
 class SingularGradientError(ValueError):
@@ -326,9 +328,9 @@ class StructureReport:
     per_point: list[float]
 
 
-def fd_scalar_sampler(fn: Callable[[np.ndarray], float], step: float = 1e-5):
+def fd_scalar_sampler(fn: Callable[[np.ndarray], float]):
     """Wrap a plain callable into a (value, grad, hess) sampler by central
-    differences, for use where analytic derivatives are not available."""
+    differences of step FD_STEP, for use where analytic derivatives are not available."""
 
     def sampler(x: np.ndarray):
         x = np.asarray(x, dtype=float)
@@ -338,30 +340,29 @@ def fd_scalar_sampler(fn: Callable[[np.ndarray], float], step: float = 1e-5):
         hess = np.empty((n, n))
         for a in range(n):
             xp, xm = x.copy(), x.copy()
-            xp[a] += step
-            xm[a] -= step
-            grad[a] = (fn(xp) - fn(xm)) / (2 * step)
-            hess[a, a] = (fn(xp) - 2 * value + fn(xm)) / step**2
+            xp[a] += FD_STEP
+            xm[a] -= FD_STEP
+            grad[a] = (fn(xp) - fn(xm)) / (2 * FD_STEP)
+            hess[a, a] = (fn(xp) - 2 * value + fn(xm)) / FD_STEP**2
         for a in range(n):
             for b in range(a + 1, n):
                 xpp, xpm, xmp, xmm = x.copy(), x.copy(), x.copy(), x.copy()
-                xpp[[a, b]] += step
-                xmm[[a, b]] -= step
-                xpm[a] += step
-                xpm[b] -= step
-                xmp[a] -= step
-                xmp[b] += step
+                xpp[[a, b]] += FD_STEP
+                xmm[[a, b]] -= FD_STEP
+                xpm[a] += FD_STEP
+                xpm[b] -= FD_STEP
+                xmp[a] -= FD_STEP
+                xmp[b] += FD_STEP
                 hess[a, b] = hess[b, a] = (
                     fn(xpp) - fn(xpm) - fn(xmp) + fn(xmm)
-                ) / (4 * step**2)
+                ) / (4 * FD_STEP**2)
         return value, grad, hess
 
     return sampler
 
 
 def structure_condition_check(h_sampler, chart: SpaceFormChart,
-                              points: np.ndarray,
-                              psd_tol: float = 1e-10) -> StructureReport:
+                              points: np.ndarray) -> StructureReport:
     """Check 3 H_a H_b + 4 eps H^2 delta_ab <= 2 H H_{;ab} pointwise.
 
     ``h_sampler(x)`` must return (H, dH, d2H) in chart coordinates; the
@@ -370,27 +371,22 @@ def structure_condition_check(h_sampler, chart: SpaceFormChart,
 
         M = 2 H Hess(H) - 3 grad H x grad H - 4 eps H^2 I
 
-    and a point passes when the smallest eigenvalue of M is >= -psd_tol.
+    and a point passes when the smallest eigenvalue of M is >= -PSD_TOL.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     eps = chart.epsilon
     eye = np.eye(chart.dim)
     margins: list[float] = []
-    worst = pts[0]
-    lam_min = np.inf
     for x in pts:
         value, dh, d2h = h_sampler(x)
         grad, hess = frame_components(chart, x, dh, d2h)
         m = 2.0 * value * hess - 3.0 * np.outer(grad, grad) - 4.0 * eps * value**2 * eye
-        lam = float(np.linalg.eigvalsh(m)[0])
-        margins.append(lam)
-        if lam < lam_min:
-            lam_min = lam
-            worst = x
+        margins.append(float(np.linalg.eigvalsh(m)[0]))
+    worst = int(np.argmin(margins))
     return StructureReport(
         points_checked=len(pts),
-        passed=bool(lam_min >= -psd_tol),
-        min_eigenvalue=lam_min,
-        worst_point=np.asarray(worst),
+        passed=bool(margins[worst] >= -PSD_TOL),
+        min_eigenvalue=margins[worst],
+        worst_point=pts[worst],
         per_point=margins,
     )

@@ -235,11 +235,10 @@ def ring_from_dict(d: dict[str, Any]) -> ConvexRing:
     return make_ring(chart, curve_from_dict(d["outer"]), curve_from_dict(d["inner"]))
 
 
-def containment_margin(outer: ConvexCurve, inner: ConvexCurve,
-                       samples: int = VALIDATION_SAMPLES) -> float:
+def containment_margin(outer: ConvexCurve, inner: ConvexCurve) -> float:
     """Minimum signed distance from inner-curve samples to the outer curve's
     supporting half-planes; positive iff the inner curve is strictly inside."""
-    theta = np.linspace(0.0, TWO_PI, samples, endpoint=False)
+    theta = np.linspace(0.0, TWO_PI, VALIDATION_SAMPLES, endpoint=False)
     q = outer.point(theta)            # (m, 2)
     nu = outer.outward_normal(theta)  # (m, 2)
     p = inner.point(theta)            # (m, 2)
@@ -274,10 +273,9 @@ def make_ring(chart: SpaceFormChart, outer: ConvexCurve, inner: ConvexCurve) -> 
     return ConvexRing(chart=chart, outer=outer, inner=inner)
 
 
-def boundary_convexity_report(ring: ConvexRing,
-                              samples: int = VALIDATION_SAMPLES) -> dict[str, Any]:
+def boundary_convexity_report(ring: ConvexRing) -> dict[str, Any]:
     """Curvature extremes of both boundary curves plus the containment margin."""
-    theta = np.linspace(0.0, TWO_PI, samples, endpoint=False)
+    theta = np.linspace(0.0, TWO_PI, VALIDATION_SAMPLES, endpoint=False)
     report: dict[str, Any] = {}
     for name, curve in (("outer", ring.outer), ("inner", ring.inner)):
         kappa = curve.chart_curvature(theta)
@@ -287,7 +285,7 @@ def boundary_convexity_report(ring: ConvexRing,
             "chart_kappa_max": float(np.max(kappa)),
             "geodesic_kappa_min": float(np.min(kg)),
         }
-    report["containment_margin"] = containment_margin(ring.outer, ring.inner, samples)
+    report["containment_margin"] = containment_margin(ring.outer, ring.inner)
     return report
 
 

@@ -42,6 +42,8 @@ from .spaceform import conformal_factor
 # absolute max-norm residual the one-shot harmonic solve must reach
 # (or options.newton_tol, when that is looser)
 HARMONIC_RESIDUAL_TOL = 1e-9
+# the first continuation step, unless the smallest target lies below it
+TAU_START = 0.05
 
 
 class SolverError(RuntimeError):
@@ -431,27 +433,32 @@ def _step_diagnostics(f: ScalarField, tau: float) -> tuple[float, float, float]:
     return min_grad, float(kappa_min), boundary_grad
 
 
-def continuation_solve(grid: AnnularGrid, targets: Sequence[float],
-                       options: SolveOptions | None = None,
-                       tau_start: float = 0.05) -> ContinuationTrace:
-    """Predictor-corrector walk up the sorted tau targets.
-
-    The first solve runs at min(tau_start, smallest target) from the harmonic
-    initializer; later solves start from the previous solution rescaled to
-    the new boundary value.  A failed solve halves the step toward the target
-    (down to 2^-10 of the leg) before giving up with the partial trace, as
-    does a converged step whose level diagnostics fail."""
-    options = options or SolveOptions()
+def continuation_targets(targets: Sequence[float]) -> list[float]:
+    """The targets as floats; ValueError unless in (0, 1] and strictly increasing."""
     targets = [float(t) for t in targets]
     if any(not 0.0 < t <= 1.0 for t in targets):
         raise ValueError("targets must lie in (0, 1]")
     if any(b <= a for a, b in zip(targets, targets[1:])):
         raise ValueError("targets must be strictly increasing")
+    return targets
+
+
+def continuation_solve(grid: AnnularGrid, targets: Sequence[float],
+                       options: SolveOptions | None = None) -> ContinuationTrace:
+    """Predictor-corrector walk up the tau targets (see continuation_targets).
+
+    The first solve runs at min(TAU_START, smallest target) from the harmonic
+    initializer; later solves start from the previous solution rescaled to
+    the new boundary value.  A failed solve halves the step toward the target
+    (down to 2^-10 of the leg) before giving up with the partial trace, as
+    does a converged step whose level diagnostics fail."""
+    options = options or SolveOptions()
+    targets = continuation_targets(targets)
     trace = ContinuationTrace()
     if not targets:
         return trace
 
-    schedule = [min(tau_start, targets[0])]
+    schedule = [min(TAU_START, targets[0])]
     schedule += [t for t in targets if t > schedule[0] + 1e-15]
 
     tau_prev = 0.0

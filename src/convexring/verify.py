@@ -7,8 +7,9 @@ failing check shows how badly it failed.
 
 The exact-solution oracle is the radial minimal graph on a flat concentric
 ring: the first integral r^(n-1) u' / sqrt(1 + u'^2) = -c reduces the
-equation to a quadrature, and the substitution r^(n-1) = c cosh(phi) removes
-the endpoint singularity, so plain adaptive quadrature reaches 1e-13.
+equation to the height integral of c / sqrt(r^(2(n-1)) - c^2) dr, whose
+primitive is c arccosh(r / c) for n = 2 and, for n = 3, sqrt(c/2) times the
+incomplete elliptic integral F(arccos(sqrt(c) / r) | 1/2) (DLMF 19.2).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import ellipkinc
 
 from .field import ScalarField, discrete_c2_distance, sample_field
 from .levelgeom import (
@@ -54,27 +55,21 @@ class OracleInfeasibleError(ValueError):
 # -- radial oracle -------------------------------------------------------------
 
 
-def _phi(r, c: float, n: int):
-    return np.arccosh(np.maximum(np.asarray(r, dtype=float) ** (n - 1) / c, 1.0))
-
-
-def _segment(c: float, r_lo: float, r_hi: float, n: int) -> float:
-    """integral of c / sqrt(r^(2(n-1)) - c^2) dr over [r_lo, r_hi]."""
+def radial_height(c: float, r_inner, r_outer, n: int = 2):
+    """Boundary height of the radial graph with flux constant c, elementwise for
+    array radii: the integral over [r_inner, r_outer] in closed form, clamped at
+    the turning radius r^(n-1) = c, where the primitive vanishes."""
+    if n not in (2, 3):
+        raise ValueError("n must be 2 or 3")
+    r_inner, r_outer = np.asarray(r_inner, dtype=float), np.asarray(r_outer, dtype=float)
     if c == 0.0:
-        return 0.0
-    a, b = float(_phi(r_lo, c, n)), float(_phi(r_hi, c, n))
-    power = (n - 2) / (n - 1)
-
-    def integrand(phi):
-        return c / ((n - 1) * (c * np.cosh(phi)) ** power)
-
-    value, _ = quad(integrand, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return value
-
-
-def radial_height(c: float, r_inner: float, r_outer: float, n: int = 2) -> float:
-    """Boundary height of the radial graph with flux constant c."""
-    return _segment(c, r_inner, r_outer, n)
+        return np.zeros(np.broadcast_shapes(r_inner.shape, r_outer.shape))[()]
+    if n == 2:
+        return c * (np.arccosh(np.maximum(r_outer / c, 1.0))
+                    - np.arccosh(np.maximum(r_inner / c, 1.0)))
+    a = np.sqrt(c)
+    return np.sqrt(c / 2.0) * (ellipkinc(np.arccos(np.minimum(a / r_outer, 1.0)), 0.5)
+                               - ellipkinc(np.arccos(np.minimum(a / r_inner, 1.0)), 0.5))
 
 
 @dataclass(frozen=True)
@@ -93,16 +88,12 @@ class RadialOracle:
     chart: SpaceFormChart
 
     def u(self, r) -> np.ndarray:
-        arr = np.asarray(r, dtype=float)
-        uniq, inverse = np.unique(arr.ravel(), return_inverse=True)
-        vals = np.array([self._u_scalar(x) for x in uniq])
-        return vals[inverse].reshape(arr.shape)
-
-    def _u_scalar(self, r: float) -> float:
-        if not self.r_inner * (1 - 1e-9) <= r <= self.r_outer * (1 + 1e-9):
-            raise ValueError(f"radius {r} outside the ring")
-        r = min(max(r, self.r_inner), self.r_outer)
-        return _segment(self.c, r, self.r_outer, self.n)
+        r = np.asarray(r, dtype=float)
+        outside = ~((self.r_inner * (1 - 1e-9) <= r) & (r <= self.r_outer * (1 + 1e-9)))
+        if np.any(outside):
+            raise ValueError(f"radius {r[outside].flat[0]} outside the ring")
+        return radial_height(self.c, np.clip(r, self.r_inner, self.r_outer),
+                             self.r_outer, self.n)
 
     def du(self, r):
         r = np.asarray(r, dtype=float)
@@ -122,7 +113,7 @@ class RadialOracle:
         unit = point / r
         radial = np.outer(unit, unit)
         hess = d2 * radial + d1 * (np.eye(self.n) - radial) / r
-        return PointJet(point=point, value=self._u_scalar(r),
+        return PointJet(point=point, value=float(self.u(r)),
                         grad=d1 * unit, hess=hess)
 
     def field(self, grid: AnnularGrid) -> ScalarField:
@@ -137,13 +128,11 @@ def radial_oracle(r_inner: float, r_outer: float, tau: float, n: int = 2) -> Rad
     reproduces the boundary data to 1e-12."""
     if not 0.0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
-    if n not in (2, 3):
-        raise ValueError("n must be 2 or 3")
     if tau <= 0.0:
         raise ValueError("tau must be positive")
 
     c_sup = r_inner ** (n - 1)
-    max_height = _segment(c_sup, r_inner, r_outer, n)
+    max_height = radial_height(c_sup, r_inner, r_outer, n)
     if tau >= max_height:
         raise OracleInfeasibleError(
             f"height {tau} is not reachable; the maximal radial graph height "
@@ -152,7 +141,7 @@ def radial_oracle(r_inner: float, r_outer: float, tau: float, n: int = 2) -> Rad
     lo, hi = 0.0, c_sup
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        h = _segment(mid, r_inner, r_outer, n)
+        h = radial_height(mid, r_inner, r_outer, n)
         if abs(h - tau) <= 1e-13:
             lo = hi = mid
             break
@@ -161,7 +150,7 @@ def radial_oracle(r_inner: float, r_outer: float, tau: float, n: int = 2) -> Rad
         else:
             hi = mid
     c = 0.5 * (lo + hi)
-    achieved = _segment(c, r_inner, r_outer, n)
+    achieved = radial_height(c, r_inner, r_outer, n)
     if abs(achieved - tau) > 1e-12:
         raise OracleInfeasibleError(
             f"flux bisection stalled at height {achieved} for target {tau}",
@@ -205,27 +194,41 @@ def _grad_norms(f: ScalarField) -> np.ndarray:
     return np.linalg.norm(f.jet_table()["grad"], axis=-1)
 
 
+def _oracle_sizes(grid_sizes: Sequence[int]) -> list[int]:
+    """The oracle grid sizes sorted; ValueError unless two or more distinct integers >= 8."""
+    sizes = sorted(int(s) for s in grid_sizes)
+    # the oracle grids are n x n (ntheta >= 8); an order needs two distinct sizes
+    if len(set(sizes)) < max(len(sizes), 2) or sizes[0] < 8:
+        raise ValueError("oracle_grid_sizes must be two or more distinct sizes >= 8")
+    return sizes
+
+
+def suite_inputs(tau: float, oracle_grid_sizes: Sequence[int]) -> tuple[float, list[int]]:
+    """run_suite's tau as a float in (0, 1] and its oracle grid sizes as _oracle_sizes gives."""
+    tau = float(tau)
+    if not 0.0 < tau <= 1.0:
+        raise ValueError("verify tau must lie in (0, 1]")
+    return tau, _oracle_sizes(oracle_grid_sizes)
+
+
 # -- checks --------------------------------------------------------------------
 
 
-def check_solver_vs_oracle(grid_sizes: Sequence[int] = (64, 128, 256),
-                           tau: float = 0.3,
-                           r_inner: float = 1.0, r_outer: float = 2.0,
+def check_solver_vs_oracle(grid_sizes: Sequence[int] = (64, 128, 256), tau: float = 0.3,
                            options: SolveOptions | None = None) -> VerificationReport:
-    """Nodal solver-vs-oracle error on concentric circles, with the observed
-    convergence order.  The 5e-4 error budget applies once a grid reaches 256."""
+    """Nodal solver-vs-oracle error on the circles of radius 1 and 2, with the
+    observed convergence order.  The 5e-4 error budget applies once a grid reaches 256."""
     t0 = time.perf_counter()
     name = "solver-vs-oracle"
     claim = "the discrete minimal graph converges to the radial solution at second order"
+    sizes = _oracle_sizes(grid_sizes)
     if tau == 0.0:
         return _finish(name, 0.0, 5e-4, claim, t0,
                        {"note": "tau = 0 gives the zero field exactly"})
 
-    oracle = radial_oracle(r_inner, r_outer, tau)
-    ring = make_ring(oracle.chart,
-                     make_curve("circle", radius=r_outer),
-                     make_curve("circle", radius=r_inner))
-    sizes = sorted(int(s) for s in grid_sizes)
+    oracle = radial_oracle(1.0, 2.0, tau)
+    ring = make_ring(oracle.chart, make_curve("circle", radius=2.0),
+                     make_curve("circle", radius=1.0))
     errors, iterations = [], []
     for size in sizes:
         grid = build_grid(ring, size, size)
@@ -238,7 +241,7 @@ def check_solver_vs_oracle(grid_sizes: Sequence[int] = (64, 128, 256),
     orders = [float(np.log(errors[i] / errors[i + 1])
                     / np.log(sizes[i + 1] / sizes[i]))
               for i in range(len(sizes) - 1)]
-    margin = min(o - 1.8 for o in orders) if orders else 0.0
+    margin = min(o - 1.8 for o in orders)
     if max(sizes) >= 256:
         margin = min(margin, 5e-4 - errors[-1])
     extras = {"grid_sizes": sizes, "max_errors": errors, "orders": orders,
@@ -489,11 +492,13 @@ def run_suite(grid: AnnularGrid | None = None, tau: float = 0.5,
     The checks share one solve and one harmonic solve at ``tau``; runtime_s
     includes the solves a check triggered.  A check that raises gets a failed
     report carrying ``error``, and the rest still run.  The solver-vs-oracle
-    check always runs on the canonical flat circle ring, where the oracle lives."""
+    check always runs on the canonical flat circle ring, where the oracle lives.
+    Unknown check names and inputs suite_inputs rejects raise before any check runs."""
     selected = SUITE_CHECKS if checks is None else tuple(checks)
     unknown = [c for c in selected if c not in SUITE_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {list(SUITE_CHECKS)}")
+    tau, oracle_grid_sizes = suite_inputs(tau, oracle_grid_sizes)
     if grid is None:
         chart = SpaceFormChart(epsilon=0.0)
         grid = build_grid(make_ring(chart, make_curve("circle", radius=2.0),

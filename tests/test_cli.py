@@ -1,6 +1,9 @@
 """End-to-end tests of the command line: exit codes, files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -467,3 +470,12 @@ def test_oracle_infeasible_height_exits_1(tmp_path, capsys):
     rc = main(["oracle", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
     assert "height" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # the oracle is in closed form: the command line needs no quadrature module
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = "import sys, convexring.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.strip() == "False"

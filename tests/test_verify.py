@@ -1,10 +1,11 @@
 """Verification-harness tests.
 
-The radial oracle is frozen against two independent routes: the n=2 closed
-form c*(arccosh(R0/c) - arccosh(r/c)) and a raw quadrature of the defining
-integrand for n=3 (smooth for c well below r_inner^2, so both routes are
-trustworthy to 1e-11).  Check behavior is then pinned on the canonical flat
-circle ring where level radii and curvatures have closed forms.
+The radial oracle's closed forms are frozen against quadrature: adaptive
+quadrature after the substitution r^(n-1) = c cosh(phi), which removes the
+endpoint singularity, over the whole flux range for n = 2 and 3, and a raw
+quadrature of the defining integrand for n=3 (smooth for c well below
+r_inner^2).  Check behavior is then pinned on the canonical flat circle ring
+where level radii and curvatures have closed forms.
 """
 
 import numpy as np
@@ -69,6 +70,34 @@ def test_height_matches_raw_quadrature_n3():
     assert radial_height(c, 1.0, 2.0, 3) == pytest.approx(raw, abs=1e-11)
 
 
+def _quadrature_height(c, r_lo, r_hi, n):
+    """The height integral by adaptive quadrature in phi, where
+    r^(n-1) = c cosh(phi) and the integrand c / ((n-1) (c cosh phi)^((n-2)/(n-1)))
+    is smooth up to the turning radius."""
+    a, b = (np.arccosh(max(r ** (n - 1) / c, 1.0)) for r in (r_lo, r_hi))
+    power = (n - 2) / (n - 1)
+    value, _ = quad(lambda phi: c / ((n - 1) * (c * np.cosh(phi)) ** power), a, b,
+                    epsabs=1e-13, epsrel=1e-13, limit=200)
+    return value
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_height_closed_form_matches_quadrature(n):
+    r_inner = 0.8
+    c_sup = r_inner ** (n - 1)
+    intervals = [(0.8, 1.6), (0.8, 0.8 + 1e-4), (0.9, 1.1), (1.3, 3.0), (0.8, 5.0)]
+    for c in c_sup * np.array([1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-6]):
+        for r_lo, r_hi in intervals:
+            assert abs(radial_height(c, r_lo, r_hi, n)
+                       - _quadrature_height(c, r_lo, r_hi, n)) <= 1e-12, (c, r_lo, r_hi)
+    # array radii give the elementwise heights
+    lo = np.array([0.8, 0.9, 1.3])
+    assert np.array_equal(radial_height(0.5 * c_sup, lo, 2.0, n),
+                          [radial_height(0.5 * c_sup, r, 2.0, n) for r in lo])
+    with pytest.raises(ValueError):
+        radial_height(0.5, 1.0, 2.0, 4)
+
+
 def test_height_zero_flux_limit_and_monotonicity():
     assert radial_height(0.0, 1.0, 2.0, 2) == 0.0
     heights = [radial_height(c, 1.0, 2.0, 2) for c in (1e-6, 0.2, 0.5, 0.9)]
@@ -82,6 +111,20 @@ def test_oracle_hits_boundary_data():
         assert 0.0 < oracle.c < 1.0
         assert oracle.u(2.0) == pytest.approx(0.0, abs=1e-12)
         assert oracle.u(1.0) == pytest.approx(0.3, abs=1e-12)
+
+
+def test_oracle_u_evaluates_arrays_pointwise():
+    for n in (2, 3):
+        oracle = radial_oracle(1.0, 2.0, 0.3, n)
+        radii = np.linspace(1.0, 2.0, 12).reshape(3, 4)
+        values = oracle.u(radii)
+        assert values.shape == (3, 4)
+        assert np.array_equal(values, np.vectorize(lambda r: float(oracle.u(r)))(radii))
+        # radii within 1e-9 relative of the ring clamp to its boundary values
+        assert oracle.u(np.array([1.0 - 1e-10, 2.0 + 1e-9])).tolist() == [oracle.u(1.0), 0.0]
+        for outside in (0.99, 2.01, np.array([1.5, 2.5]), np.nan):
+            with pytest.raises(ValueError, match="outside the ring"):
+                oracle.u(outside)
 
 
 def test_oracle_infeasible_height():
@@ -110,7 +153,7 @@ def test_oracle_jet_matches_finite_differences():
                 dx[i] = step
                 rp = float(np.linalg.norm(x + dx))
                 rm = float(np.linalg.norm(x - dx))
-                fd_grad = (oracle._u_scalar(rp) - oracle._u_scalar(rm)) / (2 * step)
+                fd_grad = float(oracle.u(rp) - oracle.u(rm)) / (2 * step)
                 assert jet.grad[i] == pytest.approx(fd_grad, abs=1e-7)
                 fd_hess_row = (oracle.jet(x + dx).grad - oracle.jet(x - dx).grad) / (2 * step)
                 assert np.allclose(jet.hess[i], fd_hess_row, atol=1e-6)
@@ -259,7 +302,7 @@ def test_convexity_and_rank_on_circles():
     # comes from the radial oracle
     oracle = radial_oracle(1.0, 2.0, 0.5, 2)
     level = 0.5 / 9.0
-    r_level = brentq(lambda r: oracle._u_scalar(r) - level, 1.0, 2.0)
+    r_level = brentq(lambda r: float(oracle.u(r)) - level, 1.0, 2.0)
     assert report.extras["kappa_min"] == pytest.approx(1.0 / r_level, rel=0.05)
 
 
@@ -374,6 +417,29 @@ def test_run_suite_subset_and_validation():
     assert run_suite(checks=[]) == []
     with pytest.raises(ValueError):
         run_suite(checks=["no-such-check"])
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [16]}, "oracle_grid_sizes"),
+    ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [16, 16]}, "oracle_grid_sizes"),
+    ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [4, 16]}, "oracle_grid_sizes"),
+    ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": []}, "oracle_grid_sizes"),
+    ({"checks": ["solver-vs-oracle", "small-tau-regime"], "tau": 3.0}, "verify tau"),
+    ({"tau": 0.0}, "verify tau"),
+    ({"tau": float("nan")}, "verify tau"),
+], ids=["one-size", "repeated-size", "size-below-8", "no-size", "tau-above-1",
+        "tau-zero", "tau-nan"])
+def test_run_suite_rejects_bad_inputs_before_any_solve(kwargs, message, monkeypatch):
+    def no_solve(*args, **kw):
+        raise AssertionError("a solve ran")
+
+    for name in ("solve_minimal_graph", "solve_harmonic", "continuation_solve"):
+        monkeypatch.setattr(verify, name, no_solve)
+    with pytest.raises(ValueError, match=message):
+        run_suite(grid=build_grid(_circle_ring(), 9, 24), **kwargs)
+    if "oracle_grid_sizes" in kwargs:
+        with pytest.raises(ValueError, match=message):
+            check_solver_vs_oracle(kwargs["oracle_grid_sizes"])
 
 
 def test_run_suite_reports_a_raising_check_and_runs_the_rest(monkeypatch):
