@@ -28,7 +28,7 @@ trace = continuation_solve(grid, [0.5, 1.0])
 for step in trace.steps:
     print(f"  tau = {step.tau:4.2f}: {step.report.newton_iterations} Newton steps, "
           f"max residual {step.report.final_residual_max:.2e}, "
-          f"min |grad u| {step.min_interior_gradient:.4f}")
+          f"min |grad u| {step.report.min_gradient_norm:.4f}")
 
 u = trace.final_field
 print(f"\ndiscrete mean-curvature residual: "

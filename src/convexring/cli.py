@@ -210,13 +210,13 @@ def cmd_solve(cfg: dict, raw: str, out_dir: Path, allow_negative: bool) -> int:
             "newton_iterations": record.report.newton_iterations,
             "final_residual_max": record.report.final_residual_max,
             "min_gradient_norm": record.report.min_gradient_norm,
-            "min_interior_gradient": record.min_interior_gradient,
+            "min_interior_gradient": record.report.min_gradient_norm,
             "min_level_curvature": record.min_level_curvature,
             "outer_boundary_min_gradient": record.outer_boundary_min_gradient,
         })
         print(f"tau={record.tau:.6g}  newton={record.report.newton_iterations}  "
               f"max residual={record.report.final_residual_max:.3e}  "
-              f"min |grad u|={record.min_interior_gradient:.6g}  "
+              f"min |grad u|={record.report.min_gradient_norm:.6g}  "
               f"min level curvature={record.min_level_curvature:.6g}")
 
     payload = {

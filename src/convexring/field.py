@@ -184,8 +184,12 @@ def interpolate(f: ScalarField, point) -> float:
     grid = f.grid
     i = min(int(s / grid.hs), grid.ns - 2)
     a = s / grid.hs - i
-    j = int(t / grid.htheta) % grid.ntheta
-    b = t / grid.htheta - (t // grid.htheta)
+    # one quotient for both the cell and the weight: floor division can sit
+    # one cell below int(t / htheta) when t is an ulp below a node angle
+    x = t / grid.htheta
+    j = int(x)
+    b = x - j
+    j %= grid.ntheta
     jp = (j + 1) % grid.ntheta
     v = f.values
     return float(

@@ -9,8 +9,11 @@ in two dimensions, with H = 0 for minimal graphs (the left side is -lambda^2
 times the mean curvature of the graph).  Discretization is conservative flux
 differencing on the mapped grid: fluxes live on cell faces, face gradients
 come from compact stencils pushed through the analytic blend-map Jacobian,
-and the divergence is taken back at nodes.  Newton's method uses the exact flux Jacobian
-dA/dp = I/W - lambda^(-2) p p^T / W^3 and damped line search.
+and the divergence is taken back at nodes.  One table, ``_FACE_STENCILS``,
+states every face stencil, and one rule, ``_DIVERGENCE``, maps faces onto
+nodes; the residual applies both to the values, and the exact Jacobian is
+their chain rule through the flux derivative dA/dp = I/W - lambda^(-2) p p^T / W^3.
+Newton's method takes damped line-search steps.
 
 Every linear system is solved by one sparse LU factorisation (SuperLU) with
 the minimum-degree ordering on A^T + A, which suits the structurally
@@ -90,7 +93,6 @@ class StepRecord:
     tau: float
     report: SolveReport
     field: ScalarField
-    min_interior_gradient: float
     min_level_curvature: float
     outer_boundary_min_gradient: float
 
@@ -110,18 +112,43 @@ class ContinuationTrace:
 
 # -- discrete operator --------------------------------------------------------
 
+# The one statement of the face stencils, per normal axis (0: s-faces
+# (i+1/2, j), 1: theta-faces (i, j+1/2), both with base node (i, j)).  Entry
+# (k, (a, b), c) adds c / h_k * v[i+a, j+b] to the face derivative u_k
+# (u_0 = u_s, u_1 = u_t); the residual applies it to values, the Jacobian to
+# flux sensitivities.
+_FACE_STENCILS = (
+    ((0, (1, 0), 1.0), (0, (0, 0), -1.0),
+     (1, (0, 1), 0.25), (1, (1, 1), 0.25), (1, (0, -1), -0.25), (1, (1, -1), -0.25)),
+    ((1, (0, 0), -1.0), (1, (0, 1), 1.0),
+     (0, (1, 0), 0.25), (0, (1, 1), 0.25), (0, (-1, 0), -0.25), (0, (-1, 1), -0.25)),
+)
+# The divergence rule: the face at node n enters row n with +1/h_normal and
+# row n + e_normal with -1/h_normal, as (sign, e) pairs per normal axis.
+_DIVERGENCE = tuple(((1.0, (0, 0)), (-1.0, e)) for e in ((1, 0), (0, 1)))
+# s-faces sit between every pair of rows, theta-faces on interior rows only:
+# the base row of each family's first face
+_FIRST_ROW = (0, 1)
+
+
+def _window(x: np.ndarray, start: int, rows: int, b: int) -> np.ndarray:
+    """x[start + r, j + b] for r < rows and every j, periodic in theta."""
+    x = x[start:start + rows]
+    return x if b == 0 else np.roll(x, -b, axis=1)
+
 
 class _Assembler:
     """Face geometry, flux and Jacobian assembly for one grid.
 
-    Fluxes are evaluated on s-faces (i+1/2, j) and theta-faces (i, j+1/2);
-    theta-faces are only needed on interior rows.  Each face family only
-    needs its normal flux component g = det (G d)_a / W, with
-    d = (u_s, u_t) and G = J^{-1} J^{-T} the contravariant metric of the
-    blend map (a = 0 on s-faces, 1 on theta-faces).  ``linear=True`` freezes
-    W = 1, which is the harmonic (conformal Laplace) operator; nothing
-    stored here depends on that choice.  Use :func:`_assembler` for the
-    cached instance of a grid.
+    Each face family only needs its normal flux component
+    g = det (G d)_normal / W, with d = (u_s, u_t) from ``_FACE_STENCILS``
+    and G = J^{-1} J^{-T} the contravariant metric of the blend map.  The
+    residual is the ``_DIVERGENCE`` rule applied to g, and the Jacobian is
+    its chain rule: the same rule applied to dg/du_k times the same stencil
+    coefficients, so every face stencil is written once.  ``linear=True``
+    freezes W = 1, which is the harmonic (conformal Laplace) operator;
+    nothing stored here depends on that choice.  Use :func:`_assembler` for
+    the cached instance of a grid.
 
     The assembler keeps no reference to its grid: it is the value of a
     weak-key cache keyed by the grid, and a reference back would keep every
@@ -130,77 +157,69 @@ class _Assembler:
 
     def __init__(self, grid: AnnularGrid):
         self.ns, self.ntheta = grid.ns, grid.ntheta
-        self.hs, self.ht = grid.hs, grid.htheta
-
-        sf = grid.s[:-1] + 0.5 * grid.hs
-        self._sface = self._face_geometry(grid, sf[:, None], grid.theta, 0)
-        tf = grid.theta + 0.5 * grid.htheta
-        self._tface = self._face_geometry(grid, grid.s[1:-1, None], tf, 1)
+        self.h = (grid.hs, grid.htheta)
+        # face geometry by normal axis
+        self._faces = (
+            self._face_geometry(grid, grid.s[:-1, None] + 0.5 * grid.hs, grid.theta),
+            self._face_geometry(grid, grid.s[1:-1, None], grid.theta + 0.5 * grid.htheta),
+        )
         # node data on interior rows
         self.det_node = grid.det[1:-1]
         self.lam2_node = conformal_factor(grid.ring.chart, grid.nodes[1:-1]) ** 2
 
     @staticmethod
-    def _face_geometry(grid, s, theta, normal):
+    def _face_geometry(grid, s, theta):
         jinv, det = grid.map_jacobian_inverse(s, theta)
         lam = conformal_factor(grid.ring.chart, grid.map_point(s, theta))
         r0, r1 = jinv[..., 0, :], jinv[..., 1, :]
-        g00 = np.sum(r0 * r0, axis=-1)
         g01 = np.sum(r0 * r1, axis=-1)
-        g11 = np.sum(r1 * r1, axis=-1)
-        return {"det": det, "g00": g00, "g01": g01, "g11": g11,
-                "inv_lam2": 1.0 / (lam * lam), "normal": normal}
+        metric = ((np.sum(r0 * r0, axis=-1), g01), (g01, np.sum(r1 * r1, axis=-1)))
+        return {"det": det, "G": metric, "inv_lam2": 1.0 / (lam * lam)}
 
-    # face computational gradients (u_s, u_t) as arrays over faces
-    def _sface_gradients(self, v):
-        vp = np.roll(v, -1, axis=1)
-        vm = np.roll(v, 1, axis=1)
-        u_s = (v[1:] - v[:-1]) / self.hs
-        u_t = (vp[:-1] + vp[1:] - vm[:-1] - vm[1:]) / (4.0 * self.ht)
-        return u_s, u_t
+    def _gradients(self, v, normal):
+        """Face derivatives (u_s, u_t) on the faces of one normal axis."""
+        first = _FIRST_ROW[normal]
+        rows = self.ns - 1 - first
+        acc = np.zeros((2, rows, self.ntheta))
+        for k, (a, b), c in _FACE_STENCILS[normal]:
+            acc[k] += c * _window(v, first + a, rows, b)
+        return acc[0] / self.h[0], acc[1] / self.h[1]
 
-    def _tface_gradients(self, v):
-        vi = v[1:-1]
-        u_t = (np.roll(vi, -1, axis=1) - vi) / self.ht
-        hi = v[2:] + np.roll(v[2:], -1, axis=1)
-        lo = v[:-2] + np.roll(v[:-2], -1, axis=1)
-        u_s = (hi - lo) / (4.0 * self.hs)
-        return u_s, u_t
+    def _faces_at(self, x, normal, a, b):
+        """Face array x of one normal axis at base nodes (i+a, j+b), i interior."""
+        return _window(x, 1 + a - _FIRST_ROW[normal], self.ns - 2, b)
 
-    @staticmethod
-    def _face_terms(geo, u_s, u_t, linear):
-        """(G d)_0, (G d)_1 and 1/W on one face family."""
-        q0 = geo["g00"] * u_s + geo["g01"] * u_t
-        q1 = geo["g01"] * u_s + geo["g11"] * u_t
+    def _face_terms(self, normal, u_s, u_t, linear):
+        """Face geometry, G d and 1/W on the faces of one normal axis."""
+        geo = self._faces[normal]
+        q = tuple(ga[0] * u_s + ga[1] * u_t for ga in geo["G"])
         if linear:
-            return q0, q1, 1.0
-        return q0, q1, 1.0 / np.sqrt(1.0 + (u_s * q0 + u_t * q1) * geo["inv_lam2"])
+            return geo, q, 1.0
+        return geo, q, 1.0 / np.sqrt(1.0 + (u_s * q[0] + u_t * q[1]) * geo["inv_lam2"])
 
-    def _flux(self, geo, u_s, u_t, linear):
-        """Normal face flux g = det (G d)_a / W."""
-        q0, q1, w_inv = self._face_terms(geo, u_s, u_t, linear)
-        return geo["det"] * w_inv * (q0 if geo["normal"] == 0 else q1)
+    def _flux(self, normal, u_s, u_t, linear):
+        """Normal face flux g = det (G d)_normal / W."""
+        geo, q, w_inv = self._face_terms(normal, u_s, u_t, linear)
+        return geo["det"] * w_inv * q[normal]
 
-    def _sensitivity(self, geo, u_s, u_t, linear):
-        """(dg/du_s, dg/du_t) = det (G_ab / W - (G d)_a (G d)_b / (lambda^2 W^3))."""
-        q0, q1, w_inv = self._face_terms(geo, u_s, u_t, linear)
-        if geo["normal"] == 0:
-            ga0, ga1, qa = geo["g00"], geo["g01"], q0
-        else:
-            ga0, ga1, qa = geo["g01"], geo["g11"], q1
+    def _sensitivity(self, normal, u_s, u_t, linear):
+        """(dg/du_s, dg/du_t) = det (G_nk / W - (G d)_n (G d)_k / (lambda^2 W^3))."""
+        geo, q, w_inv = self._face_terms(normal, u_s, u_t, linear)
+        row = geo["G"][normal]
         c = geo["det"] * w_inv
         if linear:
-            return c * ga0, c * ga1
-        d = c * w_inv * w_inv * geo["inv_lam2"] * qa
-        return c * ga0 - d * q0, c * ga1 - d * q1
+            return c * row[0], c * row[1]
+        d = c * w_inv * w_inv * geo["inv_lam2"] * q[normal]
+        return c * row[0] - d * q[0], c * row[1] - d * q[1]
 
     def residual(self, v: np.ndarray, source: np.ndarray | None = None,
                  linear: bool = False) -> np.ndarray:
         """Nodal residual on interior rows, shape (ns-2, ntheta)."""
-        gs = self._flux(self._sface, *self._sface_gradients(v), linear)
-        gt = self._flux(self._tface, *self._tface_gradients(v), linear)
-        div = (gs[1:] - gs[:-1]) / self.hs
-        div += (gt - np.roll(gt, 1, axis=1)) / self.ht
+        div = 0.0
+        for normal in (0, 1):
+            g = self._flux(normal, *self._gradients(v, normal), linear)
+            div = div + sum(sign * self._faces_at(g, normal, -ea, -eb)
+                            for sign, (ea, eb) in _DIVERGENCE[normal]) / self.h[normal]
         r = div / self.det_node
         if source is not None:
             r = r - self.lam2_node * source
@@ -230,37 +249,19 @@ class _Assembler:
     def jacobian(self, v: np.ndarray, linear: bool = False) -> sp.csc_matrix:
         """Exact Jacobian of the residual w.r.t. interior values.
 
-        Every call shares the cached ``indptr`` and ``indices``; only the
-        values are new."""
-        hs, ht = self.hs, self.ht
-        s_ds, s_dt = self._sensitivity(self._sface, *self._sface_gradients(v), linear)
-        t_ds, t_dt = self._sensitivity(self._tface, *self._tface_gradients(v), linear)
-        # face stencils: (node offset from the face's first node, dg/du, coefficient)
-        s_stencil = (
-            ((0, 0), s_ds, -1.0 / hs),
-            ((1, 0), s_ds, 1.0 / hs),
-            ((0, -1), s_dt, -0.25 / ht),
-            ((1, -1), s_dt, -0.25 / ht),
-            ((0, 1), s_dt, 0.25 / ht),
-            ((1, 1), s_dt, 0.25 / ht),
-        )
-        t_stencil = (
-            ((0, 0), t_dt, -1.0 / ht),
-            ((0, 1), t_dt, 1.0 / ht),
-            ((1, 0), t_ds, 0.25 / hs),
-            ((1, 1), t_ds, 0.25 / hs),
-            ((-1, 0), t_ds, -0.25 / hs),
-            ((-1, 1), t_ds, -0.25 / hs),
-        )
+        The chain rule of ``residual``: for each divergence term (sign, e)
+        and stencil entry (k, (a, b), c), row n gains
+        sign c / (h_k h_normal) dg/du_k of the face at node n - e, in column
+        n - e + (a, b).  Every call shares the cached ``indptr`` and
+        ``indices``; only the values are new."""
+        h = self.h
         vals = np.zeros((3, 3) + self.det_node.shape)  # by column offset (a+1, b+1)
-        # s-face (i+1/2, j) enters row (i, j) with +1/hs and row (i+1, j) with -1/hs
-        for (a, b), sens, coef in s_stencil:
-            vals[a + 1, b + 1] += (coef / hs) * sens[1:]
-            vals[a, b + 1] -= (coef / hs) * sens[:-1]
-        # theta-face (i, j+1/2) enters row (i, j) with +1/ht and row (i, j+1) with -1/ht
-        for (a, b), sens, coef in t_stencil:
-            vals[a + 1, b + 1] += (coef / ht) * sens
-            vals[a + 1, b] -= (coef / ht) * np.roll(sens, 1, axis=1)
+        for normal in (0, 1):
+            sens = self._sensitivity(normal, *self._gradients(v, normal), linear)
+            for k, (a, b), c in _FACE_STENCILS[normal]:
+                for sign, (ea, eb) in _DIVERGENCE[normal]:
+                    vals[a - ea + 1, b - eb + 1] += (
+                        (sign * c / h[k] / h[normal]) * self._faces_at(sens[k], normal, -ea, -eb))
         vals /= self.det_node
         indptr, indices, order = self._pattern
         n_int = indptr.size - 1
@@ -287,11 +288,9 @@ def _linear_solve(matrix: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray, i
     return lu.solve(rhs), int(lu.nnz)
 
 
-def _min_gradient_norms(f: ScalarField) -> tuple[float, float]:
-    """(min interior |grad u|, min outer-boundary |grad u|)."""
-    table = f.jet_table()
-    norms = np.linalg.norm(table["grad"], axis=-1)
-    return float(np.min(norms[1:-1])), float(np.min(norms[0]))
+def _min_gradient_norm(f: ScalarField, rows) -> float:
+    """min |grad u| over the given grid rows (0 is the outer boundary)."""
+    return float(np.min(np.linalg.norm(f.jet_table()["grad"][rows], axis=-1)))
 
 
 # -- public solvers -----------------------------------------------------------
@@ -380,13 +379,12 @@ def solve_minimal_graph(grid: AnnularGrid, tau: float,
         converged = rmax <= options.newton_tol
 
     f = ScalarField(grid=grid, values=v, boundary_values=(0.0, float(tau)))
-    min_grad, _ = _min_gradient_norms(f)
     report = SolveReport(
         converged=bool(converged),
         newton_iterations=iterations,
         final_residual_max=rmax,
         tau=float(tau),
-        min_gradient_norm=min_grad,
+        min_gradient_norm=_min_gradient_norm(f, slice(1, -1)),
         wall_time=time.perf_counter() - t0,
         lu_fill=lu_fill,
     )
@@ -424,13 +422,11 @@ def build_supersolution(omega: ScalarField, tau: float) -> ScalarField:
     return ScalarField(grid=omega.grid, values=v, boundary_values=(0.0, float(tau)))
 
 
-def _step_diagnostics(f: ScalarField, tau: float) -> tuple[float, float, float]:
-    min_grad, boundary_grad = _min_gradient_norms(f)
-    kappa_min = np.inf
-    for frac in (0.25, 0.5, 0.75):
-        rep = extract_level(f, frac * tau)
-        kappa_min = min(kappa_min, rep.kappa_min)
-    return min_grad, float(kappa_min), boundary_grad
+def _step_diagnostics(f: ScalarField, tau: float) -> tuple[float, float]:
+    """(min level curvature, min outer-boundary |grad u|); the interior
+    gradient minimum is already in the solve report."""
+    kappa_min = min(extract_level(f, frac * tau).kappa_min for frac in (0.25, 0.5, 0.75))
+    return float(kappa_min), _min_gradient_norm(f, 0)
 
 
 def continuation_targets(targets: Sequence[float]) -> list[float]:
@@ -479,13 +475,12 @@ def continuation_solve(grid: AnnularGrid, targets: Sequence[float],
             f, report = solve_minimal_graph(grid, tau_try, options=options, init=init)
             if report.converged:
                 try:
-                    min_grad, kappa_min, boundary_grad = _step_diagnostics(f, tau_try)
+                    kappa_min, boundary_grad = _step_diagnostics(f, tau_try)
                 except (TopologyError, SingularGradientError) as exc:
                     raise ContinuationError(
                         f"step diagnostics failed at tau={tau_try}: {exc}", trace) from exc
                 trace.steps.append(StepRecord(
                     tau=tau_try, report=report, field=f,
-                    min_interior_gradient=min_grad,
                     min_level_curvature=kappa_min,
                     outer_boundary_min_gradient=boundary_grad,
                 ))

@@ -128,7 +128,7 @@ def radial_oracle(r_inner: float, r_outer: float, tau: float, n: int = 2) -> Rad
     reproduces the boundary data to 1e-12."""
     if not 0.0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
-    if tau <= 0.0:
+    if not tau > 0.0:  # also rejects NaN
         raise ValueError("tau must be positive")
 
     c_sup = r_inner ** (n - 1)

@@ -16,6 +16,7 @@ from convexring.field import ScalarField, load_field, save_field
 from convexring.levelgeom import TopologyError, extract_level
 from convexring.ring import build_grid, make_curve, make_ring
 from convexring.spaceform import SpaceFormChart
+from readme_blocks import readme_blocks
 
 
 def base_config(**overrides):
@@ -217,6 +218,7 @@ def test_linear_solver_option_exits_1(tmp_path, capsys):
     ("levels", {"levels": [0.1]}, "{}\n"),
     ("levels", {"levels": [0.1]}, "[]\n"),
     ("oracle", {"oracle": {"samples": "x"}}, None),
+    ("oracle", {"oracle": {"tau": float("nan")}}, None),
     ("solve", {"chart": {"epsilon": float("nan")}}, None),
     # a ring that solves in a sound eps=1 chart, so only the NaN radius can fail
     ("solve", {"chart": {"epsilon": 1.0, "chart_radius": float("nan")},
@@ -234,8 +236,8 @@ def test_linear_solver_option_exits_1(tmp_path, capsys):
         "oracle-grid-size-below-8", "oracle-grid-sizes-repeated",
         "oracle-grid-size-single", "oracle-grid-sizes-empty", "levels",
         "snapshot-not-json", "snapshot-not-a-field", "snapshot-a-list",
-        "oracle-samples", "epsilon-nan", "chart-radius-nan", "newton-tol-nan",
-        "max-newton-nan", "max-newton-not-int", "circle-without-radius",
+        "oracle-samples", "oracle-tau-nan", "epsilon-nan", "chart-radius-nan",
+        "newton-tol-nan", "max-newton-nan", "max-newton-not-int", "circle-without-radius",
         "fourier-without-r0"])
 def test_bad_input_exits_1_with_one_line(command, overrides, snapshot, solved_run,
                                          tmp_path, capsys):
@@ -390,18 +392,8 @@ def test_verify_unknown_check_exits_1(tmp_path, capsys):
     assert "no-such-check" in capsys.readouterr().err
 
 
-README_CONFIG = {
-    "chart": {"epsilon": 0.0, "dim": 2},
-    "ring": {
-        "outer": {"kind": "ellipse", "radii": [3.0, 2.0]},
-        "inner": {"kind": "ellipse", "radii": [1.2, 0.8]},
-    },
-    "grid": {"ns": 65, "ntheta": 128},
-    "tau": [0.5, 1.0],
-    "levels": [0.25, 0.5, 0.75],
-    "checks": ["gradient-max-principle", "supersolution", "convexity-and-rank"],
-    "oracle": {"r_inner": 1.0, "r_outer": 2.0, "tau": 0.3, "samples": 33},
-}
+# the config the README shows, read from its json block so the two cannot drift
+(README_CONFIG,) = (json.loads(block) for block in readme_blocks("json"))
 
 
 def _count_calls(monkeypatch, module, name, counts, key):

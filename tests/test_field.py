@@ -152,6 +152,17 @@ def test_interpolate_exact_on_nodes_and_s_linear_fields():
         assert interpolate(f, x) == pytest.approx(0.25 + 0.5 * s, abs=1e-10)
 
 
+def test_interpolate_reproduces_every_interior_node():
+    # an inverted angle one ulp below a node angle must still select that
+    # node's theta cell (bilinear weight 0, not weight 1 on the next column)
+    grid = _ellipse_grid(ns=9, ntheta=24)
+    values = np.random.default_rng(2).standard_normal((grid.ns, grid.ntheta))
+    f = ScalarField(grid, values, None)
+    for i in range(1, grid.ns - 1):
+        for j in range(grid.ntheta):
+            assert abs(interpolate(f, grid.nodes[i, j]) - values[i, j]) <= 1e-10, (i, j)
+
+
 def test_interpolate_rejects_points_outside_ring():
     grid = _circle_grid()
     f = ScalarField(grid, np.zeros((grid.ns, grid.ntheta)), (0.0, 0.0))

@@ -148,7 +148,7 @@ def test_face_flux_matches_tensor_formulas():
     asm = _Assembler(grid)
     sf = np.meshgrid(grid.s[:-1] + 0.5 * grid.hs, grid.theta, indexing="ij")
     tf = np.meshgrid(grid.s[1:-1], grid.theta + 0.5 * grid.htheta, indexing="ij")
-    for (ss, tt), geo, a in ((sf, asm._sface, 0), (tf, asm._tface, 1)):
+    for a, (ss, tt) in enumerate((sf, tf)):
         jinv, det = grid.map_jacobian_inverse(ss, tt)
         lam = conformal_factor(grid.ring.chart, grid.map_point(ss, tt))
         lam_pow = lam ** (grid.ring.chart.dim - 2)
@@ -161,10 +161,44 @@ def test_face_flux_matches_tensor_formulas():
                 m -= (lam_pow / (lam**2 * w**3))[..., None, None] * p[..., :, None] * p[..., None, :]
             g = det[..., None] * np.einsum("...ai,...i->...a", jinv, (lam_pow / w)[..., None] * p)
             b = det[..., None, None] * np.einsum("...ai,...ij,...bj->...ab", jinv, m, jinv)
-            flux = asm._flux(geo, u_s, u_t, linear)
-            d_s, d_t = asm._sensitivity(geo, u_s, u_t, linear)
+            flux = asm._flux(a, u_s, u_t, linear)
+            d_s, d_t = asm._sensitivity(a, u_s, u_t, linear)
             for got, want in ((flux, g[..., a]), (d_s, b[..., a, 0]), (d_t, b[..., a, 1])):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _roll_face_gradients(asm, v):
+    """(u_s, u_t) on s-faces and on theta-faces by explicit roll formulas."""
+    hs, ht = asm.h
+    vp, vm = np.roll(v, -1, axis=1), np.roll(v, 1, axis=1)
+    s_face = ((v[1:] - v[:-1]) / hs, (vp[:-1] + vp[1:] - vm[:-1] - vm[1:]) / (4.0 * ht))
+    hi = v[2:] + np.roll(v[2:], -1, axis=1)
+    lo = v[:-2] + np.roll(v[:-2], -1, axis=1)
+    vi = v[1:-1]
+    t_face = ((hi - lo) / (4.0 * hs), (np.roll(vi, -1, axis=1) - vi) / ht)
+    return s_face, t_face
+
+
+def test_stencil_table_matches_roll_formulas():
+    rng = np.random.default_rng(3)
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    for ring in (_ellipse_ring(), _sphere_ellipse_ring()):
+        grid = build_grid(ring, 9, 24)
+        asm = _Assembler(grid)
+        hs, ht = asm.h
+        for linear in (False, True):
+            v = 0.3 * rng.standard_normal((9, 24))
+            faces = _roll_face_gradients(asm, v)
+            for normal, want in enumerate(faces):
+                for got, ref in zip(asm._gradients(v, normal), want):
+                    assert_close(got, ref)
+            gs = asm._flux(0, *faces[0], linear)
+            gt = asm._flux(1, *faces[1], linear)
+            div = (gs[1:] - gs[:-1]) / hs + (gt - np.roll(gt, 1, axis=1)) / ht
+            assert_close(asm.residual(v, linear=linear), div / grid.det[1:-1])
 
 
 def test_jacobian_calls_share_the_sparsity_pattern():
@@ -293,7 +327,7 @@ def test_continuation_walks_targets_on_circles():
     trace = continuation_solve(grid, [0.25, 0.5, 1.0])
     assert trace.tau_schedule == [0.05, 0.25, 0.5, 1.0]
     assert all(s.report.converged for s in trace.steps)
-    assert all(s.min_interior_gradient > 0.0 for s in trace.steps)
+    assert all(s.report.min_gradient_norm > 0.0 for s in trace.steps)
     assert all(s.min_level_curvature > 0.0 for s in trace.steps)
     assert all(s.outer_boundary_min_gradient > 0.0 for s in trace.steps)
     diffs = np.diff(trace.tau_schedule)

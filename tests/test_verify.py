@@ -133,6 +133,8 @@ def test_oracle_infeasible_height():
     assert excinfo.value.max_height == pytest.approx(np.arccosh(2.0), abs=1e-10)
     with pytest.raises(ValueError):
         radial_oracle(1.0, 2.0, 0.0)
+    with pytest.raises(ValueError, match="tau must be positive"):
+        radial_oracle(1.0, 2.0, float("nan"))
     with pytest.raises(ValueError):
         radial_oracle(2.0, 1.0, 0.3)
     with pytest.raises(ValueError):
