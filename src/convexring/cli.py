@@ -208,6 +208,8 @@ def cmd_solve(cfg: dict, raw: str, out_dir: Path, allow_negative: bool) -> int:
             "snapshot": snapshot,
             "converged": record.report.converged,
             "newton_iterations": record.report.newton_iterations,
+            "factorizations": record.report.factorizations,
+            "lu_fill": record.report.lu_fill,
             "final_residual_max": record.report.final_residual_max,
             "min_gradient_norm": record.report.min_gradient_norm,
             "min_interior_gradient": record.report.min_gradient_norm,

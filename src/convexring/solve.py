@@ -13,13 +13,21 @@ and the divergence is taken back at nodes.  One table, ``_FACE_STENCILS``,
 states every face stencil, and one rule, ``_DIVERGENCE``, maps faces onto
 nodes; the residual applies both to the values, and the exact Jacobian is
 their chain rule through the flux derivative dA/dp = I/W - lambda^(-2) p p^T / W^3.
-Newton's method takes damped line-search steps.
+
+Newton's method takes damped line-search steps as a chord (Shamanskii)
+method (Kelley 2003): a factorised Jacobian is reused for the next step, and
+refactored at the current iterate once an accepted step keeps more than
+``CHORD_CONTRACTION`` of the max residual or needs backtracking.  Without an
+initializer, a grid that coarsens (odd ns, even ntheta, every other node
+still a grid of at least ``COARSEST_GRID``) starts from the solution on that
+coarse grid, solved the same way and prolonged (nested iteration, Brandt
+1977); only the coarsest grid starts from the harmonic field.
 
 Every linear system is solved by one sparse LU factorisation (SuperLU) with
 the minimum-degree ordering on A^T + A, which suits the structurally
 symmetric Jacobian.  The face geometry and the Jacobian's sparsity pattern
 depend only on the grid; they are built on first use and cached per grid, so
-each Newton step only refills the matrix values.
+each factorisation only refills the matrix values.
 
 Dirichlet rows (s = 0 outer, s = 1 inner) are never touched by the solvers.
 """
@@ -47,6 +55,11 @@ from .spaceform import conformal_factor
 HARMONIC_RESIDUAL_TOL = 1e-9
 # the first continuation step, unless the smallest target lies below it
 TAU_START = 0.05
+# a chord step keeps the last LU only while accepted steps shrink the max
+# residual at least this much (r_new <= CHORD_CONTRACTION * r_old) at full step
+CHORD_CONTRACTION = 0.1
+# smallest (ns, ntheta) the nested start coarsens to
+COARSEST_GRID = (17, 16)
 
 
 class SolverError(RuntimeError):
@@ -84,6 +97,8 @@ class SolveReport:
     min_gradient_norm: float
     wall_time: float
     lu_fill: int  # L+U nonzeros of the last Newton factorisation; 0 if none ran
+    # every LU factorisation of the call: Newton, coarse levels and harmonic start
+    factorizations: int
 
 
 @dataclass
@@ -279,13 +294,12 @@ def _assembler(grid: AnnularGrid) -> _Assembler:
     return asm
 
 
-def _linear_solve(matrix: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solution and L+U fill of one sparse LU solve."""
+def _factorize(matrix: sp.csc_matrix):
+    """Sparse LU factors (SuperLU) of one Jacobian."""
     try:
-        lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # singular factorization
         raise SolverError(f"direct linear solve failed: {exc}") from exc
-    return lu.solve(rhs), int(lu.nnz)
 
 
 def _min_gradient_norm(f: ScalarField, rows) -> float:
@@ -310,7 +324,7 @@ def solve_harmonic(grid: AnnularGrid, tau: float,
     v = np.zeros((grid.ns, grid.ntheta))
     v[-1] = tau
     r = asm.residual(v, linear=True)
-    delta, _ = _linear_solve(asm.jacobian(v, linear=True), -r.ravel())
+    delta = _factorize(asm.jacobian(v, linear=True)).solve(-r.ravel())
     v[1:-1] += delta.reshape(grid.ns - 2, grid.ntheta)
 
     rmax = float(np.max(np.abs(asm.residual(v, linear=True))))
@@ -332,22 +346,73 @@ def minimal_graph_residual(f: ScalarField) -> np.ndarray:
     return out
 
 
+def _coarse_grid(grid: AnnularGrid) -> AnnularGrid | None:
+    """The grid on every other node of ``grid``, whose ``refine()`` has the
+    nodes of ``grid``; None when ``grid`` does not coarsen to at least
+    COARSEST_GRID."""
+    if grid.ns % 2 == 0 or grid.ntheta % 2:
+        return None
+    ns, ntheta = (grid.ns + 1) // 2, grid.ntheta // 2
+    if ns < COARSEST_GRID[0] or ntheta < COARSEST_GRID[1]:
+        return None
+    return AnnularGrid(grid.ring, ns, ntheta)
+
+
+def _prolong(coarse: np.ndarray, tau: float) -> np.ndarray:
+    """Nodal values of the refined grid from those of the coarse one:
+    injection at the shared nodes, linear averages in theta, then in s,
+    and the Dirichlet rows reset to (0, tau)."""
+    v = np.empty((2 * coarse.shape[0] - 1, 2 * coarse.shape[1]))
+    v[::2, ::2] = coarse
+    v[::2, 1::2] = 0.5 * (coarse + np.roll(coarse, -1, axis=1))
+    v[1::2] = 0.5 * (v[:-1:2] + v[2::2])
+    v[0], v[-1] = 0.0, tau
+    return v
+
+
+def _nested_start(grid: AnnularGrid, tau: float, options: SolveOptions,
+                  source: np.ndarray | None) -> tuple[np.ndarray | None, int]:
+    """(start values, factorisations spent): the coarse grid's solution
+    prolonged onto ``grid``.  The values are None when the grid does not
+    coarsen or the coarse solve did not converge.  Only the array leaves:
+    the coarse grid, its assembler and its field are freed on return."""
+    coarse = _coarse_grid(grid)
+    if coarse is None:
+        return None, 0
+    if source is not None:
+        source = source[1::2, ::2]  # the coarse interior nodes
+    f, report = solve_minimal_graph(coarse, tau, options, source=source)
+    return (_prolong(f.values, tau) if report.converged else None), report.factorizations
+
+
 def solve_minimal_graph(grid: AnnularGrid, tau: float,
                         options: SolveOptions | None = None,
                         init: ScalarField | None = None,
                         source: np.ndarray | None = None,
                         ) -> tuple[ScalarField, SolveReport]:
-    """Damped Newton for the minimal graph with boundary data (0, tau).
+    """Damped chord Newton for the minimal graph with boundary data (0, tau).
 
-    Starts from ``init`` (default: the harmonic field with the same data).
+    Starts from ``init``.  Without one, a grid that coarsens starts from
+    the prolonged solution on every other node (recursively, down to about
+    COARSEST_GRID); otherwise, or when that coarse solve fails, from the
+    harmonic field with the same data.  Each Newton step reuses the last LU
+    factors; they are rebuilt at the current iterate after an accepted step
+    that needed backtracking or kept more than CHORD_CONTRACTION of the max
+    residual, and after a step on reused factors that the line search
+    rejects.  A rejected step on fresh factors ends the solve.
     Returns the final iterate and its report; ``report.converged`` is False
     when the residual target was not reached, the iterate is still returned.
     """
     options = options or SolveOptions()
     t0 = time.perf_counter()
+    factorizations = 0
     if init is None:
-        init = solve_harmonic(grid, tau, options)
-    v = init.values.copy()
+        v, factorizations = _nested_start(grid, tau, options, source)
+        if v is None:
+            v = solve_harmonic(grid, tau, options).values
+            factorizations += 1
+    else:
+        v = init.values.copy()
     if not (np.all(v[0] == 0.0) and np.all(v[-1] == tau)):
         raise SolverError("initializer must carry the Dirichlet data (0, tau)")
 
@@ -355,11 +420,15 @@ def solve_minimal_graph(grid: AnnularGrid, tau: float,
     r = asm.residual(v, source)
     rmax = float(np.max(np.abs(r)))
     iterations = 0
-    lu_fill = 0
+    lu, lu_fill = None, 0  # lu is None when the next step must refactor
     converged = rmax <= options.newton_tol
     while not converged and iterations < options.max_newton:
-        delta, lu_fill = _linear_solve(asm.jacobian(v), -r.ravel())
-        delta = delta.reshape(grid.ns - 2, grid.ntheta)
+        fresh = lu is None
+        if fresh:
+            lu = _factorize(asm.jacobian(v))
+            lu_fill = int(lu.nnz)
+            factorizations += 1
+        delta = lu.solve(-r.ravel()).reshape(grid.ns - 2, grid.ntheta)
         # backtracking: accepted steps must strictly decrease the max residual
         alpha = 1.0
         while True:
@@ -373,10 +442,16 @@ def solve_minimal_graph(grid: AnnularGrid, tau: float,
             if alpha < options.min_step:
                 break
         if alpha < options.min_step:
-            break
+            if fresh:
+                break
+            lu = None
+            continue
+        if alpha < 1.0 or rmax_trial > CHORD_CONTRACTION * rmax:
+            lu = None  # freed before the next factors are built
         v, r, rmax = trial, r_trial, rmax_trial
         iterations += 1
         converged = rmax <= options.newton_tol
+    lu = None  # free the factors before the report builds the jet table
 
     f = ScalarField(grid=grid, values=v, boundary_values=(0.0, float(tau)))
     report = SolveReport(
@@ -387,6 +462,7 @@ def solve_minimal_graph(grid: AnnularGrid, tau: float,
         min_gradient_norm=_min_gradient_norm(f, slice(1, -1)),
         wall_time=time.perf_counter() - t0,
         lu_fill=lu_fill,
+        factorizations=factorizations,
     )
     return f, report
 

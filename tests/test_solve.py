@@ -13,6 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
+from convexring import solve
 from convexring.field import ScalarField, interpolate
 from convexring.ring import build_grid, make_curve, make_ring
 from convexring.solve import (
@@ -21,6 +22,8 @@ from convexring.solve import (
     SolverError,
     _Assembler,
     _assembler,
+    _coarse_grid,
+    _prolong,
     build_supersolution,
     continuation_solve,
     minimal_graph_residual,
@@ -226,7 +229,7 @@ def test_assembler_is_cached_per_grid():
     assert _assembler(build_grid(_ellipse_ring(), 9, 24)) is not asm
 
 
-def test_assembler_cache_releases_dropped_grids():
+def test_assembler_cache_releases_dropped_grids(monkeypatch):
     grid = build_grid(_ellipse_ring(), 9, 24)
     f, _ = solve_minimal_graph(grid, 0.5)
     minimal_graph_residual(f)
@@ -236,6 +239,26 @@ def test_assembler_cache_releases_dropped_grids():
     gc.collect()
     assert grid_ref() is None
     assert asm_ref() is None
+
+    # a nested solve frees each coarse grid before the next level factors:
+    # at every factorisation the cache holds the factored grid alone
+    cached = []
+    factorize = solve._factorize
+
+    def recording(matrix):
+        cached.append((matrix.shape[0], [(g.ns, g.ntheta) for g in solve._ASSEMBLERS.keys()]))
+        return factorize(matrix)
+
+    monkeypatch.setattr(solve, "_factorize", recording)
+    grid = build_grid(_ellipse_ring(), 65, 64)
+    f, report = solve_minimal_graph(grid, 0.5)
+    assert len(cached) == report.factorizations
+    assert {shapes[0] for _, shapes in cached} == {(17, 16), (33, 32), (65, 64)}
+    for n, shapes in cached:
+        ((ns, ntheta),) = shapes
+        assert n == (ns - 2) * ntheta
+    gc.collect()
+    assert [(g.ns, g.ntheta) for g in solve._ASSEMBLERS.keys()] == [(65, 64)]
 
 
 def test_minimal_graph_converges_and_obeys_report_contract():
@@ -386,14 +409,17 @@ def test_linear_solver_option_is_gone():
 
 def test_readme_ring_keeps_newton_counts_and_lu_fill():
     ring = _readme_ring()
-    # iteration counts of the COLAMD-ordered solver on the 33x64 README ring
-    for tau, count in ((0.5, 4), (1.0, 5)):
+    # chord Newton from the nested start: 33x64 starts from 17x32, which
+    # starts from its harmonic field; factorisations count every level
+    for tau, steps, factorizations in ((0.5, 4, 4), (1.0, 7, 5)):
         _, report = solve_minimal_graph(build_grid(ring, 33, 64), tau)
         assert report.converged
-        assert report.newton_iterations == count
-    # the minimum-degree ordering on A^T + A: COLAMD gave 941244 at 65x128
+        assert (report.newton_iterations, report.factorizations) == (steps, factorizations)
+    # 65x128 from 33x64 from 17x32: the harmonic solve on 17x32, then two
+    # Newton factorisations per level
     _, report = solve_minimal_graph(build_grid(ring, 65, 128), 1.0)
-    assert report.newton_iterations == 5
+    assert (report.newton_iterations, report.factorizations) == (6, 7)
+    # the minimum-degree ordering on A^T + A: COLAMD gave 941244 at 65x128
     assert 0 < report.lu_fill < 600_000
 
 
@@ -403,6 +429,7 @@ def test_lu_fill_is_zero_without_a_factorisation():
     _, report = solve_minimal_graph(grid, 0.3, init=u)
     assert report.newton_iterations == 0
     assert report.lu_fill == 0
+    assert report.factorizations == 0
 
 
 def test_options_validation():
@@ -419,3 +446,176 @@ def test_oracle_init_converges_fast():
     _, report = solve_minimal_graph(grid, 0.5, init=u)
     assert report.converged
     assert report.newton_iterations == 0
+
+
+# -- nested start --------------------------------------------------------------
+
+
+def test_coarse_grid_is_every_other_node():
+    grid = build_grid(_readme_ring(), 65, 128)
+    coarse = _coarse_grid(grid)
+    assert (coarse.ns, coarse.ntheta) == (33, 64)
+    assert np.allclose(coarse.refine().nodes, grid.nodes, rtol=0.0, atol=1e-14)
+    assert np.allclose(coarse.nodes, grid.nodes[::2, ::2], rtol=0.0, atol=1e-14)
+    # even ns, odd ntheta, or a coarse grid below 17x16 do not nest
+    for ns, ntheta in ((64, 64), (65, 65), (17, 48), (9, 24), (65, 30)):
+        assert _coarse_grid(build_grid(_readme_ring(), ns, ntheta)) is None, (ns, ntheta)
+    for ns, ntheta in ((33, 32), (33, 96)):
+        assert _coarse_grid(build_grid(_readme_ring(), ns, ntheta)) is not None, (ns, ntheta)
+
+
+def test_prolongation_injects_and_averages():
+    rng = np.random.default_rng(2)
+    coarse = rng.standard_normal((9, 16))
+    coarse[0], coarse[-1] = 0.0, 0.7
+    fine = _prolong(coarse, 0.7)
+    assert fine.shape == (17, 32)
+    assert np.array_equal(fine[::2, ::2], coarse)
+    assert np.allclose(fine[::2, 1::2], 0.5 * (coarse + np.roll(coarse, -1, axis=1)))
+    assert np.allclose(fine[1::2], 0.5 * (fine[:-1:2] + fine[2::2]))
+    assert np.all(fine[0] == 0.0) and np.all(fine[-1] == 0.7)
+    # a field linear in s is reproduced exactly
+    s = np.linspace(0.0, 1.0, 17)
+    assert np.allclose(_prolong(np.repeat(0.7 * s[::2, None], 16, axis=1), 0.7),
+                       np.repeat(0.7 * s[:, None], 32, axis=1), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("ring, ns, ntheta", [(_readme_ring(), 65, 128),
+                                               (_sphere_ellipse_ring(), 33, 64)],
+                         ids=["readme-65x128", "sphere-ellipse-33x64"])
+def test_nested_start_matches_harmonic_start(ring, ns, ntheta):
+    grid = build_grid(ring, ns, ntheta)
+    nested, report = solve_minimal_graph(grid, 1.0)
+    harmonic, reference = solve_minimal_graph(grid, 1.0, init=solve_harmonic(grid, 1.0))
+    assert report.converged and reference.converged
+    assert np.max(np.abs(nested.values - harmonic.values)) <= 1e-12
+
+
+def test_prescribed_curvature_nested_start_matches_harmonic_start(monkeypatch):
+    grid = build_grid(_circle_ring(), 33, 64)
+
+    def h_fn(p):
+        return 0.1 + 0.02 * p[..., 0]
+
+    # each coarse level gets the source at its own interior nodes
+    sources = []
+    solve_real = solve.solve_minimal_graph
+
+    def recording(grid, *args, source=None, **kwargs):
+        sources.append((grid, source))
+        return solve_real(grid, *args, source=source, **kwargs)
+
+    monkeypatch.setattr(solve, "solve_minimal_graph", recording)
+    nested, report = solve_prescribed_mean_curvature(grid, 0.3, h_fn)
+    assert [(g.ns, g.ntheta) for g, _ in sources] == [(33, 64), (17, 32)]
+    for g, source in sources:
+        assert np.allclose(source, h_fn(g.nodes[1:-1]), rtol=0.0, atol=1e-14)
+
+    harmonic, reference = solve_prescribed_mean_curvature(
+        grid, 0.3, h_fn, init=solve_harmonic(grid, 0.3))
+    assert report.converged and reference.converged
+    assert np.max(np.abs(nested.values - harmonic.values)) <= 1e-12
+
+
+def _harmonic_grids(monkeypatch):
+    grids = []
+    harmonic = solve.solve_harmonic
+
+    def counting(grid, *args, **kwargs):
+        grids.append((grid.ns, grid.ntheta))
+        return harmonic(grid, *args, **kwargs)
+
+    monkeypatch.setattr(solve, "solve_harmonic", counting)
+    return grids
+
+
+def test_non_nesting_grid_starts_from_its_own_harmonic_field(monkeypatch):
+    grids = _harmonic_grids(monkeypatch)
+    _, report = solve_minimal_graph(build_grid(_circle_ring(), 64, 64), 0.5)
+    assert report.converged
+    assert grids == [(64, 64)]
+
+
+def test_nested_grid_runs_one_harmonic_solve_on_the_coarsest_grid(monkeypatch):
+    grids = _harmonic_grids(monkeypatch)
+    _, report = solve_minimal_graph(build_grid(_readme_ring(), 129, 256), 1.0)
+    assert report.converged
+    assert grids == [(17, 32)]
+
+
+def test_failed_coarse_solve_falls_back_to_the_harmonic_start(monkeypatch):
+    # one Newton step cannot converge on any level, so every level after
+    # the coarsest starts from its own harmonic field, as a grid that does
+    # not nest would
+    grids = _harmonic_grids(monkeypatch)
+    grid = build_grid(_readme_ring(), 65, 128)
+    _, report = solve_minimal_graph(grid, 1.0, options=SolveOptions(max_newton=1))
+    assert not report.converged
+    assert grids == [(17, 32), (33, 64), (65, 128)]
+    assert report.factorizations == 3 + 3
+
+
+def test_rejected_chord_step_refactors_instead_of_ending_the_solve(monkeypatch):
+    # factors that turn useless once reused (their second solve points
+    # uphill): the chord step is rejected, and the solve must refactor at
+    # the current iterate and go on, where a rejected fresh step would end it
+    class OneShot:
+        def __init__(self, lu):
+            self.lu, self.nnz, self.solves = lu, lu.nnz, 0
+
+        def solve(self, rhs):
+            self.solves += 1
+            delta = self.lu.solve(rhs)
+            return delta if self.solves == 1 else -delta
+
+    factors = []
+    factorize = solve._factorize
+
+    def one_shot(matrix):
+        factors.append(OneShot(factorize(matrix)))
+        return factors[-1]
+
+    grid = build_grid(_circle_ring(), 9, 24)
+    omega = solve_harmonic(grid, 0.3)
+    monkeypatch.setattr(solve, "_factorize", one_shot)
+    _, report = solve_minimal_graph(grid, 0.3, init=omega)
+    assert report.converged
+    assert report.factorizations == len(factors)
+    assert max(f.solves for f in factors) == 2  # some chord step was rejected
+
+
+def test_step_that_backtracks_is_followed_by_fresh_factors(monkeypatch):
+    # with the contraction rule switched off (every accepted step shrinks
+    # the residual), only backtracking can trigger a refactorisation; log
+    # factorisations (F), linear solves (S) and residual evaluations (R)
+    events = []
+
+    class Logged:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+
+        def solve(self, rhs):
+            events.append("S")
+            return self.lu.solve(rhs)
+
+    factorize, residual = solve._factorize, _Assembler.residual
+
+    def logged_factorize(matrix):
+        events.append("F")
+        return Logged(factorize(matrix))
+
+    def logged_residual(self, *args, **kwargs):
+        events.append("R")
+        return residual(self, *args, **kwargs)
+
+    grid = build_grid(_sphere_ellipse_ring(), 33, 64)
+    omega = solve_harmonic(grid, 1.0)
+    monkeypatch.setattr(solve, "_factorize", logged_factorize)
+    monkeypatch.setattr(_Assembler, "residual", logged_residual)
+    monkeypatch.setattr(solve, "CHORD_CONTRACTION", 1.0)
+    _, report = solve_minimal_graph(grid, 1.0, init=omega)
+    assert report.converged
+    steps = "".join(events).split("S")[1:]
+    backtracked = [step for step in steps[:-1] if step.count("R") > 1]
+    assert backtracked  # the harmonic start of this ring needs damping
+    assert all(step.endswith("F") for step in backtracked)
