@@ -211,7 +211,6 @@ def cmd_solve(cfg: dict, raw: str, out_dir: Path, allow_negative: bool) -> int:
             "factorizations": record.report.factorizations,
             "lu_fill": record.report.lu_fill,
             "final_residual_max": record.report.final_residual_max,
-            "min_gradient_norm": record.report.min_gradient_norm,
             "min_interior_gradient": record.report.min_gradient_norm,
             "min_level_curvature": record.min_level_curvature,
             "outer_boundary_min_gradient": record.outer_boundary_min_gradient,

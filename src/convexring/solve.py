@@ -19,9 +19,9 @@ method (Kelley 2003): a factorised Jacobian is reused for the next step, and
 refactored at the current iterate once an accepted step keeps more than
 ``CHORD_CONTRACTION`` of the max residual or needs backtracking.  Without an
 initializer, a grid that coarsens (odd ns, even ntheta, every other node
-still a grid of at least ``COARSEST_GRID``) starts from the solution on that
-coarse grid, solved the same way and prolonged (nested iteration, Brandt
-1977); only the coarsest grid starts from the harmonic field.
+still a grid of at least ``COARSEST_GRID``) starts from the prolonged Newton
+iterate of that coarse grid (nested iteration, Brandt 1977); coarse levels get
+no field or report, and only the coarsest starts from the harmonic field.
 
 Every linear system is solved by one sparse LU factorisation (SuperLU) with
 the minimum-degree ordering on A^T + A, which suits the structurally
@@ -160,10 +160,10 @@ class _Assembler:
     and G = J^{-1} J^{-T} the contravariant metric of the blend map.  The
     residual is the ``_DIVERGENCE`` rule applied to g, and the Jacobian is
     its chain rule: the same rule applied to dg/du_k times the same stencil
-    coefficients, so every face stencil is written once.  ``linear=True``
-    freezes W = 1, which is the harmonic (conformal Laplace) operator;
-    nothing stored here depends on that choice.  Use :func:`_assembler` for
-    the cached instance of a grid.
+    coefficients, so every face stencil is written once.  The residual's
+    ``linear=True`` freezes W = 1, which is the harmonic (conformal Laplace)
+    operator; its Jacobian is ``jacobian`` at zero gradient, where W = 1.
+    Use :func:`_assembler` for the cached instance of a grid.
 
     The assembler keeps no reference to its grid: it is the value of a
     weak-key cache keyed by the grid, and a reference back would keep every
@@ -217,13 +217,11 @@ class _Assembler:
         geo, q, w_inv = self._face_terms(normal, u_s, u_t, linear)
         return geo["det"] * w_inv * q[normal]
 
-    def _sensitivity(self, normal, u_s, u_t, linear):
+    def _sensitivity(self, normal, u_s, u_t):
         """(dg/du_s, dg/du_t) = det (G_nk / W - (G d)_n (G d)_k / (lambda^2 W^3))."""
-        geo, q, w_inv = self._face_terms(normal, u_s, u_t, linear)
+        geo, q, w_inv = self._face_terms(normal, u_s, u_t, False)
         row = geo["G"][normal]
         c = geo["det"] * w_inv
-        if linear:
-            return c * row[0], c * row[1]
         d = c * w_inv * w_inv * geo["inv_lam2"] * q[normal]
         return c * row[0] - d * q[0], c * row[1] - d * q[1]
 
@@ -261,7 +259,7 @@ class _Assembler:
         indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
         return indptr, rows[order].astype(np.int32), order
 
-    def jacobian(self, v: np.ndarray, linear: bool = False) -> sp.csc_matrix:
+    def jacobian(self, v: np.ndarray) -> sp.csc_matrix:
         """Exact Jacobian of the residual w.r.t. interior values.
 
         The chain rule of ``residual``: for each divergence term (sign, e)
@@ -272,7 +270,7 @@ class _Assembler:
         h = self.h
         vals = np.zeros((3, 3) + self.det_node.shape)  # by column offset (a+1, b+1)
         for normal in (0, 1):
-            sens = self._sensitivity(normal, *self._gradients(v, normal), linear)
+            sens = self._sensitivity(normal, *self._gradients(v, normal))
             for k, (a, b), c in _FACE_STENCILS[normal]:
                 for sign, (ea, eb) in _DIVERGENCE[normal]:
                     vals[a - ea + 1, b - eb + 1] += (
@@ -324,7 +322,7 @@ def solve_harmonic(grid: AnnularGrid, tau: float,
     v = np.zeros((grid.ns, grid.ntheta))
     v[-1] = tau
     r = asm.residual(v, linear=True)
-    delta = _factorize(asm.jacobian(v, linear=True)).solve(-r.ravel())
+    delta = _factorize(asm.jacobian(np.zeros_like(v))).solve(-r.ravel())
     v[1:-1] += delta.reshape(grid.ns - 2, grid.ntheta)
 
     rmax = float(np.max(np.abs(asm.residual(v, linear=True))))
@@ -370,59 +368,20 @@ def _prolong(coarse: np.ndarray, tau: float) -> np.ndarray:
     return v
 
 
-def _nested_start(grid: AnnularGrid, tau: float, options: SolveOptions,
-                  source: np.ndarray | None) -> tuple[np.ndarray | None, int]:
-    """(start values, factorisations spent): the coarse grid's solution
-    prolonged onto ``grid``.  The values are None when the grid does not
-    coarsen or the coarse solve did not converge.  Only the array leaves:
-    the coarse grid, its assembler and its field are freed on return."""
-    coarse = _coarse_grid(grid)
-    if coarse is None:
-        return None, 0
-    if source is not None:
-        source = source[1::2, ::2]  # the coarse interior nodes
-    f, report = solve_minimal_graph(coarse, tau, options, source=source)
-    return (_prolong(f.values, tau) if report.converged else None), report.factorizations
-
-
-def solve_minimal_graph(grid: AnnularGrid, tau: float,
-                        options: SolveOptions | None = None,
-                        init: ScalarField | None = None,
-                        source: np.ndarray | None = None,
-                        ) -> tuple[ScalarField, SolveReport]:
-    """Damped chord Newton for the minimal graph with boundary data (0, tau).
-
-    Starts from ``init``.  Without one, a grid that coarsens starts from
-    the prolonged solution on every other node (recursively, down to about
-    COARSEST_GRID); otherwise, or when that coarse solve fails, from the
-    harmonic field with the same data.  Each Newton step reuses the last LU
-    factors; they are rebuilt at the current iterate after an accepted step
-    that needed backtracking or kept more than CHORD_CONTRACTION of the max
-    residual, and after a step on reused factors that the line search
-    rejects.  A rejected step on fresh factors ends the solve.
-    Returns the final iterate and its report; ``report.converged`` is False
-    when the residual target was not reached, the iterate is still returned.
-    """
-    options = options or SolveOptions()
-    t0 = time.perf_counter()
-    factorizations = 0
-    if init is None:
-        v, factorizations = _nested_start(grid, tau, options, source)
-        if v is None:
-            v = solve_harmonic(grid, tau, options).values
-            factorizations += 1
-    else:
-        v = init.values.copy()
-    if not (np.all(v[0] == 0.0) and np.all(v[-1] == tau)):
-        raise SolverError("initializer must carry the Dirichlet data (0, tau)")
-
+def _chord_newton(grid: AnnularGrid, v: np.ndarray, options: SolveOptions,
+                  source: np.ndarray | None) -> tuple[np.ndarray, float, int, int, int]:
+    """Damped chord Newton from the start values ``v``; returns (iterate, max
+    residual, steps, L+U nonzeros of the last factorisation, factorisations).
+    Each step reuses the last LU factors; they are rebuilt at the current
+    iterate after an accepted step that needed backtracking or kept more than
+    CHORD_CONTRACTION of the max residual, and after a step on reused factors
+    that the line search rejects.  A rejected step on fresh factors ends it."""
     asm = _assembler(grid)
     r = asm.residual(v, source)
     rmax = float(np.max(np.abs(r)))
-    iterations = 0
-    lu, lu_fill = None, 0  # lu is None when the next step must refactor
-    converged = rmax <= options.newton_tol
-    while not converged and iterations < options.max_newton:
+    iterations = factorizations = lu_fill = 0
+    lu = None  # None when the next step must refactor
+    while not rmax <= options.newton_tol and iterations < options.max_newton:
         fresh = lu is None
         if fresh:
             lu = _factorize(asm.jacobian(v))
@@ -450,19 +409,60 @@ def solve_minimal_graph(grid: AnnularGrid, tau: float,
             lu = None  # freed before the next factors are built
         v, r, rmax = trial, r_trial, rmax_trial
         iterations += 1
-        converged = rmax <= options.newton_tol
-    lu = None  # free the factors before the report builds the jet table
+    return v, rmax, iterations, lu_fill, factorizations
+
+
+def _nested_start(grid: AnnularGrid, tau: float, options: SolveOptions,
+                  source: np.ndarray | None) -> tuple[np.ndarray, int]:
+    """(start values, factorisations spent): the coarse grid's Newton iterate
+    prolonged onto ``grid``, or the harmonic field when the grid does not
+    coarsen or the coarse solve did not converge.  Only the array leaves:
+    the coarse grid and its assembler are freed before ``grid`` factors."""
+    coarse = _coarse_grid(grid)
+    if coarse is None:
+        return solve_harmonic(grid, tau, options).values, 1
+    if source is not None:
+        source = source[1::2, ::2]  # the coarse interior nodes
+    v, spent = _nested_start(coarse, tau, options, source)
+    v, rmax, _, _, factorizations = _chord_newton(coarse, v, options, source)
+    del coarse
+    if not rmax <= options.newton_tol:
+        return solve_harmonic(grid, tau, options).values, spent + factorizations + 1
+    return _prolong(v, tau), spent + factorizations
+
+
+def solve_minimal_graph(grid: AnnularGrid, tau: float,
+                        options: SolveOptions | None = None,
+                        init: ScalarField | None = None,
+                        source: np.ndarray | None = None,
+                        ) -> tuple[ScalarField, SolveReport]:
+    """Damped chord Newton for the minimal graph with boundary data (0, tau).
+
+    Starts from ``init``.  Without one, a grid that coarsens starts from
+    the prolonged solution on every other node (recursively, down to about
+    COARSEST_GRID); otherwise, or when that coarse solve fails, from the
+    harmonic field with the same data.  Coarse levels run the Newton loop
+    only: the requested grid alone gets a field and a report, and
+    ``report.converged`` is False when the residual target was not reached.
+    """
+    options = options or SolveOptions()
+    t0 = time.perf_counter()
+    v, spent = (_nested_start(grid, tau, options, source) if init is None
+                else (init.values.copy(), 0))
+    if not (np.all(v[0] == 0.0) and np.all(v[-1] == tau)):
+        raise SolverError("initializer must carry the Dirichlet data (0, tau)")
+    v, rmax, iterations, lu_fill, factorizations = _chord_newton(grid, v, options, source)
 
     f = ScalarField(grid=grid, values=v, boundary_values=(0.0, float(tau)))
     report = SolveReport(
-        converged=bool(converged),
+        converged=bool(rmax <= options.newton_tol),
         newton_iterations=iterations,
         final_residual_max=rmax,
         tau=float(tau),
         min_gradient_norm=_min_gradient_norm(f, slice(1, -1)),
         wall_time=time.perf_counter() - t0,
         lu_fill=lu_fill,
-        factorizations=factorizations,
+        factorizations=spent + factorizations,
     )
     return f, report
 

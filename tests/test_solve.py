@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from convexring import solve
+from convexring import field, solve
 from convexring.field import ScalarField, interpolate
 from convexring.ring import build_grid, make_curve, make_ring
 from convexring.solve import (
@@ -132,7 +132,8 @@ def test_jacobian_matches_directional_difference():
         for linear in (False, True):
             v = 0.3 * rng.standard_normal((7, 16))
             direction = rng.standard_normal((5, 16))
-            jac = asm.jacobian(v, linear=linear)
+            # the linear residual's Jacobian is the Jacobian at zero gradient
+            jac = asm.jacobian(np.zeros_like(v) if linear else v)
             reference = (jac @ direction.ravel()).reshape(5, 16)
 
             vp, vm = v.copy(), v.copy()
@@ -165,7 +166,8 @@ def test_face_flux_matches_tensor_formulas():
             g = det[..., None] * np.einsum("...ai,...i->...a", jinv, (lam_pow / w)[..., None] * p)
             b = det[..., None, None] * np.einsum("...ai,...ij,...bj->...ab", jinv, m, jinv)
             flux = asm._flux(a, u_s, u_t, linear)
-            d_s, d_t = asm._sensitivity(a, u_s, u_t, linear)
+            # W = 1 exactly at zero gradient, which is the linear operator
+            d_s, d_t = asm._sensitivity(a, *((0.0 * u_s, 0.0 * u_t) if linear else (u_s, u_t)))
             for got, want in ((flux, g[..., a]), (d_s, b[..., a, 0]), (d_t, b[..., a, 1])):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -214,7 +216,7 @@ def test_jacobian_calls_share_the_sparsity_pattern():
     assert np.shares_memory(first.indices, second.indices)
     assert not np.array_equal(first.data, second.data)
     # the harmonic operator uses the same pattern
-    harmonic = asm.jacobian(np.zeros((9, 24)), linear=True)
+    harmonic = asm.jacobian(np.zeros((9, 24)))
     assert np.shares_memory(first.indices, harmonic.indices)
 
 
@@ -497,17 +499,17 @@ def test_prescribed_curvature_nested_start_matches_harmonic_start(monkeypatch):
     def h_fn(p):
         return 0.1 + 0.02 * p[..., 0]
 
-    # each coarse level gets the source at its own interior nodes
+    # each level's Newton loop gets the source at its own interior nodes
     sources = []
-    solve_real = solve.solve_minimal_graph
+    newton = solve._chord_newton
 
-    def recording(grid, *args, source=None, **kwargs):
+    def recording(grid, v, options, source):
         sources.append((grid, source))
-        return solve_real(grid, *args, source=source, **kwargs)
+        return newton(grid, v, options, source)
 
-    monkeypatch.setattr(solve, "solve_minimal_graph", recording)
+    monkeypatch.setattr(solve, "_chord_newton", recording)
     nested, report = solve_prescribed_mean_curvature(grid, 0.3, h_fn)
-    assert [(g.ns, g.ntheta) for g, _ in sources] == [(33, 64), (17, 32)]
+    assert [(g.ns, g.ntheta) for g, _ in sources] == [(17, 32), (33, 64)]
     for g, source in sources:
         assert np.allclose(source, h_fn(g.nodes[1:-1]), rtol=0.0, atol=1e-14)
 
@@ -529,6 +531,19 @@ def _harmonic_grids(monkeypatch):
     return grids
 
 
+def _call_count(monkeypatch, module, name):
+    """Patch module.name to count its calls; returns the one-item counter."""
+    calls = [0]
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_non_nesting_grid_starts_from_its_own_harmonic_field(monkeypatch):
     grids = _harmonic_grids(monkeypatch)
     _, report = solve_minimal_graph(build_grid(_circle_ring(), 64, 64), 0.5)
@@ -538,9 +553,13 @@ def test_non_nesting_grid_starts_from_its_own_harmonic_field(monkeypatch):
 
 def test_nested_grid_runs_one_harmonic_solve_on_the_coarsest_grid(monkeypatch):
     grids = _harmonic_grids(monkeypatch)
-    _, report = solve_minimal_graph(build_grid(_readme_ring(), 129, 256), 1.0)
+    # coarse levels run the Newton loop alone: one public solve, one jet table
+    solves = _call_count(monkeypatch, solve, "solve_minimal_graph")
+    jet_tables = _call_count(monkeypatch, field, "_build_jet_table")
+    _, report = solve.solve_minimal_graph(build_grid(_readme_ring(), 129, 256), 1.0)
     assert report.converged
     assert grids == [(17, 32)]
+    assert (solves, jet_tables) == ([1], [1])
 
 
 def test_failed_coarse_solve_falls_back_to_the_harmonic_start(monkeypatch):
