@@ -28,13 +28,16 @@ def show_chart(eps: float) -> None:
 
 
 def show_covariant_hessian() -> None:
-    # the covariant Hessian of |x|^2/2 picks up Christoffel corrections
+    # the covariant Hessian of |x|^2/2 picks up Christoffel corrections; the
+    # sampler takes a stack of points, so one call evaluates all of them
     chart = SpaceFormChart(epsilon=1.0, dim=2)
-    sampler = fd_scalar_sampler(lambda x: 0.5 * float(x @ x))
-    jet = covariant_jet(chart, sampler, np.array([0.6, 0.2]))
-    print("\ncovariant jet of |x|^2 / 2 at (0.6, 0.2), eps = 1:")
-    print("  grad =", np.round(jet.grad, 6))
-    print("  hess =\n", np.round(jet.hess, 6))
+    sampler = fd_scalar_sampler(lambda x: 0.5 * np.sum(x * x, axis=-1))
+    points = np.array([[0.6, 0.2], [0.0, 0.0], [-0.3, 0.9]])
+    jet = covariant_jet(chart, sampler, points)
+    print("\ncovariant jets of |x|^2 / 2, eps = 1 (one stacked call):")
+    for x, grad, hess in zip(jet.point, jet.grad, jet.hess):
+        print(f"  at {x}: grad = {np.round(grad, 6)}, "
+              f"hess = {np.round(hess, 6).tolist()}")
 
 
 if __name__ == "__main__":

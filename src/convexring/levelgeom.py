@@ -19,6 +19,9 @@ the level-set principal curvatures are kept deliberately separate:
 The sigma_k route stays scalar (one jet per call) and separate: agreement of
 the two routes is a nontrivial identity enforced by the test suite; do not
 collapse them into one implementation.
+
+Analytic jets are stacked too: samplers take points (..., n), and the rank and
+structure checks make one sampler call and one ``eigvalsh`` each.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .field import ScalarField
-from .spaceform import PointJet, SpaceFormChart, frame_components
+from .spaceform import PointJet, SpaceFormChart, covariant_jet
 
 GRAD_FLOOR = 1e-8
 FD_STEP = 1e-5    # central-difference step of fd_scalar_sampler
@@ -154,6 +157,8 @@ def sigma_k_level(jet: PointJet, k: int, grad_floor: float = GRAD_FLOOR) -> floa
     Valid for 1 <= k <= n-1.
     """
     g = np.asarray(jet.grad, dtype=float)
+    if g.ndim != 1:
+        raise ValueError(f"sigma_k_level takes one jet, got a stack of shape {g.shape[:-1]}")
     n = g.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
@@ -181,6 +186,8 @@ def phi_test(jet: PointJet, l: int, grad_floor: float = GRAD_FLOOR) -> float:
     curvature rank l+1; computed on the eigenvalue route.
     """
     g = np.asarray(jet.grad, dtype=float)
+    if g.ndim != 1:
+        raise ValueError(f"phi_test takes one jet, got a stack of shape {g.shape[:-1]}")
     n = g.shape[0]
     if not 0 <= l <= n - 2:
         raise ValueError(f"l must be in [0, {n - 2}], got {l}")
@@ -273,35 +280,32 @@ class RankScan:
         return self.min_rank == self.max_rank
 
 
-def rank_scan(source, levels: Sequence[float] | None = None,
+def rank_scan(source: ScalarField | PointJet, levels: Sequence[float] | None = None,
               rank_threshold: float | None = None,
-              points: np.ndarray | None = None,
               grad_floor: float = GRAD_FLOOR) -> RankScan:
     """Count principal curvatures above a threshold across many samples.
 
-    ``source`` is either a :class:`ScalarField` (samples every interior node,
-    optionally restricted to nodes whose value lies inside the band spanned
-    by ``levels``) or a callable ``x -> PointJet`` (requires ``points``).
-    The default threshold is 10 h^2 for fields and 1e-8 for analytic jets.
+    ``source`` is either a :class:`ScalarField` (samples every interior node)
+    or a stacked analytic :class:`PointJet` (samples every point of the
+    stack).  ``levels`` restricts the samples to those whose value lies
+    inside the band the levels span.  The default threshold is 10 h^2 for
+    fields and 1e-8 for analytic jets.
     """
     if isinstance(source, ScalarField):
-        grid = source.grid
         if rank_threshold is None:
-            rank_threshold = 10.0 * grid.max_spacing**2
+            rank_threshold = 10.0 * source.grid.max_spacing**2
         table = source.jet_table()
-        keep = np.ones((grid.ns - 2, grid.ntheta), dtype=bool)
-        if levels is not None:
-            value = table["value"][1:-1]
-            keep = (min(levels) <= value) & (value <= max(levels))
-        points, grad, hess = (a[1:-1][keep] for a in (grid.nodes, table["grad"], table["hess"]))
+        points, value, grad, hess = (a[1:-1] for a in (
+            source.grid.nodes, table["value"], table["grad"], table["hess"]))
     else:
-        if points is None:
-            raise ValueError("analytic source needs explicit sample points")
         if rank_threshold is None:
             rank_threshold = 1e-8
-        jets = [source(np.asarray(p, dtype=float)) for p in points]
-        points, grad, hess = (np.array([getattr(jet, key) for jet in jets], dtype=float)
-                              for key in ("point", "grad", "hess"))
+        points, value, grad, hess = (np.asarray(getattr(source, key), dtype=float)
+                                     for key in ("point", "value", "grad", "hess"))
+    keep = np.ones(value.shape, dtype=bool)
+    if levels is not None:
+        keep = (min(levels) <= value) & (value <= max(levels))
+    points, grad, hess = points[keep], grad[keep], hess[keep]
     if len(points) == 0:
         raise ValueError("rank scan has no sample points")
 
@@ -328,35 +332,29 @@ class StructureReport:
     per_point: list[float]
 
 
-def fd_scalar_sampler(fn: Callable[[np.ndarray], float]):
-    """Wrap a plain callable into a (value, grad, hess) sampler by central
-    differences of step FD_STEP, for use where analytic derivatives are not available."""
+def fd_scalar_sampler(fn: Callable[[np.ndarray], np.ndarray]):
+    """Wrap a plain function of points (..., n) -> values (...) into a
+    (value, grad, hess) sampler by central differences of step FD_STEP, for
+    use where analytic derivatives are not available.  ``fn`` is called once
+    per stencil offset, with every point shifted at once."""
 
     def sampler(x: np.ndarray):
         x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        value = float(fn(x))
-        grad = np.empty(n)
-        hess = np.empty((n, n))
+        n = x.shape[-1]
+        e = FD_STEP * np.eye(n)
+        value = np.asarray(fn(x), dtype=float)
+        grad = np.empty(x.shape)
+        hess = np.empty(x.shape + (n,))
         for a in range(n):
-            xp, xm = x.copy(), x.copy()
-            xp[a] += FD_STEP
-            xm[a] -= FD_STEP
-            grad[a] = (fn(xp) - fn(xm)) / (2 * FD_STEP)
-            hess[a, a] = (fn(xp) - 2 * value + fn(xm)) / FD_STEP**2
-        for a in range(n):
+            fp, fm = fn(x + e[a]), fn(x - e[a])
+            grad[..., a] = (fp - fm) / (2 * FD_STEP)
+            hess[..., a, a] = (fp - 2 * value + fm) / FD_STEP**2
             for b in range(a + 1, n):
-                xpp, xpm, xmp, xmm = x.copy(), x.copy(), x.copy(), x.copy()
-                xpp[[a, b]] += FD_STEP
-                xmm[[a, b]] -= FD_STEP
-                xpm[a] += FD_STEP
-                xpm[b] -= FD_STEP
-                xmp[a] -= FD_STEP
-                xmp[b] += FD_STEP
-                hess[a, b] = hess[b, a] = (
-                    fn(xpp) - fn(xpm) - fn(xmp) + fn(xmm)
+                hess[..., a, b] = hess[..., b, a] = (
+                    fn(x + e[a] + e[b]) - fn(x + e[a] - e[b])
+                    - fn(x - e[a] + e[b]) + fn(x - e[a] - e[b])
                 ) / (4 * FD_STEP**2)
-        return value, grad, hess
+        return value[()], grad, hess
 
     return sampler
 
@@ -365,28 +363,27 @@ def structure_condition_check(h_sampler, chart: SpaceFormChart,
                               points: np.ndarray) -> StructureReport:
     """Check 3 H_a H_b + 4 eps H^2 delta_ab <= 2 H H_{;ab} pointwise.
 
-    ``h_sampler(x)`` must return (H, dH, d2H) in chart coordinates; the
-    covariant correction and frame rescaling happen here.  The condition is
-    evaluated as positive semidefiniteness of
+    ``points`` (..., n) are flattened to (m, n), and ``h_sampler(x)`` is called
+    once with all of them.  It returns (H, dH, d2H) in chart coordinates as
+    :func:`covariant_jet` describes, which applies the covariant correction
+    and the frame rescaling.  The condition is evaluated as positive
+    semidefiniteness of
 
         M = 2 H Hess(H) - 3 grad H x grad H - 4 eps H^2 I
 
     and a point passes when the smallest eigenvalue of M is >= -PSD_TOL.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    eps = chart.epsilon
-    eye = np.eye(chart.dim)
-    margins: list[float] = []
-    for x in pts:
-        value, dh, d2h = h_sampler(x)
-        grad, hess = frame_components(chart, x, dh, d2h)
-        m = 2.0 * value * hess - 3.0 * np.outer(grad, grad) - 4.0 * eps * value**2 * eye
-        margins.append(float(np.linalg.eigvalsh(m)[0]))
+    pts = np.reshape(chart.validate_points(points), (-1, chart.dim))
+    jet = covariant_jet(chart, h_sampler, pts)
+    h = jet.value[:, None, None]
+    m = (2.0 * h * jet.hess - 3.0 * (jet.grad[:, :, None] * jet.grad[:, None, :])
+         - 4.0 * chart.epsilon * h**2 * np.eye(chart.dim))
+    margins = np.linalg.eigvalsh(m)[:, 0]
     worst = int(np.argmin(margins))
     return StructureReport(
-        points_checked=len(pts),
+        points_checked=len(margins),
         passed=bool(margins[worst] >= -PSD_TOL),
-        min_eigenvalue=margins[worst],
-        worst_point=pts[worst],
-        per_point=margins,
+        min_eigenvalue=float(margins[worst]),
+        worst_point=jet.point[worst],
+        per_point=margins.tolist(),
     )

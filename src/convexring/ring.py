@@ -28,6 +28,9 @@ from .spaceform import SpaceFormChart, _log_lambda_derivatives
 
 TWO_PI = 2.0 * np.pi
 VALIDATION_SAMPLES = 720
+# the angles every curve and ring validation samples; read-only, shared
+VALIDATION_THETA = np.linspace(0.0, TWO_PI, VALIDATION_SAMPLES, endpoint=False)
+VALIDATION_THETA.flags.writeable = False
 
 
 class ConvexityError(ValueError):
@@ -180,13 +183,12 @@ def make_curve(kind: str, **params) -> ConvexCurve:
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{kind} curve parameters must be finite")
 
-    theta = np.linspace(0.0, TWO_PI, VALIDATION_SAMPLES, endpoint=False)
-    if np.min(curve._radius(theta, 0)) <= 0:
+    if np.min(curve._radius(VALIDATION_THETA, 0)) <= 0:
         raise ConvexityError("fourier radius function must stay positive")
-    kappa = curve.chart_curvature(theta)
+    kappa = curve.chart_curvature(VALIDATION_THETA)
     k_min = float(np.min(kappa))
     if k_min <= 0:
-        at = float(theta[int(np.argmin(kappa))])
+        at = float(VALIDATION_THETA[int(np.argmin(kappa))])
         raise ConvexityError(
             f"curve is not strictly convex: min curvature {k_min:.6g} at theta={at:.4f}"
         )
@@ -238,10 +240,9 @@ def ring_from_dict(d: dict[str, Any]) -> ConvexRing:
 def containment_margin(outer: ConvexCurve, inner: ConvexCurve) -> float:
     """Minimum signed distance from inner-curve samples to the outer curve's
     supporting half-planes; positive iff the inner curve is strictly inside."""
-    theta = np.linspace(0.0, TWO_PI, VALIDATION_SAMPLES, endpoint=False)
-    q = outer.point(theta)            # (m, 2)
-    nu = outer.outward_normal(theta)  # (m, 2)
-    p = inner.point(theta)            # (m, 2)
+    q = outer.point(VALIDATION_THETA)            # (m, 2)
+    nu = outer.outward_normal(VALIDATION_THETA)  # (m, 2)
+    p = inner.point(VALIDATION_THETA)            # (m, 2)
     # signed gap of every inner sample against every supporting line
     offsets = np.einsum("mk,mk->m", nu, q)
     gaps = offsets[None, :] - np.einsum("mk,pk->pm", nu, p)
@@ -251,10 +252,9 @@ def containment_margin(outer: ConvexCurve, inner: ConvexCurve) -> float:
 def make_ring(chart: SpaceFormChart, outer: ConvexCurve, inner: ConvexCurve) -> ConvexRing:
     """Validate containment, chart bounds, and (for curved charts) geodesic
     convexity, then return the ring."""
-    theta = np.linspace(0.0, TWO_PI, VALIDATION_SAMPLES, endpoint=False)
     # both curves must live inside the accepted chart ball
-    chart.validate_points(outer.point(theta))
-    chart.validate_points(inner.point(theta))
+    chart.validate_points(outer.point(VALIDATION_THETA))
+    chart.validate_points(inner.point(VALIDATION_THETA))
 
     margin = containment_margin(outer, inner)
     if margin <= 0:
@@ -263,7 +263,7 @@ def make_ring(chart: SpaceFormChart, outer: ConvexCurve, inner: ConvexCurve) -> 
         )
     if chart.epsilon != 0.0:
         for name, curve in (("outer", outer), ("inner", inner)):
-            kg = geodesic_curvature(curve, chart, theta)
+            kg = geodesic_curvature(curve, chart, VALIDATION_THETA)
             kg_min = float(np.min(kg))
             if kg_min <= 0:
                 raise ConvexityError(
@@ -275,11 +275,10 @@ def make_ring(chart: SpaceFormChart, outer: ConvexCurve, inner: ConvexCurve) -> 
 
 def boundary_convexity_report(ring: ConvexRing) -> dict[str, Any]:
     """Curvature extremes of both boundary curves plus the containment margin."""
-    theta = np.linspace(0.0, TWO_PI, VALIDATION_SAMPLES, endpoint=False)
     report: dict[str, Any] = {}
     for name, curve in (("outer", ring.outer), ("inner", ring.inner)):
-        kappa = curve.chart_curvature(theta)
-        kg = geodesic_curvature(curve, ring.chart, theta)
+        kappa = curve.chart_curvature(VALIDATION_THETA)
+        kg = geodesic_curvature(curve, ring.chart, VALIDATION_THETA)
         report[name] = {
             "chart_kappa_min": float(np.min(kappa)),
             "chart_kappa_max": float(np.max(kappa)),

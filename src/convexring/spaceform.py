@@ -22,7 +22,7 @@ import numpy as np
 
 
 class ChartDomainError(ValueError):
-    """A point lies outside the chart's accepted coordinate ball."""
+    """A point is not finite or lies outside the chart's accepted coordinate ball."""
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,17 @@ class SpaceFormChart:
         object.__setattr__(self, "chart_radius", radius)
 
     def validate_points(self, x) -> np.ndarray:
-        """Return ``x`` as an array of shape (..., dim), rejecting points
-        outside the accepted coordinate ball."""
+        """Return ``x`` as an array of shape (..., dim), rejecting non-finite
+        points and points outside the accepted coordinate ball."""
         pts = np.asarray(x, dtype=float)
         if pts.shape[-1] != self.dim:
             raise ChartDomainError(
                 f"expected points with last axis {self.dim}, got shape {pts.shape}"
             )
         r = np.sqrt(np.sum(pts * pts, axis=-1))
-        rmax = float(np.max(r)) if r.size else 0.0
+        rmax = float(np.max(r)) if r.size else 0.0  # NaN propagates
+        if not np.isfinite(rmax):
+            raise ChartDomainError(f"point radius {rmax} is not finite")
         if rmax > self.chart_radius * (1.0 + 1e-12):
             raise ChartDomainError(
                 f"point radius {rmax:.6g} exceeds chart_radius {self.chart_radius:.6g}"
@@ -99,15 +101,17 @@ class SpaceFormChart:
 
 @dataclass(frozen=True)
 class PointJet:
-    """Second-order data of a scalar at one point, in the orthonormal frame.
+    """Second-order data of a scalar, in the orthonormal frame.
 
     ``grad`` and ``hess`` are the covariant gradient and Hessian expressed in
-    the frame e_a = lambda^{-1} d/dx_a.  ``one_sided`` marks jets built from
-    one-sided finite-difference stencils at grid boundaries.
+    the frame e_a = lambda^{-1} d/dx_a.  A jet may carry leading axes: a
+    stack of points (..., n) has values (...), gradients (..., n) and
+    Hessians (..., n, n).  ``one_sided`` marks jets built from one-sided
+    finite-difference stencils at grid boundaries.
     """
 
     point: np.ndarray
-    value: float
+    value: float | np.ndarray
     grad: np.ndarray
     hess: np.ndarray
     one_sided: bool = False
@@ -184,21 +188,22 @@ def frame_components(chart: SpaceFormChart, x, coord_grad, coord_hess):
 
 
 def covariant_jet(chart: SpaceFormChart, sampler, x) -> PointJet:
-    """Evaluate the covariant jet of an analytic scalar at one point.
+    """Evaluate the covariant jet of an analytic scalar at points (..., n).
 
-    ``sampler(x)`` must return ``(value, grad, hess)`` in plain chart
-    coordinates; the result carries frame components.
+    ``sampler(x)`` is called once with all the points and must return
+    ``(value, grad, hess)`` in plain chart coordinates, shaped (...), (..., n)
+    and (..., n, n) or broadcasting against them; the result is a jet over the
+    same leading axes, in frame components.
     """
     pts = chart.validate_points(x)
-    if pts.ndim != 1:
-        raise ValueError("covariant_jet takes a single point")
     value, du, d2u = sampler(pts)
     grad, hess = frame_components(chart, pts, du, d2u)
-    return PointJet(point=pts, value=float(value), grad=grad, hess=hess)
+    value = np.broadcast_to(np.asarray(value, dtype=float), pts.shape[:-1])[()]
+    return PointJet(point=pts, value=value, grad=grad, hess=hess)
 
 
-def sectional_curvature_probe(chart: SpaceFormChart, x) -> float:
-    """Sectional curvature of the chart metric at ``x``.
+def sectional_curvature_probe(chart: SpaceFormChart, x) -> np.ndarray | float:
+    """Sectional curvature of the chart metric at points ``x`` (..., n).
 
     Uses the conformal-curvature formula for g = e^{2 phi} delta with flat
     background: the coordinate plane (a, b) has
@@ -208,14 +213,9 @@ def sectional_curvature_probe(chart: SpaceFormChart, x) -> float:
     All planes agree for this chart; the mean over coordinate planes is
     returned and should equal epsilon to rounding.
     """
-    pts = chart.validate_points(x)
-    if pts.ndim != 1:
-        raise ValueError("sectional_curvature_probe takes a single point")
-    lam, d1, d2 = _log_lambda_derivatives(chart, pts)
-    norm2 = float(np.dot(d1, d1))
-    vals = []
-    for a in range(chart.dim):
-        for b in range(a + 1, chart.dim):
-            k = -(d2[a, a] + d2[b, b] + norm2 - d1[a] ** 2 - d1[b] ** 2) / lam**2
-            vals.append(k)
-    return float(np.mean(vals))
+    lam, d1, d2 = _log_lambda_derivatives(chart, chart.validate_points(x))
+    sq, diag = d1 * d1, np.diagonal(d2, axis1=-2, axis2=-1)
+    a, b = np.triu_indices(chart.dim, 1)
+    k = -(diag[..., a] + diag[..., b] + np.sum(sq, axis=-1)[..., None]
+          - sq[..., a] - sq[..., b]) / (lam**2)[..., None]
+    return np.mean(k, axis=-1)[()]

@@ -105,16 +105,17 @@ class RadialOracle:
         return self.c * m * r ** (2 * m - 1) * (r ** (2 * m) - self.c**2) ** -1.5
 
     def jet(self, point) -> PointJet:
+        """The exact jet at points of shape (..., n), stacked over leading axes."""
         point = np.asarray(point, dtype=float)
-        if point.shape != (self.n,):
-            raise ValueError(f"expected a point in R^{self.n}")
-        r = float(np.linalg.norm(point))
-        d1, d2 = float(self.du(r)), float(self.d2u(r))
-        unit = point / r
-        radial = np.outer(unit, unit)
+        if point.shape[-1:] != (self.n,):
+            raise ValueError(f"expected points in R^{self.n}, got shape {point.shape}")
+        r = np.sqrt(point[..., None, :] @ point[..., :, None])  # as np.linalg.norm per point
+        d1, d2 = self.du(r), self.d2u(r)
+        unit = point / r[..., 0]
+        radial = unit[..., :, None] * unit[..., None, :]
         hess = d2 * radial + d1 * (np.eye(self.n) - radial) / r
-        return PointJet(point=point, value=float(self.u(r)),
-                        grad=d1 * unit, hess=hess)
+        return PointJet(point=point, value=self.u(r[..., 0, 0])[()],
+                        grad=d1[..., 0] * unit, hess=hess)
 
     def field(self, grid: AnnularGrid) -> ScalarField:
         return sample_field(grid, lambda p: self.u(np.linalg.norm(p, axis=-1)),

@@ -171,7 +171,7 @@ def test_criterion_07_strict_convexity_and_constant_rank(big_ellipse_field):
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(200, 3))
     pts *= (rng.uniform(1.1, 1.9, size=200) / np.linalg.norm(pts, axis=1))[:, None]
-    scan = rank_scan(oracle.jet, points=pts)
+    scan = rank_scan(oracle.jet(pts))
     rank3d_ok = scan.constant_rank and scan.min_rank == 2 and scan.lambda_min > 0.0
 
     ok = (report.passed and levels_ok and rank_ok and grad_min > 0.0 and rank3d_ok)

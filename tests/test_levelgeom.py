@@ -25,7 +25,7 @@ from convexring.levelgeom import (
 )
 from convexring.ring import build_grid, make_curve, make_ring
 from convexring.solve import solve_minimal_graph
-from convexring.spaceform import PointJet, SpaceFormChart
+from convexring.spaceform import ChartDomainError, PointJet, SpaceFormChart, covariant_jet
 
 
 def _circle_grid(ns=33, ntheta=64, r_inner=1.0, r_outer=2.0):
@@ -92,6 +92,19 @@ def test_sigma_k_range_validation():
         sigma_k_level(jet, 2)
     jet3 = _random_jet(rng, 3)
     assert isinstance(sigma_k_level(jet3, 2), float)
+
+
+def test_sigma_routes_reject_a_stacked_jet():
+    # a stack of three 2D jets must not be read as one jet in dimension 3
+    rng = np.random.default_rng(5)
+    jets = [_random_jet(rng, 2) for _ in range(3)]
+    stack = PointJet(point=np.zeros((3, 2)), value=np.zeros(3),
+                     grad=np.array([j.grad for j in jets]),
+                     hess=np.array([j.hess for j in jets]))
+    with pytest.raises(ValueError, match="stack"):
+        sigma_k_level(stack, 1)
+    with pytest.raises(ValueError, match="stack"):
+        phi_test(stack, 0)
 
 
 def test_singular_gradient_raises():
@@ -197,12 +210,11 @@ def test_rank_scan_radial_field_is_rank_one():
 
 
 def test_rank_scan_analytic_sphere_jets():
-    def jets(x):
-        # u = -|x|^2: level spheres, curvatures 1/|x| twice
-        return PointJet(point=x, value=-float(x @ x), grad=-2 * x, hess=-2 * np.eye(3))
-
+    # u = -|x|^2: level spheres, curvatures 1/|x| twice
     points = np.array([[1.0, 0.0, 0.0], [0.0, 1.5, 0.0], [0.5, 0.5, 0.5]])
-    scan = rank_scan(jets, points=points)
+    jets = PointJet(point=points, value=-np.sum(points * points, axis=-1),
+                    grad=-2 * points, hess=np.broadcast_to(-2 * np.eye(3), (3, 3, 3)))
+    scan = rank_scan(jets)
     assert scan.constant_rank and scan.min_rank == 2
     assert scan.lambda_min == pytest.approx(1.0 / 1.5, rel=1e-12)
 
@@ -218,9 +230,11 @@ def test_rank_scan_level_band_restriction():
     assert banded.lambda_min == pytest.approx(1.0 / 1.6, abs=0.02)
 
 
-def test_rank_scan_requires_points_for_analytic_source():
-    with pytest.raises(ValueError):
-        rank_scan(lambda x: None)
+def test_rank_scan_rejects_an_empty_stack():
+    empty = PointJet(point=np.zeros((0, 3)), value=np.zeros(0),
+                     grad=np.zeros((0, 3)), hess=np.zeros((0, 3, 3)))
+    with pytest.raises(ValueError, match="no sample points"):
+        rank_scan(empty)
 
 
 @pytest.fixture(scope="module")
@@ -305,14 +319,17 @@ def test_structure_condition_three_examples():
     rep2 = structure_condition_check(const, sphere, points)
     assert not rep2.passed
     assert rep2.min_eigenvalue == pytest.approx(-4.0 * 2.0**2, rel=1e-12)
+    # a NaN point is bad input, not a structure failure
+    with pytest.raises(ChartDomainError):
+        structure_condition_check(const, sphere, [[np.nan, 0.0]])
 
 
 def test_structure_condition_flags_worst_point():
     # H = 1 + |x|^2 on the flat chart: M = 2H*2I - 3*4*x x^T at each point;
     # larger |x| drags the minimum eigenvalue down
     def sampler(x):
-        h = 1.0 + float(x @ x)
-        return h, 2.0 * x, 2.0 * np.eye(2)
+        h = 1.0 + np.sum(x * x, axis=-1)
+        return h, 2.0 * x, 2.0 * np.eye(x.shape[-1])
 
     flat = SpaceFormChart(epsilon=0.0, dim=2)
     points = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -323,10 +340,39 @@ def test_structure_condition_flags_worst_point():
     assert np.allclose(rep.worst_point, [1.0, 0.0])
     assert rep.per_point[0] == pytest.approx(4.0, rel=1e-12)
 
+    # the stacked check against a per-point loop of covariant_jet + eigvalsh,
+    # plus a linear term so that the covariant correction does not vanish
+    rng = np.random.default_rng(3)
+    for dim in (2, 3):
+        for eps in (0.0, 1.0):
+            chart = SpaceFormChart(epsilon=eps, dim=dim)
+            points = rng.uniform(-0.8, 0.8, size=(40, dim))
+            c = rng.standard_normal(dim)
+
+            def sampler(x):
+                h = 1.0 + np.sum(x * x + c * x, axis=-1)
+                return h, 2.0 * x + c, 2.0 * np.eye(dim)
+
+            rep = structure_condition_check(sampler, chart, points)
+            reference = []
+            for x in points:
+                jet = covariant_jet(chart, sampler, x)
+                m = (2.0 * jet.value * jet.hess - 3.0 * np.outer(jet.grad, jet.grad)
+                     - 4.0 * eps * jet.value**2 * np.eye(dim))
+                reference.append(float(np.linalg.eigvalsh(m)[0]))
+            worst = int(np.argmin(reference))
+            if eps == 0.0:
+                assert rep.per_point == reference
+            else:
+                assert rep.per_point == pytest.approx(reference, rel=1e-14, abs=0.0)
+            assert rep.points_checked == len(points)
+            assert rep.min_eigenvalue == pytest.approx(reference[worst], rel=1e-14, abs=0.0)
+            assert np.array_equal(rep.worst_point, points[worst])
+
 
 def test_fd_scalar_sampler_matches_analytic():
     def fn(x):
-        return np.sin(x[0]) * x[1] + 0.5 * x[1] ** 2
+        return np.sin(x[..., 0]) * x[..., 1] + 0.5 * x[..., 1] ** 2
 
     sampler = fd_scalar_sampler(fn)
     x = np.array([0.4, -0.7])
@@ -336,3 +382,17 @@ def test_fd_scalar_sampler_matches_analytic():
     assert np.allclose(
         hess, [[0.7 * np.sin(0.4), np.cos(0.4)], [np.cos(0.4), 1.0]], atol=1e-5
     )
+
+    # stacked points give bit for bit the per-point values of a polynomial
+    def poly(x):
+        x0, x1, x2 = x[..., 0], x[..., 1], x[..., -1]
+        return x0 * x0 * x1 - 2.0 * x1 * x2 + 0.5 * x2 * x2 * x2 + x0
+
+    rng = np.random.default_rng(9)
+    for n in (2, 3):
+        points = rng.uniform(-1.0, 1.0, size=(4, 5, n))
+        stacked = fd_scalar_sampler(poly)(points)
+        for idx in np.ndindex(4, 5):
+            single = fd_scalar_sampler(poly)(points[idx])
+            for s_part, one in zip(stacked, single):
+                assert np.array_equal(s_part[idx], one)

@@ -89,6 +89,9 @@ def test_sectional_curvature_probe_returns_epsilon():
             for _ in range(4):
                 x = rng.uniform(-0.4, 0.4, size=dim)
                 assert sectional_curvature_probe(chart, x) == pytest.approx(eps, abs=1e-12)
+            stacked = sectional_curvature_probe(chart, rng.uniform(-0.4, 0.4, size=(3, 4, dim)))
+            assert stacked.shape == (3, 4)
+            assert np.allclose(stacked, eps, rtol=0.0, atol=1e-12)
 
 
 def test_sectional_curvature_probe_spec_points():
@@ -103,7 +106,7 @@ def test_covariant_jet_linear_field_on_sphere():
     chart = SpaceFormChart(epsilon=1.0, dim=2)
 
     def sampler(x):
-        return x[0], np.array([1.0, 0.0]), np.zeros((2, 2))
+        return x[..., 0], np.array([1.0, 0.0]), np.zeros((2, 2))
 
     x = np.array([1.0, 0.0])
     jet = covariant_jet(chart, sampler, x)
@@ -114,6 +117,17 @@ def test_covariant_jet_linear_field_on_sphere():
     assert np.allclose(jet.grad, np.array([1.0 / lam, 0.0]))
     assert np.allclose(jet.hess, expected_hess, atol=1e-15)
     assert np.allclose(jet.hess, jet.hess.T)
+
+    # stacked points: one sampler call, its constant derivatives broadcast
+    points = np.array([[[1.0, 0.0], [0.3, -0.5]], [[0.0, 0.0], [-0.7, 0.4]]])
+    stacked = covariant_jet(chart, sampler, points)
+    assert stacked.value.shape == (2, 2) and stacked.grad.shape == (2, 2, 2)
+    assert stacked.hess.shape == (2, 2, 2, 2)
+    for idx in np.ndindex(2, 2):
+        one = covariant_jet(chart, sampler, points[idx])
+        assert stacked.value[idx] == one.value
+        assert np.allclose(stacked.grad[idx], one.grad, rtol=0.0, atol=1e-15)
+        assert np.allclose(stacked.hess[idx], one.hess, rtol=0.0, atol=1e-15)
 
 
 def test_covariant_jet_flat_is_plain_derivatives():
@@ -157,6 +171,15 @@ def test_chart_rejects_points_outside_radius():
     chart = SpaceFormChart(epsilon=1.0, dim=2, chart_radius=0.5)
     with pytest.raises(ChartDomainError):
         conformal_factor(chart, [0.6, 0.0])
+
+
+def test_chart_rejects_non_finite_points():
+    with pytest.raises(ChartDomainError, match="not finite"):
+        conformal_factor(SpaceFormChart(epsilon=1.0, dim=2), [[0.1, 0.0], [np.nan, 0.0]])
+    flat = SpaceFormChart(epsilon=0.0, dim=2)
+    assert flat.chart_radius == np.inf
+    with pytest.raises(ChartDomainError, match="not finite"):
+        conformal_factor(flat, [np.inf, 0.0])
 
 
 def test_chart_radius_must_stay_inside_equator():

@@ -146,10 +146,14 @@ def test_oracle_jet_matches_finite_differences():
     step = 1e-5
     for n in (2, 3):
         oracle = radial_oracle(1.0, 2.0, 0.4, n)
-        for _ in range(5):
-            x = rng.standard_normal(n)
-            x *= rng.uniform(1.2, 1.8) / np.linalg.norm(x)
+        points = rng.standard_normal((5, n))
+        points *= (rng.uniform(1.2, 1.8, size=5) / np.linalg.norm(points, axis=1))[:, None]
+        stacked = oracle.jet(points)
+        for k, x in enumerate(points):
             jet = oracle.jet(x)
+            for key in ("value", "grad", "hess"):
+                assert np.allclose(getattr(stacked, key)[k], getattr(jet, key),
+                                   rtol=0.0, atol=1e-15)
             for i in range(n):
                 dx = np.zeros(n)
                 dx[i] = step
