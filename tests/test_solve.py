@@ -411,16 +411,20 @@ def test_linear_solver_option_is_gone():
 
 def test_readme_ring_keeps_newton_counts_and_lu_fill():
     ring = _readme_ring()
-    # chord Newton from the nested start: 33x64 starts from 17x32, which
-    # starts from its harmonic field; factorisations count every level
-    for tau, steps, factorizations in ((0.5, 4, 4), (1.0, 7, 5)):
+    # chord Newton from the cubic nested start: 33x64 starts from 17x32,
+    # which starts from its harmonic field; factorisations count every level
+    # (the harmonic one, then 1 + 1 at tau = 0.5 and 2 + 2 at tau = 1), steps
+    # only the requested level, which starts at a max residual of 0.10 and
+    # 0.48 (linear midpoints: 0.95 and 1.5, and 4 and 7 steps)
+    for tau, steps, factorizations in ((0.5, 4, 3), (1.0, 4, 5)):
         _, report = solve_minimal_graph(build_grid(ring, 33, 64), tau)
         assert report.converged
         assert (report.newton_iterations, report.factorizations) == (steps, factorizations)
     # 65x128 from 33x64 from 17x32: the harmonic solve on 17x32, then two
-    # Newton factorisations per level
+    # factorisations on each Newton level; 65x128 starts at 0.42 (linear: 1.7,
+    # and 6 steps)
     _, report = solve_minimal_graph(build_grid(ring, 65, 128), 1.0)
-    assert (report.newton_iterations, report.factorizations) == (6, 7)
+    assert (report.newton_iterations, report.factorizations) == (4, 7)
     # the minimum-degree ordering on A^T + A: COLAMD gave 941244 at 65x128
     assert 0 < report.lu_fill < 600_000
 
@@ -466,20 +470,57 @@ def test_coarse_grid_is_every_other_node():
         assert _coarse_grid(build_grid(_readme_ring(), ns, ntheta)) is not None, (ns, ntheta)
 
 
-def test_prolongation_injects_and_averages():
+def test_prolongation_injects_and_takes_cubic_midpoints():
     rng = np.random.default_rng(2)
     coarse = rng.standard_normal((9, 16))
     coarse[0], coarse[-1] = 0.0, 0.7
     fine = _prolong(coarse, 0.7)
     assert fine.shape == (17, 32)
     assert np.array_equal(fine[::2, ::2], coarse)
-    assert np.allclose(fine[::2, 1::2], 0.5 * (coarse + np.roll(coarse, -1, axis=1)))
-    assert np.allclose(fine[1::2], 0.5 * (fine[:-1:2] + fine[2::2]))
     assert np.all(fine[0] == 0.0) and np.all(fine[-1] == 0.7)
-    # a field linear in s is reproduced exactly
+    # a cubic in s, constant in theta, is reproduced exactly, the one-sided
+    # midpoints next to the Dirichlet rows included
     s = np.linspace(0.0, 1.0, 17)
-    assert np.allclose(_prolong(np.repeat(0.7 * s[::2, None], 16, axis=1), 0.7),
-                       np.repeat(0.7 * s[:, None], 32, axis=1), rtol=0.0, atol=1e-15)
+    cubic = 0.7 * s + s * (1.0 - s) * (0.3 + 2.0 * s)
+    assert np.allclose(_prolong(np.repeat(cubic[::2, None], 16, axis=1), 0.7),
+                       np.repeat(cubic[:, None], 32, axis=1), rtol=0.0, atol=1e-15)
+
+    # fourth order in theta: quadratic in s, so the error is the periodic
+    # theta midpoints' alone; it shrinks ~16x per halving
+    def sampled(ns, ntheta):
+        s = np.linspace(0.0, 1.0, ns)[:, None]
+        theta = 2.0 * np.pi * np.arange(ntheta)[None, :] / ntheta
+        return s * (1.0 - s) * (np.cos(theta) + 0.2 * np.sin(2.0 * theta))
+
+    errors = [np.max(np.abs(_prolong(sampled(ns, ntheta), 0.0)
+                            - sampled(2 * ns - 1, 2 * ntheta)))
+              for ns, ntheta in ((9, 16), (17, 32), (33, 64))]
+    assert errors[0] / errors[1] >= 14.0 and errors[1] / errors[2] >= 14.0, errors
+
+
+def test_cubic_start_factors_the_finest_level_once(monkeypatch):
+    # the prolonged 65x128 iterate is accurate enough that chord steps on the
+    # first 129x256 factors converge; linear midpoints start at a max
+    # residual of 1.7 and need a second factorisation there
+    shapes, starts = [], {}
+    factorize, newton = solve._factorize, solve._chord_newton
+
+    def recording_factorize(matrix):
+        shapes.append(matrix.shape[0])
+        return factorize(matrix)
+
+    def recording_newton(grid, v, options, source):
+        r = _assembler(grid).residual(v, source)
+        starts[(grid.ns, grid.ntheta)] = float(np.max(np.abs(r)))
+        return newton(grid, v, options, source)
+
+    monkeypatch.setattr(solve, "_factorize", recording_factorize)
+    monkeypatch.setattr(solve, "_chord_newton", recording_newton)
+    _, report = solve_minimal_graph(build_grid(_readme_ring(), 129, 256), 1.0)
+    assert report.converged
+    assert len(shapes) == report.factorizations
+    assert shapes.count(127 * 256) == 1
+    assert starts[(129, 256)] < 0.5
 
 
 @pytest.mark.parametrize("ring, ns, ntheta", [(_readme_ring(), 65, 128),
