@@ -3,8 +3,11 @@
 Fields store nodal values plus the Dirichlet pair (outer_value, inner_value).
 Finite-difference jets are second order: centered stencils at interior nodes,
 one-sided stencils on the two boundary rows (flagged in the returned jet).
-The chain rule runs through the analytic blend map, then the Christoffel
-correction and frame rescaling from :mod:`convexring.spaceform`.
+The chain rule runs through the analytic blend map x(s, theta) as stacked 2x2
+algebra: Du = J^{-T} (u_s, u_t) and D^2u = J^{-T} (H - C) J^{-1}, with H the
+computational Hessian and C the map's curvature term (C_st = x_st . Du,
+C_tt = x_tt . Du, C_ss = 0).  The Christoffel correction and frame rescaling
+follow in :func:`convexring.spaceform.frame_components`.
 """
 
 from __future__ import annotations
@@ -101,26 +104,16 @@ def _comp_derivatives(values: np.ndarray, hs: float, ht: float):
 def _build_jet_table(grid: AnnularGrid, values: np.ndarray) -> dict:
     s = grid.s[:, None]
     jinv, _ = grid.map_jacobian_inverse(s, grid.theta)
-
-    u_s, u_t, u_ss, u_st, u_tt = _comp_derivatives(values, grid.hs, grid.htheta)
-    comp_grad = np.stack([u_s, u_t], axis=-1)
-    comp_hess = np.empty(values.shape + (2, 2))
-    comp_hess[..., 0, 0] = u_ss
-    comp_hess[..., 0, 1] = u_st
-    comp_hess[..., 1, 0] = u_st
-    comp_hess[..., 1, 1] = u_tt
-
-    # coordinate gradient: Du = J^{-T} (u_s, u_t)
-    coord_grad = np.einsum("...ai,...a->...i", jinv, comp_grad)
-    # subtract the map's curvature term before the two-sided pullback
     _, x_st, x_tt = grid.map_second(s, grid.theta)
-    correction = np.zeros_like(comp_hess)
-    correction[..., 0, 1] = np.einsum("...i,...i->...", x_st, coord_grad)
-    correction[..., 1, 0] = correction[..., 0, 1]
-    correction[..., 1, 1] = np.einsum("...i,...i->...", x_tt, coord_grad)
-    coord_hess = np.einsum(
-        "...ai,...ab,...bj->...ij", jinv, comp_hess - correction, jinv
-    )
+    u_s, u_t, u_ss, u_st, u_tt = _comp_derivatives(values, grid.hs, grid.htheta)
+
+    # Du = J^{-T} (u_s, u_t); the rows of J^{-1} are ds/dx and dtheta/dx
+    coord_grad = u_s[..., None] * jinv[..., 0, :] + u_t[..., None] * jinv[..., 1, :]
+    # subtract the map's curvature term (x_ss = 0), then pull back two-sided
+    u_st = u_st - np.sum(x_st * coord_grad, axis=-1)
+    u_tt = u_tt - np.sum(x_tt * coord_grad, axis=-1)
+    comp_hess = np.stack([u_ss, u_st, u_st, u_tt], axis=-1).reshape(values.shape + (2, 2))
+    coord_hess = np.swapaxes(jinv, -1, -2) @ comp_hess @ jinv
 
     grad, hess = frame_components(grid.ring.chart, grid.nodes, coord_grad, coord_hess)
     return {"value": values, "grad": grad, "hess": hess}

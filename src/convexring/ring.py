@@ -203,7 +203,7 @@ def geodesic_curvature(curve: ConvexCurve, chart: SpaceFormChart, theta) -> np.n
     chart normal.  Reduces to the chart curvature when eps = 0.
     """
     pts = chart.validate_points(curve.point(theta))
-    lam, dlog, _ = _log_lambda_derivatives(chart, pts)
+    lam, dlog = _log_lambda_derivatives(chart, pts)
     nu = curve.outward_normal(theta)
     return (curve.chart_curvature(theta) + np.sum(dlog * nu, axis=-1)) / lam
 

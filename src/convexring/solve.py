@@ -87,9 +87,12 @@ class SolveOptions:
     min_step: float = 2.0**-20         # line-search floor
 
     def __post_init__(self):
-        if not all(0.0 < t < np.inf for t in (self.newton_tol, self.min_step)):
+        # a JSON true compares as 1; no setting here is a boolean
+        if any(isinstance(t, (bool, np.bool_)) or not 0.0 < t < np.inf
+               for t in (self.newton_tol, self.min_step)):
             raise SolverError("tolerances must be positive and finite")
-        if not (isinstance(self.max_newton, numbers.Integral) and self.max_newton >= 1):
+        if not (isinstance(self.max_newton, numbers.Integral)
+                and not isinstance(self.max_newton, bool) and self.max_newton >= 1):
             raise SolverError(f"max_newton must be an integer >= 1, got {self.max_newton!r}")
 
 
@@ -522,9 +525,9 @@ def _step_diagnostics(f: ScalarField, tau: float) -> tuple[float, float]:
 
 def continuation_targets(targets: Sequence[float]) -> list[float]:
     """The targets as floats; ValueError unless in (0, 1] and strictly increasing."""
-    targets = [float(t) for t in targets]
-    if any(not 0.0 < t <= 1.0 for t in targets):
+    if any(isinstance(t, (bool, np.bool_)) or not 0.0 < float(t) <= 1.0 for t in targets):
         raise ValueError("targets must lie in (0, 1]")
+    targets = [float(t) for t in targets]
     if any(b <= a for a, b in zip(targets, targets[1:])):
         raise ValueError("targets must be strictly increasing")
     return targets
@@ -534,11 +537,12 @@ def continuation_solve(grid: AnnularGrid, targets: Sequence[float],
                        options: SolveOptions | None = None) -> ContinuationTrace:
     """Predictor-corrector walk up the tau targets (see continuation_targets).
 
-    The first solve runs at min(TAU_START, smallest target) from the harmonic
-    initializer; later solves start from the previous solution rescaled to
-    the new boundary value.  A failed solve halves the step toward the target
-    (down to 2^-10 of the leg) before giving up with the partial trace, as
-    does a converged step whose level diagnostics fail."""
+    The first solve runs at min(TAU_START, smallest target) from the nested
+    start of solve_minimal_graph, which is harmonic only on the coarsest grid
+    or on a grid that does not coarsen; later solves start from the previous
+    solution rescaled to the new boundary value.  A failed solve halves the
+    step toward the target (down to 2^-10 of the leg) before giving up with
+    the partial trace, as does a converged step whose level diagnostics fail."""
     options = options or SolveOptions()
     targets = continuation_targets(targets)
     trace = ContinuationTrace()

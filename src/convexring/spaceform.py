@@ -129,21 +129,12 @@ def conformal_factor(chart: SpaceFormChart, x) -> np.ndarray | float:
 
 
 def _log_lambda_derivatives(chart: SpaceFormChart, pts: np.ndarray):
-    """First and second coordinate derivatives of log(lambda).
+    """lambda and the coordinate gradient of log(lambda),
 
-    d(log lambda)_a   = -(eps/2) x_a lambda
-    d2(log lambda)_ab = -(eps/2) lambda delta_ab + (eps^2/4) x_a x_b lambda^2
+    d(log lambda)_a = -(eps/2) x_a lambda.
     """
-    eps = chart.epsilon
     lam = _lambda(chart, pts)
-    d1 = -0.5 * eps * pts * lam[..., None]
-    eye = np.eye(chart.dim)
-    d2 = (
-        -0.5 * eps * lam[..., None, None] * eye
-        + 0.25 * eps**2 * (lam**2)[..., None, None]
-        * pts[..., :, None] * pts[..., None, :]
-    )
-    return lam, d1, d2
+    return lam, -0.5 * chart.epsilon * pts * lam[..., None]
 
 
 def christoffel(chart: SpaceFormChart, x) -> np.ndarray:
@@ -153,35 +144,35 @@ def christoffel(chart: SpaceFormChart, x) -> np.ndarray:
     Gamma^c_{ab} = delta_ca phi_b + delta_cb phi_a - delta_ab phi_c
     with phi = log(lambda).
     """
-    _, phi, _ = _log_lambda_derivatives(chart, chart.validate_points(x))
-    return _christoffel(phi)
-
-
-def _christoffel(phi: np.ndarray) -> np.ndarray:
-    eye = np.eye(phi.shape[-1])
-    # indices: [..., c, a, b]
-    gamma = (
+    _, phi = _log_lambda_derivatives(chart, chart.validate_points(x))
+    eye = np.eye(chart.dim)
+    return (
         eye[:, :, None] * phi[..., None, None, :]
         + eye[:, None, :] * phi[..., None, :, None]
         - eye[None, :, :] * phi[..., :, None, None]
     )
-    return gamma
 
 
 def frame_components(chart: SpaceFormChart, x, coord_grad, coord_hess):
     """Convert coordinate derivatives of a scalar to frame components.
 
-    Takes the plain coordinate gradient and Hessian, applies the Christoffel
-    correction u_{;ab} = d2u_ab - Gamma^c_{ab} du_c, and rescales both tensors
-    into the orthonormal frame lambda^{-1} * (coordinate basis).  Broadcasts
-    over leading axes.
+    Takes the plain coordinate gradient du and Hessian d2u, applies the
+    Christoffel correction u_{;ab} = d2u_ab - Gamma^c_{ab} du_c, contracted in
+    closed form with phi = log(lambda),
+
+        Gamma^c_{ab} du_c = phi_a du_b + phi_b du_a - delta_ab (phi . du),
+
+    and rescales both tensors into the orthonormal frame lambda^{-1} *
+    (coordinate basis): grad = du / lambda, hess = u_{;ab} / lambda^2.
+    Broadcasts over leading axes.
     """
     pts = chart.validate_points(x)
     du = np.asarray(coord_grad, dtype=float)
     d2u = np.asarray(coord_hess, dtype=float)
-    lam, phi = _log_lambda_derivatives(chart, pts)[:2]  # frees d2 before the einsum
-    gamma = _christoffel(phi)
-    correction = np.einsum("...cab,...c->...ab", gamma, du)
+    lam, phi = _log_lambda_derivatives(chart, pts)
+    correction = phi[..., :, None] * du[..., None, :]
+    correction = (correction + np.swapaxes(correction, -1, -2)
+                  - np.sum(phi * du, axis=-1)[..., None, None] * np.eye(chart.dim))
     grad = du / lam[..., None]
     hess = (d2u - correction) / (lam * lam)[..., None, None]
     return grad, hess
@@ -208,13 +199,18 @@ def sectional_curvature_probe(chart: SpaceFormChart, x) -> np.ndarray | float:
     Uses the conformal-curvature formula for g = e^{2 phi} delta with flat
     background: the coordinate plane (a, b) has
 
-        K_ab = -lambda^{-2} (phi_aa + phi_bb + |dphi|^2 - phi_a^2 - phi_b^2).
+        K_ab = -lambda^{-2} (phi_aa + phi_bb + |dphi|^2 - phi_a^2 - phi_b^2),
 
+    where phi = log(lambda) has phi_a = -(eps/2) lambda x_a and the diagonal
+    second derivatives phi_aa = -(eps/2) lambda + (eps^2/4) lambda^2 x_a^2.
     All planes agree for this chart; the mean over coordinate planes is
     returned and should equal epsilon to rounding.
     """
-    lam, d1, d2 = _log_lambda_derivatives(chart, chart.validate_points(x))
-    sq, diag = d1 * d1, np.diagonal(d2, axis1=-2, axis2=-1)
+    pts = chart.validate_points(x)
+    lam, d1 = _log_lambda_derivatives(chart, pts)
+    eps = chart.epsilon
+    diag = -0.5 * eps * lam[..., None] + 0.25 * eps**2 * (lam**2)[..., None] * pts * pts
+    sq = d1 * d1
     a, b = np.triu_indices(chart.dim, 1)
     k = -(diag[..., a] + diag[..., b] + np.sum(sq, axis=-1)[..., None]
           - sq[..., a] - sq[..., b]) / (lam**2)[..., None]

@@ -206,9 +206,9 @@ def _oracle_sizes(grid_sizes: Sequence[int]) -> list[int]:
 
 def suite_inputs(tau: float, oracle_grid_sizes: Sequence[int]) -> tuple[float, list[int]]:
     """run_suite's tau as a float in (0, 1] and its oracle grid sizes as _oracle_sizes gives."""
-    tau = float(tau)
-    if not 0.0 < tau <= 1.0:
+    if isinstance(tau, (bool, np.bool_)) or not 0.0 < float(tau) <= 1.0:
         raise ValueError("verify tau must lie in (0, 1]")
+    tau = float(tau)
     return tau, _oracle_sizes(oracle_grid_sizes)
 
 

@@ -230,6 +230,10 @@ def test_linear_solver_option_exits_1(tmp_path, capsys):
     ("solve", {"solve": {"newton_tol": float("nan")}}, None),
     ("solve", {"solve": {"max_newton": float("nan")}}, None),
     ("solve", {"solve": {"max_newton": 2.5}}, None),
+    ("solve", {"solve": {"newton_tol": True}}, None),
+    ("solve", {"solve": {"max_newton": True}}, None),
+    ("solve", {"tau": [True]}, None),
+    ("verify", {"verify": {"tau": True}, "checks": ["gradient-max-principle"]}, None),
     ("solve", {"ring": {"outer": {"kind": "circle"},
                         "inner": {"kind": "circle", "radius": 1.0}}}, None),
     ("solve", {"ring": {"outer": {"kind": "circle", "radius": 2.0},
@@ -240,7 +244,8 @@ def test_linear_solver_option_exits_1(tmp_path, capsys):
         "oracle-grid-size-single", "oracle-grid-sizes-empty", "levels",
         "snapshot-not-json", "snapshot-not-a-field", "snapshot-a-list",
         "oracle-samples", "oracle-tau-nan", "epsilon-nan", "chart-radius-nan",
-        "newton-tol-nan", "max-newton-nan", "max-newton-not-int", "circle-without-radius",
+        "newton-tol-nan", "max-newton-nan", "max-newton-not-int", "newton-tol-bool",
+        "max-newton-bool", "tau-bool", "verify-tau-bool", "circle-without-radius",
         "fourier-without-r0"])
 def test_bad_input_exits_1_with_one_line(command, overrides, snapshot, solved_run,
                                          tmp_path, capsys):

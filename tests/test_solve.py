@@ -26,6 +26,7 @@ from convexring.solve import (
     _prolong,
     build_supersolution,
     continuation_solve,
+    continuation_targets,
     minimal_graph_residual,
     solve_harmonic,
     solve_minimal_graph,
@@ -443,6 +444,15 @@ def test_options_validation():
         SolveOptions(newton_tol=-1.0)
     with pytest.raises(SolverError):
         SolveOptions(max_newton=0)
+    # a JSON true would otherwise read as 1: an unconverged field passes
+    # newton_tol=1.0, and max_newton=1 stalls the continuation
+    for bad in ({"newton_tol": True}, {"min_step": True}, {"newton_tol": np.True_},
+                {"max_newton": True}):
+        with pytest.raises(SolverError):
+            SolveOptions(**bad)
+    for bad in ([True], [0.5, True], [np.True_]):
+        with pytest.raises(ValueError):
+            continuation_targets(bad)
 
 
 def test_oracle_init_converges_fast():

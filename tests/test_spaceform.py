@@ -167,6 +167,26 @@ def test_frame_components_match_fd_of_frame_gradient():
     assert np.allclose(hess, raw / lam**2)
 
 
+def test_frame_components_closed_form_matches_christoffel_reference():
+    # frame_components contracts Gamma in closed form; christoffel() keeps the
+    # rank-3 tensor as the reference: (d2u - Gamma^c_ab du_c) / lambda^2
+    rng = np.random.default_rng(17)
+    for eps, opt_in in ((0.0, False), (0.7, False), (-0.5, True)):
+        for dim in (2, 3):
+            chart = SpaceFormChart(epsilon=eps, dim=dim, allow_negative_curvature=opt_in)
+            x = rng.uniform(-0.5, 0.5, size=(5, 7, dim))
+            du = rng.standard_normal((5, 7, dim))
+            d2u = rng.standard_normal((5, 7, dim, dim))
+            d2u = d2u + np.swapaxes(d2u, -1, -2)
+            lam = conformal_factor(chart, x)
+            ref = (d2u - np.einsum("...cab,...c->...ab", christoffel(chart, x), du)
+                   ) / (lam**2)[..., None, None]
+            grad, hess = frame_components(chart, x, du, d2u)
+            assert np.array_equal(grad, du / lam[..., None])
+            assert np.max(np.abs(hess - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert np.allclose(sectional_curvature_probe(chart, x), eps, rtol=0.0, atol=1e-12)
+
+
 def test_chart_rejects_points_outside_radius():
     chart = SpaceFormChart(epsilon=1.0, dim=2, chart_radius=0.5)
     with pytest.raises(ChartDomainError):

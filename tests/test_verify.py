@@ -433,8 +433,9 @@ def test_run_suite_subset_and_validation():
     ({"checks": ["solver-vs-oracle", "small-tau-regime"], "tau": 3.0}, "verify tau"),
     ({"tau": 0.0}, "verify tau"),
     ({"tau": float("nan")}, "verify tau"),
+    ({"tau": True}, "verify tau"),
 ], ids=["one-size", "repeated-size", "size-below-8", "no-size", "tau-above-1",
-        "tau-zero", "tau-nan"])
+        "tau-zero", "tau-nan", "tau-bool"])
 def test_run_suite_rejects_bad_inputs_before_any_solve(kwargs, message, monkeypatch):
     def no_solve(*args, **kw):
         raise AssertionError("a solve ran")
