@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -50,7 +51,7 @@ from .solve import (
     continuation_solve,
     continuation_targets,
 )
-from .spaceform import SpaceFormChart
+from .spaceform import SpaceFormChart, _whole
 from .verify import radial_oracle, run_suite, suite_inputs
 
 
@@ -61,11 +62,26 @@ class ConfigError(ValueError):
 # -- config loading ------------------------------------------------------------
 
 
+# a JSON string, with the colon that makes it a key, or a bracket
+_JSON_TOKEN = re.compile(r'("(?:[^"\\]|\\.)*")(\s*:)?|[{}\[\]]')
+
+
 def _line_of_key(raw: str, key: str) -> int | None:
-    pos = raw.find(f'"{key}"')
-    if pos < 0:
-        return None
-    return raw.count("\n", 0, pos) + 1
+    """Line of ``"key"`` as a key of the top-level object, else of its first
+    occurrence ("verify" and "oracle" hold a "tau" of their own; nested keys
+    such as "epsilon" are found by the fallback)."""
+    target, depth, first = f'"{key}"', 0, None
+    for token in _JSON_TOKEN.finditer(raw):
+        if token.group() in ("{", "["):
+            depth += 1
+        elif token.group() in ("}", "]"):
+            depth -= 1
+        elif token.group(1) == target:
+            if depth == 1 and token.group(2):
+                return raw.count("\n", 0, token.start()) + 1
+            if first is None:
+                first = token.start()
+    return None if first is None else raw.count("\n", 0, first) + 1
 
 
 def _fail(raw: str, key: str, message: str) -> None:
@@ -110,7 +126,7 @@ def _build_chart(cfg: dict, raw: str, allow_negative: bool) -> SpaceFormChart:
     with _errors_at(raw, "chart"):  # ChartDomainError is a ValueError
         return SpaceFormChart(
             epsilon=epsilon,
-            dim=int(section.get("dim", 2)),
+            dim=section.get("dim", 2),
             chart_radius=section.get("chart_radius"),
             allow_negative_curvature=allow_negative,
         )
@@ -138,7 +154,7 @@ def _build_grid(cfg: dict, raw: str, ring: ConvexRing) -> AnnularGrid:
     if not isinstance(section, dict):
         _fail(raw, "grid", 'missing or invalid "grid" section')
     with _errors_at(raw, "grid"):
-        return build_grid(ring, int(section.get("ns", 33)), int(section.get("ntheta", 64)))
+        return build_grid(ring, section.get("ns", 33), section.get("ntheta", 64))
 
 
 def _solve_options(cfg: dict, raw: str) -> SolveOptions:
@@ -368,9 +384,10 @@ def cmd_oracle(cfg: dict, raw: str, out_dir: Path) -> int:
             float(section.get("r_inner", 1.0)),
             float(section.get("r_outer", 2.0)),
             float(section["tau"]) if "tau" in section else 0.3,
-            int(section.get("n", 2)),
+            section.get("n", 2),
         )
-        radii = np.linspace(oracle.r_inner, oracle.r_outer, int(section.get("samples", 33)))
+        radii = np.linspace(oracle.r_inner, oracle.r_outer,
+                            _whole(section.get("samples", 33), "samples"))
     rows = ["r,u,du"] + [f"{r:.17g},{u:.17g},{du:.17g}"
                          for r, u, du in zip(radii, oracle.u(radii), oracle.du(radii))]
     print(f"flux constant c = {oracle.c:.12g}")

@@ -52,7 +52,7 @@ class ScalarField:
     grid: AnnularGrid
     values: np.ndarray
     boundary_values: tuple[float, float] | None = None
-    _jets: dict | None = dc_field(default=None, repr=False, compare=False)
+    _jets: dict | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)

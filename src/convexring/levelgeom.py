@@ -22,6 +22,9 @@ collapse them into one implementation.
 
 Analytic jets are stacked too: samplers take points (..., n), and the rank and
 structure checks make one sampler call and one ``eigvalsh`` each.
+
+Every level-set quantity needs |grad u| >= GRAD_FLOOR; below it the functions
+here raise SingularGradientError naming the point.  The floor is one constant.
 """
 
 from __future__ import annotations
@@ -83,24 +86,23 @@ def _tangent_frame(unit_normal: np.ndarray) -> np.ndarray:
     return np.stack(frame, axis=-2)
 
 
-def _level_forms(points: np.ndarray, grad: np.ndarray, hess: np.ndarray,
-                 grad_floor: float) -> np.ndarray:
+def _level_forms(points: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     """h = -T D2u T^T / |grad u| over leading axes, T the tangent frames.
 
     Raises SingularGradientError naming the first point, in C order, where
     |grad u| is below the floor."""
     norm = np.sqrt(_dot(grad, grad))
-    low = np.flatnonzero(norm < grad_floor)
+    low = np.flatnonzero(norm < GRAD_FLOOR)
     if low.size:
         point = np.reshape(points, (norm.size, -1))[low[0]].tolist()
         raise SingularGradientError(
-            f"|grad u| = {norm.flat[low[0]]:.3e} below floor {grad_floor:.1e} at {point}")
+            f"|grad u| = {norm.flat[low[0]]:.3e} below floor {GRAD_FLOOR:.1e} at {point}")
     tangents = _tangent_frame(grad / norm[..., None])
     h = -tangents @ hess @ np.swapaxes(tangents, -1, -2) / norm[..., None, None]
     return 0.5 * (h + np.swapaxes(h, -1, -2))
 
 
-def second_fundamental_form(jet: PointJet, grad_floor: float = GRAD_FLOOR) -> np.ndarray:
+def second_fundamental_form(jet: PointJet) -> np.ndarray:
     """h_ij = -u_{;ij} / |grad u| on the tangent space of the level set.
 
     Eigenvalues are the principal curvatures with respect to the unit normal
@@ -108,12 +110,12 @@ def second_fundamental_form(jet: PointJet, grad_floor: float = GRAD_FLOOR) -> np
     increasing u.
     """
     return _level_forms(jet.point, np.asarray(jet.grad, dtype=float),
-                        np.asarray(jet.hess, dtype=float), grad_floor)
+                        np.asarray(jet.hess, dtype=float))
 
 
-def principal_curvatures(jet: PointJet, grad_floor: float = GRAD_FLOOR) -> np.ndarray:
+def principal_curvatures(jet: PointJet) -> np.ndarray:
     """Sorted eigenvalues of the second fundamental form."""
-    return np.linalg.eigvalsh(second_fundamental_form(jet, grad_floor))
+    return np.linalg.eigvalsh(second_fundamental_form(jet))
 
 
 # -- sigma_k: two routes ------------------------------------------------------
@@ -150,7 +152,7 @@ def _sigma_traces(a: np.ndarray, k_max: int) -> list[float]:
     return out
 
 
-def sigma_k_level(jet: PointJet, k: int, grad_floor: float = GRAD_FLOOR) -> float:
+def sigma_k_level(jet: PointJet, k: int) -> float:
     """k-th elementary symmetric function of the level-set curvatures,
     evaluated through the full covariant Hessian (no tangent frame).
 
@@ -163,9 +165,9 @@ def sigma_k_level(jet: PointJet, k: int, grad_floor: float = GRAD_FLOOR) -> floa
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     norm = float(np.linalg.norm(g))
-    if norm < grad_floor:
+    if norm < GRAD_FLOOR:
         raise SingularGradientError(
-            f"|grad u| = {norm:.3e} below floor {grad_floor:.1e} at {jet.point.tolist()}"
+            f"|grad u| = {norm:.3e} below floor {GRAD_FLOOR:.1e} at {jet.point.tolist()}"
         )
     a = np.asarray(jet.hess, dtype=float)
     sigmas = _sigma_traces(a, k)
@@ -179,7 +181,7 @@ def sigma_k_level(jet: PointJet, k: int, grad_floor: float = GRAD_FLOOR) -> floa
     return (-1.0) ** k * quad / norm ** (k + 2)
 
 
-def phi_test(jet: PointJet, l: int, grad_floor: float = GRAD_FLOOR) -> float:
+def phi_test(jet: PointJet, l: int) -> float:
     """phi = |grad u|^(l+3) * sigma_{l+1}(principal curvatures), 0 <= l <= n-2.
 
     The quantity whose sign encodes strict convexity of the level set at
@@ -192,9 +194,9 @@ def phi_test(jet: PointJet, l: int, grad_floor: float = GRAD_FLOOR) -> float:
     if not 0 <= l <= n - 2:
         raise ValueError(f"l must be in [0, {n - 2}], got {l}")
     norm = float(np.linalg.norm(g))
-    if norm < grad_floor:
+    if norm < GRAD_FLOOR:
         raise SingularGradientError(f"|grad u| below floor at {jet.point.tolist()}")
-    curvatures = principal_curvatures(jet, grad_floor)
+    curvatures = principal_curvatures(jet)
     return norm ** (l + 3) * elementary_symmetric(curvatures, l + 1)
 
 
@@ -223,8 +225,7 @@ def _check_level(f: ScalarField, c: float) -> None:
         raise LevelRangeError(f"level {c} outside the open range ({lo}, {hi})")
 
 
-def extract_level(f: ScalarField, c: float,
-                  grad_floor: float = GRAD_FLOOR) -> LevelSetReport:
+def extract_level(f: ScalarField, c: float) -> LevelSetReport:
     """Trace the level set {u = c} through the grid.
 
     Finds in every theta column the unique radial edge where u crosses c
@@ -252,7 +253,7 @@ def extract_level(f: ScalarField, c: float,
     tg, th = t[:, None], t[:, None, None]
     grad = (1 - tg) * table["grad"][i, cols] + tg * table["grad"][i + 1, cols]
     hess = (1 - th) * table["hess"][i, cols] + th * table["hess"][i + 1, cols]
-    kap = _level_forms(pts, grad, hess, grad_floor)[:, 0, 0]
+    kap = _level_forms(pts, grad, hess)[:, 0, 0]
     pts = np.vstack([pts, pts[:1]])
     kap = np.append(kap, kap[0])
     return LevelSetReport(
@@ -280,41 +281,34 @@ class RankScan:
         return self.min_rank == self.max_rank
 
 
-def rank_scan(source: ScalarField | PointJet, levels: Sequence[float] | None = None,
-              rank_threshold: float | None = None,
-              grad_floor: float = GRAD_FLOOR) -> RankScan:
+def rank_scan(source: ScalarField | PointJet) -> RankScan:
     """Count principal curvatures above a threshold across many samples.
 
-    ``source`` is either a :class:`ScalarField` (samples every interior node)
-    or a stacked analytic :class:`PointJet` (samples every point of the
-    stack).  ``levels`` restricts the samples to those whose value lies
-    inside the band the levels span.  The default threshold is 10 h^2 for
-    fields and 1e-8 for analytic jets.
+    ``source`` is either a :class:`ScalarField` (samples every interior node,
+    threshold 10 h^2 with h the grid's largest spacing) or a stacked analytic
+    :class:`PointJet` (samples every point of the stack, threshold 1e-8).
+    Samples are taken in C order; ``location`` is the first sample where the
+    smallest curvature is lowest.
     """
     if isinstance(source, ScalarField):
-        if rank_threshold is None:
-            rank_threshold = 10.0 * source.grid.max_spacing**2
+        threshold = 10.0 * source.grid.max_spacing**2
         table = source.jet_table()
-        points, value, grad, hess = (a[1:-1] for a in (
-            source.grid.nodes, table["value"], table["grad"], table["hess"]))
+        points, grad, hess = (a[1:-1] for a in (source.grid.nodes, table["grad"], table["hess"]))
     else:
-        if rank_threshold is None:
-            rank_threshold = 1e-8
-        points, value, grad, hess = (np.asarray(getattr(source, key), dtype=float)
-                                     for key in ("point", "value", "grad", "hess"))
-    keep = np.ones(value.shape, dtype=bool)
-    if levels is not None:
-        keep = (min(levels) <= value) & (value <= max(levels))
-    points, grad, hess = points[keep], grad[keep], hess[keep]
+        threshold = 1e-8
+        points, grad, hess = (np.asarray(getattr(source, key), dtype=float)
+                              for key in ("point", "grad", "hess"))
+    n = points.shape[-1]
+    points, grad, hess = points.reshape(-1, n), grad.reshape(-1, n), hess.reshape(-1, n, n)
     if len(points) == 0:
         raise ValueError("rank scan has no sample points")
 
-    eigs = np.linalg.eigvalsh(_level_forms(points, grad, hess, grad_floor))
-    ranks = np.sum(eigs > rank_threshold, axis=-1)
+    eigs = np.linalg.eigvalsh(_level_forms(points, grad, hess))
+    ranks = np.sum(eigs > threshold, axis=-1)
     k = int(np.argmin(eigs[:, 0]))
     return RankScan(
         samples=len(eigs), min_rank=int(ranks.min()), max_rank=int(ranks.max()),
-        lambda_min=float(eigs[k, 0]), location=points[k], threshold=float(rank_threshold),
+        lambda_min=float(eigs[k, 0]), location=points[k].copy(), threshold=float(threshold),
     )
 
 

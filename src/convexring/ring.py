@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .spaceform import SpaceFormChart, _log_lambda_derivatives
+from .spaceform import SpaceFormChart, _log_lambda_derivatives, _whole
 
 TWO_PI = 2.0 * np.pi
 VALIDATION_SAMPLES = 720
@@ -298,13 +298,14 @@ class AnnularGrid:
     """
 
     def __init__(self, ring: ConvexRing, ns: int, ntheta: int):
+        ns, ntheta = _whole(ns, "ns"), _whole(ntheta, "ntheta")
         if ns < 4:
             raise ValueError("ns must be at least 4 (one-sided stencils need 4 rows)")
         if ntheta < 8:
             raise ValueError("ntheta must be at least 8")
         self.ring = ring
-        self.ns = int(ns)
-        self.ntheta = int(ntheta)
+        self.ns = ns
+        self.ntheta = ntheta
         self.s = np.linspace(0.0, 1.0, ns)
         self.theta = TWO_PI * np.arange(ntheta) / ntheta
         self.hs = 1.0 / (ns - 1)

@@ -39,7 +39,6 @@ Dirichlet rows (s = 0 outer, s = 1 inner) are never touched by the solvers.
 
 from __future__ import annotations
 
-import numbers
 import time
 import weakref
 from dataclasses import dataclass, field as dc_field
@@ -53,7 +52,7 @@ import scipy.sparse.linalg as spla
 from .field import ScalarField
 from .levelgeom import SingularGradientError, TopologyError, extract_level
 from .ring import AnnularGrid
-from .spaceform import conformal_factor
+from .spaceform import _whole, conformal_factor
 
 # absolute max-norm residual the one-shot harmonic solve must reach
 # (or options.newton_tol, when that is looser)
@@ -91,9 +90,12 @@ class SolveOptions:
         if any(isinstance(t, (bool, np.bool_)) or not 0.0 < t < np.inf
                for t in (self.newton_tol, self.min_step)):
             raise SolverError("tolerances must be positive and finite")
-        if not (isinstance(self.max_newton, numbers.Integral)
-                and not isinstance(self.max_newton, bool) and self.max_newton >= 1):
-            raise SolverError(f"max_newton must be an integer >= 1, got {self.max_newton!r}")
+        try:
+            self.max_newton = _whole(self.max_newton, "max_newton")
+        except ValueError as exc:
+            raise SolverError(str(exc)) from None
+        if self.max_newton < 1:
+            raise SolverError(f"max_newton must be >= 1, got {self.max_newton}")
 
 
 @dataclass

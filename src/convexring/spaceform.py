@@ -16,6 +16,7 @@ frame e_a = lambda^{-1} d/dx_a unless a docstring says otherwise.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,16 @@ import numpy as np
 
 class ChartDomainError(ValueError):
     """A point is not finite or lies outside the chart's accepted coordinate ball."""
+
+
+def _whole(value, what: str) -> int:
+    """``value`` as an int, for sizes and counts: 17.0 reads as 17, and a bool,
+    a fraction, +-inf, NaN or a non-number raise ValueError (int() would
+    truncate 17.9 to 17 and overflow on inf)."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+            and (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        return int(value)
+    raise ValueError(f"{what} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +61,9 @@ class SpaceFormChart:
     allow_negative_curvature: bool = False
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        dim = _whole(self.dim, "dim")
+        if dim not in (2, 3):
+            raise ValueError(f"dim must be 2 or 3, got {dim}")
         eps = float(self.epsilon)
         if not np.isfinite(eps):
             raise ValueError(f"epsilon must be finite, got {eps}")
@@ -77,6 +89,7 @@ class SpaceFormChart:
             raise ValueError(
                 f"chart_radius {radius} must be < {limit} for epsilon={eps}"
             )
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "chart_radius", radius)
 

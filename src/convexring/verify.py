@@ -41,7 +41,7 @@ from .solve import (
     solve_harmonic,
     solve_minimal_graph,
 )
-from .spaceform import PointJet, SpaceFormChart
+from .spaceform import PointJet, SpaceFormChart, _whole
 
 
 class OracleInfeasibleError(ValueError):
@@ -127,6 +127,7 @@ def radial_oracle(r_inner: float, r_outer: float, tau: float, n: int = 2) -> Rad
 
     Bisection on the increasing map c -> height(c); the returned oracle
     reproduces the boundary data to 1e-12."""
+    n = _whole(n, "n")
     if not 0.0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
     if not tau > 0.0:  # also rejects NaN
@@ -196,8 +197,8 @@ def _grad_norms(f: ScalarField) -> np.ndarray:
 
 
 def _oracle_sizes(grid_sizes: Sequence[int]) -> list[int]:
-    """The oracle grid sizes sorted; ValueError unless two or more distinct integers >= 8."""
-    sizes = sorted(int(s) for s in grid_sizes)
+    """The oracle grid sizes sorted; ValueError unless two or more distinct whole numbers >= 8."""
+    sizes = sorted(_whole(s, "oracle grid size") for s in grid_sizes)
     # the oracle grids are n x n (ntheta >= 8); an order needs two distinct sizes
     if len(set(sizes)) < max(len(sizes), 2) or sizes[0] < 8:
         raise ValueError("oracle_grid_sizes must be two or more distinct sizes >= 8")
@@ -215,25 +216,20 @@ def suite_inputs(tau: float, oracle_grid_sizes: Sequence[int]) -> tuple[float, l
 # -- checks --------------------------------------------------------------------
 
 
-def check_solver_vs_oracle(grid_sizes: Sequence[int] = (64, 128, 256), tau: float = 0.3,
+def check_solver_vs_oracle(grid_sizes: Sequence[int] = (64, 128, 256),
                            options: SolveOptions | None = None) -> VerificationReport:
-    """Nodal solver-vs-oracle error on the circles of radius 1 and 2, with the
-    observed convergence order.  The 5e-4 error budget applies once a grid reaches 256."""
+    """Nodal solver-vs-oracle error of the radial graph of height tau = 0.3 on
+    the circles of radius 1 and 2, with the observed convergence order.  The
+    5e-4 error budget applies once a grid reaches 256."""
     t0 = time.perf_counter()
-    name = "solver-vs-oracle"
-    claim = "the discrete minimal graph converges to the radial solution at second order"
     sizes = _oracle_sizes(grid_sizes)
-    if tau == 0.0:
-        return _finish(name, 0.0, 5e-4, claim, t0,
-                       {"note": "tau = 0 gives the zero field exactly"})
-
-    oracle = radial_oracle(1.0, 2.0, tau)
+    oracle = radial_oracle(1.0, 2.0, 0.3)
     ring = make_ring(oracle.chart, make_curve("circle", radius=2.0),
                      make_curve("circle", radius=1.0))
     errors, iterations = [], []
     for size in sizes:
         grid = build_grid(ring, size, size)
-        u, report = solve_minimal_graph(grid, tau, options=options)
+        u, report = solve_minimal_graph(grid, oracle.tau, options=options)
         if not report.converged:
             raise SolverError(f"solve at {size}x{size} did not converge")
         radii = np.linalg.norm(grid.nodes, axis=-1)
@@ -247,7 +243,9 @@ def check_solver_vs_oracle(grid_sizes: Sequence[int] = (64, 128, 256), tau: floa
         margin = min(margin, 5e-4 - errors[-1])
     extras = {"grid_sizes": sizes, "max_errors": errors, "orders": orders,
               "newton_iterations": iterations, "flux_constant": oracle.c}
-    return _finish(name, margin, 5e-4, claim, t0, extras)
+    return _finish("solver-vs-oracle", margin, 5e-4,
+                   "the discrete minimal graph converges to the radial solution at second order",
+                   t0, extras)
 
 
 def check_gradient_max_principle(f: ScalarField) -> VerificationReport:
@@ -349,14 +347,14 @@ def check_tau_estimates(grid: AnnularGrid, tau_list: Sequence[float],
 
 
 def check_small_tau_regime(grid: AnnularGrid,
-                           taus: Sequence[float] = (0.01, 0.02, 0.04),
                            options: SolveOptions | None = None) -> VerificationReport:
     """For small tau the minimal graph stays within const * tau^2 of the
-    harmonic field in discrete C2.  Checked as one-sided stability of the
-    ratio q(tau) = distance / tau^2: shrinking tau must not grow q by more
-    than the 1.5 band (the correction is higher order, so q typically falls)."""
+    harmonic field in discrete C2.  Checked at tau = 0.01, 0.02 and 0.04 as
+    one-sided stability of the ratio q(tau) = distance / tau^2: shrinking tau
+    must not grow q by more than the 1.5 band (the correction is higher order,
+    so q typically falls)."""
     t0 = time.perf_counter()
-    taus = sorted(float(t) for t in taus)
+    taus = [0.01, 0.02, 0.04]
     qs = []
     for t in taus:
         omega = solve_harmonic(grid, t, options)

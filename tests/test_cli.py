@@ -142,14 +142,18 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
 
 
 def test_semantic_error_names_the_offending_line(tmp_path, capsys):
-    cfg = write_config(tmp_path, tau=[0.5, 0.5])
-    rc = main(["solve", "--config", cfg, "--out", str(tmp_path)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    line = next(i for i, text in enumerate(Path(cfg).read_text().splitlines(), start=1)
-                if '"tau"' in text)
-    assert f"line {line}" in err
-    assert "strictly increasing" in err
+    # the second config has a "tau" inside "verify" on an earlier line
+    for config, message in ((base_config(tau=[0.5, 0.5]), "strictly increasing"),
+                            ({"verify": {"tau": 0.5}, **base_config(tau=[2.0])},
+                             "targets must lie in (0, 1]")):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config, indent=1) + "\n")
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        line = next(i for i, text in enumerate(cfg.read_text().splitlines(), start=1)
+                    if text.startswith(' "tau"'))
+        assert err.startswith(f"error: config line {line}: ") and message in err
 
 
 def test_folded_grid_exits_1_naming_the_node(tmp_path, capsys):
@@ -238,6 +242,15 @@ def test_linear_solver_option_exits_1(tmp_path, capsys):
                         "inner": {"kind": "circle", "radius": 1.0}}}, None),
     ("solve", {"ring": {"outer": {"kind": "circle", "radius": 2.0},
                         "inner": {"kind": "fourier", "cos_coeffs": [0.01]}}}, None),
+    ("solve", {"grid": {"ns": 17.5, "ntheta": 48}}, None),
+    ("solve", {"grid": {"ns": float("inf"), "ntheta": 48}}, None),
+    ("solve", {"chart": {"epsilon": 0.0, "dim": float("inf")}}, None),
+    ("oracle", {"oracle": {"n": 2.5}}, None),
+    ("oracle", {"oracle": {"samples": float("inf")}}, None),
+    ("verify", {"verify": {"oracle_grid_sizes": [16, 32.5]}, "checks": ["solver-vs-oracle"]},
+     None),
+    ("verify", {"verify": {"oracle_grid_sizes": [16, float("inf")]},
+                "checks": ["solver-vs-oracle"]}, None),
 ], ids=["epsilon", "grid-ns", "verify-tau", "oracle-grid-sizes",
         "verify-tau-above-1", "verify-tau-zero", "oracle-grid-size-not-int",
         "oracle-grid-size-below-8", "oracle-grid-sizes-repeated",
@@ -246,7 +259,9 @@ def test_linear_solver_option_exits_1(tmp_path, capsys):
         "oracle-samples", "oracle-tau-nan", "epsilon-nan", "chart-radius-nan",
         "newton-tol-nan", "max-newton-nan", "max-newton-not-int", "newton-tol-bool",
         "max-newton-bool", "tau-bool", "verify-tau-bool", "circle-without-radius",
-        "fourier-without-r0"])
+        "fourier-without-r0", "grid-ns-fraction", "grid-ns-inf", "dim-inf",
+        "oracle-n-fraction", "oracle-samples-inf", "oracle-grid-size-fraction",
+        "oracle-grid-size-inf"])
 def test_bad_input_exits_1_with_one_line(command, overrides, snapshot, solved_run,
                                          tmp_path, capsys):
     argv = [command, "--config", write_config(tmp_path, **overrides),

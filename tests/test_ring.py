@@ -264,6 +264,17 @@ def test_grid_minimum_sizes():
         build_grid(ring, ns=9, ntheta=4)
 
 
+def test_grid_sizes_are_whole_numbers():
+    ring = _circle_ring()
+    grid = AnnularGrid(ring, 17.0, np.int64(32))
+    assert (grid.ns, grid.ntheta) == (17, 32)
+    assert type(grid.ns) is int and type(grid.ntheta) is int
+    for ns, ntheta in ((17.9, 32), (17, float("inf")), (float("nan"), 32), (True, 32),
+                       ("17", 32)):
+        with pytest.raises(ValueError, match="whole number"):
+            AnnularGrid(ring, ns, ntheta)
+
+
 def test_curve_serialization_round_trip():
     curves = [
         make_curve("circle", center=(0.1, -0.2), radius=1.5),

@@ -218,3 +218,7 @@ def test_negative_curvature_requires_opt_in():
 def test_dim_validation():
     with pytest.raises(ValueError):
         SpaceFormChart(epsilon=0.0, dim=4)
+    for dim in (2.5, float("inf"), True):
+        with pytest.raises(ValueError):
+            SpaceFormChart(epsilon=0.0, dim=dim)
+    assert type(SpaceFormChart(epsilon=0.0, dim=2.0).dim) is int
