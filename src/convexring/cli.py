@@ -91,12 +91,13 @@ def _fail(raw: str, key: str, message: str) -> None:
 
 
 @contextmanager
-def _errors_at(raw: str, key: str, errors=(ValueError, TypeError)):
-    """Report the listed exceptions raised in the block as a config error at key."""
+def _errors_at(raw: str, key: str, errors=(ValueError, TypeError), named=()):
+    """Report the listed exceptions as a config error at key, or at the key in named
+    that opens the message (the library names the value it rejects first)."""
     try:
         yield
     except errors as exc:
-        _fail(raw, key, str(exc))
+        _fail(raw, next((k for k in named if str(exc).startswith(f"{k} ")), key), str(exc))
 
 
 def load_config(path: str) -> tuple[dict, str]:
@@ -118,33 +119,24 @@ def _build_chart(cfg: dict, raw: str, allow_negative: bool) -> SpaceFormChart:
     section = cfg.get("chart")
     if not isinstance(section, dict):
         _fail(raw, "chart", 'missing or invalid "chart" section')
-    with _errors_at(raw, "epsilon"):
-        epsilon = float(section.get("epsilon", 0.0))
-    if epsilon < 0.0 and not allow_negative:
+    with _errors_at(raw, "chart", named=("epsilon", "dim", "chart_radius")):
+        # the sign of epsilon is gated below, so that the message names the flag
+        chart = SpaceFormChart(section.get("epsilon", 0.0), section.get("dim", 2),
+                               section.get("chart_radius"), allow_negative_curvature=True)
+    if chart.epsilon < 0.0 and not allow_negative:
         _fail(raw, "epsilon",
               "epsilon < 0 requires --experimental-negative-curvature")
-    with _errors_at(raw, "chart"):  # ChartDomainError is a ValueError
-        return SpaceFormChart(
-            epsilon=epsilon,
-            dim=section.get("dim", 2),
-            chart_radius=section.get("chart_radius"),
-            allow_negative_curvature=allow_negative,
-        )
-
-
-def _build_curve(entry: Any, raw: str, key: str):
-    if not isinstance(entry, dict) or "kind" not in entry:
-        _fail(raw, key, f'"{key}" must be a curve object with a "kind"')
-    with _errors_at(raw, key):
-        return curve_from_dict(entry)
+    return chart
 
 
 def _build_ring(cfg: dict, raw: str, chart: SpaceFormChart) -> ConvexRing:
     section = cfg.get("ring")
     if not isinstance(section, dict):
         _fail(raw, "ring", 'missing or invalid "ring" section')
-    outer = _build_curve(section.get("outer"), raw, "outer")
-    inner = _build_curve(section.get("inner"), raw, "inner")
+    with _errors_at(raw, "outer"):
+        outer = curve_from_dict(section.get("outer"))
+    with _errors_at(raw, "inner"):
+        inner = curve_from_dict(section.get("inner"))
     with _errors_at(raw, "ring"):
         return make_ring(chart, outer, inner)
 
@@ -153,7 +145,7 @@ def _build_grid(cfg: dict, raw: str, ring: ConvexRing) -> AnnularGrid:
     section = cfg.get("grid")
     if not isinstance(section, dict):
         _fail(raw, "grid", 'missing or invalid "grid" section')
-    with _errors_at(raw, "grid"):
+    with _errors_at(raw, "grid", named=("ns", "ntheta")):
         return build_grid(ring, section.get("ns", 33), section.get("ntheta", 64))
 
 
@@ -305,9 +297,7 @@ def cmd_levels(cfg: dict, raw: str, snapshot: str, out_dir: Path) -> int:
     if not isinstance(levels, list) or not levels:
         _fail(raw, "levels", '"levels" must be a non-empty list')
     with _errors_at(raw, "levels"):  # LevelRangeError is a ValueError
-        values = [float(c) for c in levels]
-        for c in values:
-            _check_level(f, c)
+        values = [_check_level(f, c) for c in levels]
 
     reports = []
     for c in values:
@@ -380,12 +370,8 @@ def cmd_oracle(cfg: dict, raw: str, out_dir: Path) -> int:
     if not isinstance(section, dict):
         _fail(raw, "oracle", 'missing or invalid "oracle" section')
     with _errors_at(raw, "oracle"):  # OracleInfeasibleError is a ValueError
-        oracle = radial_oracle(
-            float(section.get("r_inner", 1.0)),
-            float(section.get("r_outer", 2.0)),
-            float(section["tau"]) if "tau" in section else 0.3,
-            section.get("n", 2),
-        )
+        oracle = radial_oracle(section.get("r_inner", 1.0), section.get("r_outer", 2.0),
+                               section.get("tau", 0.3), section.get("n", 2))
         radii = np.linspace(oracle.r_inner, oracle.r_outer,
                             _whole(section.get("samples", 33), "samples"))
     rows = ["r,u,du"] + [f"{r:.17g},{u:.17g},{du:.17g}"

@@ -37,7 +37,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .field import ScalarField
-from .spaceform import PointJet, SpaceFormChart, covariant_jet
+from .spaceform import PointJet, SpaceFormChart, _real, covariant_jet
 
 GRAD_FLOOR = 1e-8
 FD_STEP = 1e-5    # central-difference step of fd_scalar_sampler
@@ -214,15 +214,17 @@ class LevelSetReport:
     grad_min: float
 
 
-def _check_level(f: ScalarField, c: float) -> None:
-    """Raise LevelRangeError unless c lies strictly between the boundary
-    values (the field's extremes when it has none)."""
+def _check_level(f: ScalarField, c: float) -> float:
+    """c as a float; LevelRangeError unless it lies strictly between the
+    boundary values (the field's extremes when it has none)."""
+    c = _real(c, "level")
     if f.boundary_values is not None:
         lo, hi = sorted(f.boundary_values)
     else:
         lo, hi = float(f.values.min()), float(f.values.max())
     if not lo < c < hi:
         raise LevelRangeError(f"level {c} outside the open range ({lo}, {hi})")
+    return c
 
 
 def extract_level(f: ScalarField, c: float) -> LevelSetReport:
@@ -233,7 +235,7 @@ def extract_level(f: ScalarField, c: float) -> LevelSetReport:
     linearly interpolated covariant jet.  The returned polyline is ordered by
     theta and closed.
     """
-    _check_level(f, c)
+    c = _check_level(f, c)
     grid = f.grid
     d = f.values - c
     crosses = d[:-1] * d[1:] <= 0
@@ -257,7 +259,7 @@ def extract_level(f: ScalarField, c: float) -> LevelSetReport:
     pts = np.vstack([pts, pts[:1]])
     kap = np.append(kap, kap[0])
     return LevelSetReport(
-        level=float(c), points=pts, kappa=kap, kappa_min=float(np.min(kap)),
+        level=c, points=pts, kappa=kap, kappa_min=float(np.min(kap)),
         grad_min=float(np.min(np.sqrt(_dot(grad, grad)))),
     )
 

@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .spaceform import SpaceFormChart, _log_lambda_derivatives, _whole
+from .spaceform import SpaceFormChart, _log_lambda_derivatives, _real, _whole
 
 TWO_PI = 2.0 * np.pi
 VALIDATION_SAMPLES = 720
@@ -138,6 +138,8 @@ class ConvexCurve:
 
 def curve_from_dict(d: dict[str, Any]) -> ConvexCurve:
     """The curve of a config or snapshot spec {"kind": ..., parameters}."""
+    if not isinstance(d, dict) or "kind" not in d:
+        raise ValueError(f'a curve must be an object with a "kind", got {d!r}')
     params = dict(d)
     return make_curve(params.pop("kind"), **params)
 
@@ -154,34 +156,33 @@ def make_curve(kind: str, **params) -> ConvexCurve:
       fourier  -- center, r0, cos_coeffs, sin_coeffs
                   (radius r(theta) = r0 + sum_k a_k cos(k theta) + b_k sin(k theta))
 
-    A missing or non-finite parameter is a ValueError naming the kind.
+    A missing parameter or a value that is not a finite number is a
+    ValueError naming the kind.
     """
     if kind not in _REQUIRED_PARAMETER:
         raise ValueError(f"unknown curve kind {kind!r}")
     if _REQUIRED_PARAMETER[kind] not in params:
         raise ValueError(f"{kind} curve is missing {_REQUIRED_PARAMETER[kind]!r}")
-    center = tuple(float(c) for c in params.pop("center", (0.0, 0.0)))
+    what = f"{kind} curve parameters"
+    cx, cy = (_real(c, what) for c in params.pop("center", (0.0, 0.0)))
     if kind == "circle":
-        radius = float(params.pop("radius"))
+        radius = _real(params.pop("radius"), what)
         if radius <= 0:
             raise ValueError("circle radius must be positive")
-        curve = ConvexCurve(kind="circle", center=center, r0=radius)
+        curve = ConvexCurve(kind="circle", center=(cx, cy), r0=radius)
     elif kind == "ellipse":
-        a, b = (float(v) for v in params.pop("radii"))
+        a, b = (_real(v, what) for v in params.pop("radii"))
         if a <= 0 or b <= 0:
             raise ValueError("ellipse semiaxes must be positive")
-        curve = ConvexCurve(kind="ellipse", center=center, axes=(a, b))
+        curve = ConvexCurve(kind="ellipse", center=(cx, cy), axes=(a, b))
     else:
         curve = ConvexCurve(
-            kind="fourier", center=center, r0=float(params.pop("r0")),
-            cos_coeffs=tuple(float(v) for v in params.pop("cos_coeffs", ())),
-            sin_coeffs=tuple(float(v) for v in params.pop("sin_coeffs", ())),
+            kind="fourier", center=(cx, cy), r0=_real(params.pop("r0"), what),
+            cos_coeffs=tuple(_real(v, what) for v in params.pop("cos_coeffs", ())),
+            sin_coeffs=tuple(_real(v, what) for v in params.pop("sin_coeffs", ())),
         )
     if params:
         raise ValueError(f"unexpected parameters for {kind}: {sorted(params)}")
-    values = (*curve.center, *curve.axes, curve.r0, *curve.cos_coeffs, *curve.sin_coeffs)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{kind} curve parameters must be finite")
 
     if np.min(curve._radius(VALIDATION_THETA, 0)) <= 0:
         raise ConvexityError("fourier radius function must stay positive")
@@ -229,11 +230,8 @@ class ConvexRing:
 
 
 def ring_from_dict(d: dict[str, Any]) -> ConvexRing:
-    c = d["chart"]
-    chart = SpaceFormChart(
-        epsilon=c["epsilon"], dim=c.get("dim", 2), chart_radius=c.get("chart_radius"),
-        allow_negative_curvature=c["epsilon"] < 0,
-    )
+    # a snapshot's chart may be experimental: its writer passed the opt-in
+    chart = SpaceFormChart(**d["chart"], allow_negative_curvature=True)
     return make_ring(chart, curve_from_dict(d["outer"]), curve_from_dict(d["inner"]))
 
 

@@ -52,7 +52,7 @@ import scipy.sparse.linalg as spla
 from .field import ScalarField
 from .levelgeom import SingularGradientError, TopologyError, extract_level
 from .ring import AnnularGrid
-from .spaceform import _whole, conformal_factor
+from .spaceform import _real, _whole, conformal_factor
 
 # absolute max-norm residual the one-shot harmonic solve must reach
 # (or options.newton_tol, when that is looser)
@@ -86,14 +86,14 @@ class SolveOptions:
     min_step: float = 2.0**-20         # line-search floor
 
     def __post_init__(self):
-        # a JSON true compares as 1; no setting here is a boolean
-        if any(isinstance(t, (bool, np.bool_)) or not 0.0 < t < np.inf
-               for t in (self.newton_tol, self.min_step)):
-            raise SolverError("tolerances must be positive and finite")
         try:
+            self.newton_tol = _real(self.newton_tol, "newton_tol")
+            self.min_step = _real(self.min_step, "min_step")
             self.max_newton = _whole(self.max_newton, "max_newton")
         except ValueError as exc:
             raise SolverError(str(exc)) from None
+        if not (self.newton_tol > 0.0 and self.min_step > 0.0):
+            raise SolverError("tolerances must be positive")
         if self.max_newton < 1:
             raise SolverError(f"max_newton must be >= 1, got {self.max_newton}")
 
@@ -325,7 +325,7 @@ def solve_harmonic(grid: AnnularGrid, tau: float,
     One assembly and one linear solve; the result satisfies the discrete
     maximum principle (values in [0, tau])."""
     options = options or SolveOptions()
-    tau = float(tau)
+    tau = _real(tau, "tau")
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     asm = _assembler(grid)
@@ -527,9 +527,9 @@ def _step_diagnostics(f: ScalarField, tau: float) -> tuple[float, float]:
 
 def continuation_targets(targets: Sequence[float]) -> list[float]:
     """The targets as floats; ValueError unless in (0, 1] and strictly increasing."""
-    if any(isinstance(t, (bool, np.bool_)) or not 0.0 < float(t) <= 1.0 for t in targets):
+    targets = [_real(t, "tau target") for t in targets]
+    if any(not 0.0 < t <= 1.0 for t in targets):
         raise ValueError("targets must lie in (0, 1]")
-    targets = [float(t) for t in targets]
     if any(b <= a for a, b in zip(targets, targets[1:])):
         raise ValueError("targets must be strictly increasing")
     return targets

@@ -11,11 +11,14 @@ stereographic coordinates (one hemisphere when the chart radius stays below
 supported theory; constructing such a chart requires an explicit opt-in flag.
 
 All tensor components returned by this module are expressed in the orthonormal
-frame e_a = lambda^{-1} d/dx_a unless a docstring says otherwise.
+frame e_a = lambda^{-1} d/dx_a unless a docstring says otherwise.  The two
+readers here, ``_real`` and ``_whole``, are the only ones for numbers that
+come from a caller or a config; each such number passes one of them once.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -26,11 +29,24 @@ class ChartDomainError(ValueError):
     """A point is not finite or lies outside the chart's accepted coordinate ball."""
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a finite float; a bool, a non-number, +-inf and NaN raise ValueError."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):  # np.bool_ is no Real
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
+
+
 def _whole(value, what: str) -> int:
     """``value`` as an int, for sizes and counts: 17.0 reads as 17, and a bool,
     a fraction, +-inf, NaN or a non-number raise ValueError (int() would
     truncate 17.9 to 17 and overflow on inf)."""
-    if (isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and (isinstance(value, numbers.Integral) or float(value).is_integer())):
         return int(value)
     raise ValueError(f"{what} must be a whole number, got {value!r}")
@@ -64,9 +80,7 @@ class SpaceFormChart:
         dim = _whole(self.dim, "dim")
         if dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {dim}")
-        eps = float(self.epsilon)
-        if not np.isfinite(eps):
-            raise ValueError(f"epsilon must be finite, got {eps}")
+        eps = _real(self.epsilon, "epsilon")
         if eps < 0 and not self.allow_negative_curvature:
             raise ValueError(
                 "epsilon < 0 is experimental and outside the supported theory; "
@@ -82,8 +96,9 @@ class SpaceFormChart:
             # stay clearly inside the equator (eps > 0) or the singular
             # radius (eps < 0) while leaving room for generic test points
             radius = limit if np.isinf(limit) else (0.9 if eps > 0 else 0.5) * limit
-        radius = float(radius)
-        if not radius > 0:  # NaN fails too
+        elif not (np.isinf(limit) and radius == np.inf):  # flat snapshots store Infinity
+            radius = _real(radius, "chart_radius")
+        if not radius > 0:
             raise ValueError(f"chart_radius must be positive, got {radius}")
         if np.isfinite(limit) and radius >= limit:
             raise ValueError(

@@ -41,7 +41,7 @@ from .solve import (
     solve_harmonic,
     solve_minimal_graph,
 )
-from .spaceform import PointJet, SpaceFormChart, _whole
+from .spaceform import PointJet, SpaceFormChart, _real, _whole
 
 
 class OracleInfeasibleError(ValueError):
@@ -127,10 +127,11 @@ def radial_oracle(r_inner: float, r_outer: float, tau: float, n: int = 2) -> Rad
 
     Bisection on the increasing map c -> height(c); the returned oracle
     reproduces the boundary data to 1e-12."""
+    r_inner, r_outer, tau = _real(r_inner, "r_inner"), _real(r_outer, "r_outer"), _real(tau, "tau")
     n = _whole(n, "n")
     if not 0.0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
-    if not tau > 0.0:  # also rejects NaN
+    if not tau > 0.0:
         raise ValueError("tau must be positive")
 
     c_sup = r_inner ** (n - 1)
@@ -207,9 +208,9 @@ def _oracle_sizes(grid_sizes: Sequence[int]) -> list[int]:
 
 def suite_inputs(tau: float, oracle_grid_sizes: Sequence[int]) -> tuple[float, list[int]]:
     """run_suite's tau as a float in (0, 1] and its oracle grid sizes as _oracle_sizes gives."""
-    if isinstance(tau, (bool, np.bool_)) or not 0.0 < float(tau) <= 1.0:
+    tau = _real(tau, "verify tau")
+    if not 0.0 < tau <= 1.0:
         raise ValueError("verify tau must lie in (0, 1]")
-    tau = float(tau)
     return tau, _oracle_sizes(oracle_grid_sizes)
 
 
@@ -304,7 +305,7 @@ def check_tau_estimates(grid: AnnularGrid, tau_list: Sequence[float],
     per-pair quotients: the claim is one constant valid for every pair, and
     short-gap quotients probe the local modulus, which legitimately varies."""
     t0 = time.perf_counter()
-    taus = [float(t) for t in tau_list]
+    taus = [_real(t, "tau") for t in tau_list]
     if len(taus) < 4:
         raise ValueError("need at least 4 tau values")
     if any(not 0.0 < t <= 1.0 for t in taus):
@@ -423,14 +424,12 @@ def check_gradient_monotonicity(f: ScalarField) -> VerificationReport:
 
 def check_hopf_boundary_bound(trace: ContinuationTrace) -> VerificationReport:
     """min over the outer boundary of |grad u^tau| is positive and does not
-    decrease along the continuation schedule."""
+    decrease along the continuation schedule (ValueError for fewer than two steps)."""
     t0 = time.perf_counter()
     name = "hopf-boundary-bound"
     claim = "the outer-boundary gradient stays bounded away from zero, increasing in tau"
     if len(trace.steps) < 2:
-        return _finish(name, 0.0, 0.0, claim, t0,
-                       {"note": "insufficient steps, vacuous pass",
-                        "steps": len(trace.steps)})
+        raise ValueError(f"the bound needs two or more continuation steps, got {len(trace.steps)}")
     mins = [s.outer_boundary_min_gradient for s in trace.steps]
     tol = _slack(trace.steps[0].field.grid)
     monotone = min(mins[i + 1] - mins[i] + tol for i in range(len(mins) - 1))

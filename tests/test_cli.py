@@ -71,8 +71,12 @@ def test_solve_writes_snapshots_and_trace(solved_run):
     # wall times live only under the timestamp key
     assert "timestamp" in trace
     assert set(trace["timestamp"]) == {"written_at", "runtime_s"}
-    f = load_field(str(out / "field_tau_0.3.json"))
+    # a flat chart stores its unbounded radius as Infinity, which loads back
+    snapshot = out / "field_tau_0.3.json"
+    assert '"chart_radius": Infinity' in snapshot.read_text()
+    f = load_field(str(snapshot))
     assert f.boundary_values == (0.0, 0.3)
+    assert f.grid.ring.chart.chart_radius == np.inf
 
 
 def test_solve_failure_keeps_partial_outputs_and_exits_2(tmp_path, capsys):
@@ -142,17 +146,25 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
 
 
 def test_semantic_error_names_the_offending_line(tmp_path, capsys):
-    # the second config has a "tau" inside "verify" on an earlier line
-    for config, message in ((base_config(tau=[0.5, 0.5]), "strictly increasing"),
-                            ({"verify": {"tau": 0.5}, **base_config(tau=[2.0])},
-                             "targets must lie in (0, 1]")):
+    # the second config has a "tau" inside "verify" on an earlier line; chart
+    # and grid errors name the line of their value, not of "chart" or "grid"
+    for config, key, message in (
+            (base_config(tau=[0.5, 0.5]), ' "tau"', "strictly increasing"),
+            ({"verify": {"tau": 0.5}, **base_config(tau=[2.0])}, ' "tau"',
+             "targets must lie in (0, 1]"),
+            (base_config(chart={"epsilon": 0.0, "dim": 2.5}), '  "dim"', "whole number"),
+            (base_config(chart={"dim": 2, "epsilon": "0"}), '  "epsilon"', "must be a number"),
+            (base_config(chart={"epsilon": 1.0, "chart_radius": 5.0}), '  "chart_radius"',
+             "must be < 2"),
+            (base_config(grid={"ntheta": 48, "ns": 17.5}), '  "ns"', "whole number"),
+            (base_config(grid={"ns": 17, "ntheta": 4}), '  "ntheta"', "at least 8")):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config, indent=1) + "\n")
         rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
         line = next(i for i, text in enumerate(cfg.read_text().splitlines(), start=1)
-                    if text.startswith(' "tau"'))
+                    if text.startswith(key))
         assert err.startswith(f"error: config line {line}: ") and message in err
 
 
@@ -251,6 +263,22 @@ def test_linear_solver_option_exits_1(tmp_path, capsys):
      None),
     ("verify", {"verify": {"oracle_grid_sizes": [16, float("inf")]},
                 "checks": ["solver-vs-oracle"]}, None),
+    # every number is a JSON number: strings and true/false are not read as one
+    ("solve", {"ring": {"outer": {"kind": "ellipse", "radii": "32"},
+                        "inner": {"kind": "circle", "radius": 1.0}}}, None),
+    ("solve", {"ring": {"outer": {"kind": "circle", "radius": 2.0, "center": "00"},
+                        "inner": {"kind": "circle", "radius": 1.0}}}, None),
+    ("solve", {"ring": {"outer": {"kind": "circle", "radius": True},
+                        "inner": {"kind": "circle", "radius": 0.5}}}, None),
+    ("solve", {"ring": {"outer": {"kind": "circle", "radius": 2.0, "center": [0.5]},
+                        "inner": {"kind": "circle", "radius": 1.0}}}, None),
+    ("solve", {"chart": {"epsilon": "0"}}, None),
+    ("solve", {"chart": {"epsilon": False}}, None),
+    ("solve", {"chart": {"epsilon": 10**400}}, None),
+    ("solve", {"chart": {"epsilon": 0.0, "chart_radius": "50"}}, None),
+    ("levels", {"levels": ["0.25"]}, "solved"),
+    ("oracle", {"oracle": {"r_inner": "1"}}, None),
+    ("oracle", {"oracle": {"tau": True}}, None),
 ], ids=["epsilon", "grid-ns", "verify-tau", "oracle-grid-sizes",
         "verify-tau-above-1", "verify-tau-zero", "oracle-grid-size-not-int",
         "oracle-grid-size-below-8", "oracle-grid-sizes-repeated",
@@ -261,7 +289,9 @@ def test_linear_solver_option_exits_1(tmp_path, capsys):
         "max-newton-bool", "tau-bool", "verify-tau-bool", "circle-without-radius",
         "fourier-without-r0", "grid-ns-fraction", "grid-ns-inf", "dim-inf",
         "oracle-n-fraction", "oracle-samples-inf", "oracle-grid-size-fraction",
-        "oracle-grid-size-inf"])
+        "oracle-grid-size-inf", "radii-string", "center-string", "radius-bool",
+        "center-single", "epsilon-string", "epsilon-bool", "epsilon-huge-int",
+        "chart-radius-string", "level-string", "oracle-r-inner-string", "oracle-tau-bool"])
 def test_bad_input_exits_1_with_one_line(command, overrides, snapshot, solved_run,
                                          tmp_path, capsys):
     argv = [command, "--config", write_config(tmp_path, **overrides),

@@ -129,6 +129,18 @@ def test_missing_or_non_finite_curve_parameter_is_rejected():
     ):
         with pytest.raises(ValueError, match=f"{kind} curve parameters must be finite"):
             make_curve(kind, **params)
+    # no string or bool reads as a number; center and radii are pairs
+    for kind, params in (
+        ("ellipse", {"radii": "32"}),
+        ("circle", {"radius": True}),
+        ("circle", {"radius": 1.0, "center": "00"}),
+        ("fourier", {"r0": 1.0, "cos_coeffs": (np.False_,)}),
+    ):
+        with pytest.raises(ValueError, match=f"{kind} curve parameters must be a number"):
+            make_curve(kind, **params)
+    for center in ((0.5,), (0.0, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="unpack"):
+            make_curve("circle", radius=1.0, center=center)
 
 
 def test_dented_curve_rejected():

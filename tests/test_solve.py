@@ -95,6 +95,9 @@ def test_harmonic_rejects_tau_outside_unit_interval():
         solve_harmonic(grid, 0.0)
     with pytest.raises(ValueError):
         solve_harmonic(grid, 1.5)
+    for bad in ("0.5", True):
+        with pytest.raises(ValueError, match="tau must be a number"):
+            solve_harmonic(grid, bad)
 
 
 def test_residual_zero_for_constant_field():
@@ -447,10 +450,10 @@ def test_options_validation():
     # a JSON true would otherwise read as 1: an unconverged field passes
     # newton_tol=1.0, and max_newton=1 stalls the continuation
     for bad in ({"newton_tol": True}, {"min_step": True}, {"newton_tol": np.True_},
-                {"max_newton": True}):
+                {"max_newton": True}, {"newton_tol": "1e-10"}, {"min_step": np.inf}):
         with pytest.raises(SolverError):
             SolveOptions(**bad)
-    for bad in ([True], [0.5, True], [np.True_]):
+    for bad in ([True], [0.5, True], [np.True_], ["0.5"], [0.5, np.nan]):
         with pytest.raises(ValueError):
             continuation_targets(bad)
 

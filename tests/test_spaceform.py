@@ -222,3 +222,12 @@ def test_dim_validation():
         with pytest.raises(ValueError):
             SpaceFormChart(epsilon=0.0, dim=dim)
     assert type(SpaceFormChart(epsilon=0.0, dim=2.0).dim) is int
+    # epsilon and chart_radius are finite numbers; a flat chart alone may
+    # take an infinite radius, as its snapshots store it
+    for bad in ({"epsilon": True}, {"epsilon": "0"}, {"epsilon": np.inf},
+                {"epsilon": 0.0, "chart_radius": "50"}, {"epsilon": 0.0, "chart_radius": True},
+                {"epsilon": 1.0, "chart_radius": np.inf}, {"epsilon": 0.0, "chart_radius": np.nan}):
+        with pytest.raises(ValueError, match="epsilon|chart_radius"):
+            SpaceFormChart(**bad)
+    assert SpaceFormChart(epsilon=0.0, chart_radius=np.inf).chart_radius == np.inf
+    assert type(SpaceFormChart(epsilon=np.float32(1.0), chart_radius=1).chart_radius) is float

@@ -131,10 +131,17 @@ def test_oracle_infeasible_height():
     with pytest.raises(OracleInfeasibleError) as excinfo:
         radial_oracle(1.0, 2.0, 1.4, 2)
     assert excinfo.value.max_height == pytest.approx(np.arccosh(2.0), abs=1e-10)
-    with pytest.raises(ValueError):
-        radial_oracle(1.0, 2.0, 0.0)
     with pytest.raises(ValueError, match="tau must be positive"):
+        radial_oracle(1.0, 2.0, 0.0)
+    with pytest.raises(ValueError, match="tau must be finite"):
         radial_oracle(1.0, 2.0, float("nan"))
+    # the radii and tau are finite numbers: an infinite radius is no infeasible height
+    for args, message in (((1.0, np.inf, 0.3), "r_outer must be finite"),
+                          ((True, 2.0, 0.3), "r_inner must be a number"),
+                          ((1.0, 2.0, "0.3"), "tau must be a number")):
+        with pytest.raises(ValueError, match=message) as excinfo:
+            radial_oracle(*args)
+        assert not isinstance(excinfo.value, OracleInfeasibleError)
     with pytest.raises(ValueError):
         radial_oracle(2.0, 1.0, 0.3)
     with pytest.raises(ValueError):
@@ -274,6 +281,8 @@ def test_tau_estimates_validates_input():
         check_tau_estimates(grid, (0.1, 0.2, 0.4))
     with pytest.raises(ValueError):
         check_tau_estimates(grid, (0.1, 0.2, 0.4, 1.8))
+    with pytest.raises(ValueError, match="tau must be a number"):
+        check_tau_estimates(grid, (0.1, 0.2, "0.4", 0.8))
 
 
 def test_small_tau_regime_ratio_is_stable():
@@ -365,12 +374,12 @@ def test_hopf_bound_along_continuation():
 
 
 def test_hopf_bound_single_step_is_vacuous():
+    # one step has nothing to compare: an error, not a vacuous pass
     grid = build_grid(_circle_ring(), 9, 24)
     trace = continuation_solve(grid, (0.05,))
     assert len(trace.steps) == 1
-    report = check_hopf_boundary_bound(trace)
-    assert report.passed
-    assert "insufficient" in report.extras["note"]
+    with pytest.raises(ValueError, match="two or more continuation steps, got 1"):
+        check_hopf_boundary_bound(trace)
 
 
 def test_adapted_frame_identity_on_solved_graph():
@@ -422,10 +431,11 @@ def test_run_suite_subset_and_validation():
     ({"tau": 0.0}, "verify tau"),
     ({"tau": float("nan")}, "verify tau"),
     ({"tau": True}, "verify tau"),
+    ({"tau": "0.5"}, "verify tau"),
     ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [16.7, 32.9]}, "whole number"),
     ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [16, float("inf")]}, "whole number"),
 ], ids=["one-size", "repeated-size", "size-below-8", "no-size", "tau-above-1",
-        "tau-zero", "tau-nan", "tau-bool", "size-fraction", "size-inf"])
+        "tau-zero", "tau-nan", "tau-bool", "tau-string", "size-fraction", "size-inf"])
 def test_run_suite_rejects_bad_inputs_before_any_solve(kwargs, message, monkeypatch):
     def no_solve(*args, **kw):
         raise AssertionError("a solve ran")
