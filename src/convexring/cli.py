@@ -66,38 +66,44 @@ class ConfigError(ValueError):
 _JSON_TOKEN = re.compile(r'("(?:[^"\\]|\\.)*")(\s*:)?|[{}\[\]]')
 
 
-def _line_of_key(raw: str, key: str) -> int | None:
-    """Line of ``"key"`` as a key of the top-level object, else of its first
-    occurrence ("verify" and "oracle" hold a "tau" of their own; nested keys
-    such as "epsilon" are found by the fallback)."""
-    target, depth, first = f'"{key}"', 0, None
+def _line_of_key(raw: str, path: str) -> int | None:
+    """Line of the key at the dotted ``path`` from the top-level object
+    ("tau", "verify.tau", "ring.outer"), or None when the config lacks it: a
+    "tau" inside "verify" or "oracle" is not the top-level one."""
+    *sections, target = (f'"{k}"' for k in path.split("."))
+    enclosing, key = [], None
     for token in _JSON_TOKEN.finditer(raw):
-        if token.group() in ("{", "["):
-            depth += 1
-        elif token.group() in ("}", "]"):
-            depth -= 1
-        elif token.group(1) == target:
-            if depth == 1 and token.group(2):
+        if token.group(2):
+            if token.group(1) == target and enclosing[1:] == sections:
                 return raw.count("\n", 0, token.start()) + 1
-            if first is None:
-                first = token.start()
-    return None if first is None else raw.count("\n", 0, first) + 1
+            key = token.group(1)
+        elif token.group() in ("{", "["):
+            enclosing.append(key)  # the key whose value opens here
+            key = None
+        elif token.group() in ("}", "]"):
+            enclosing.pop()
+            key = None
+    return None
 
 
-def _fail(raw: str, key: str, message: str) -> None:
-    line = _line_of_key(raw, key)
+def _fail(raw: str, path: str, message: str) -> None:
+    line = _line_of_key(raw, path)
     where = f"line {line}: " if line is not None else ""
     raise ConfigError(f"config {where}{message}")
 
 
 @contextmanager
-def _errors_at(raw: str, key: str, errors=(ValueError, TypeError), named=()):
-    """Report the listed exceptions as a config error at key, or at the key in named
-    that opens the message (the library names the value it rejects first)."""
+def _errors_at(raw: str, path: str, errors=(ValueError, TypeError), named=()):
+    """Report the listed exceptions as a config error at the key ``path``, or
+    at the key of that section in named that opens the message, bare or after
+    the section's name ("verify tau ..."): the library names the value it
+    rejects first."""
     try:
         yield
     except errors as exc:
-        _fail(raw, next((k for k in named if str(exc).startswith(f"{k} ")), key), str(exc))
+        message, section = str(exc), path.rsplit(".", 1)[-1]
+        key = next((k for k in named if message.startswith((f"{k} ", f"{section} {k} "))), None)
+        _fail(raw, path if key is None else f"{path}.{key}", message)
 
 
 def load_config(path: str) -> tuple[dict, str]:
@@ -124,7 +130,7 @@ def _build_chart(cfg: dict, raw: str, allow_negative: bool) -> SpaceFormChart:
         chart = SpaceFormChart(section.get("epsilon", 0.0), section.get("dim", 2),
                                section.get("chart_radius"), allow_negative_curvature=True)
     if chart.epsilon < 0.0 and not allow_negative:
-        _fail(raw, "epsilon",
+        _fail(raw, "chart.epsilon",
               "epsilon < 0 requires --experimental-negative-curvature")
     return chart
 
@@ -133,9 +139,9 @@ def _build_ring(cfg: dict, raw: str, chart: SpaceFormChart) -> ConvexRing:
     section = cfg.get("ring")
     if not isinstance(section, dict):
         _fail(raw, "ring", 'missing or invalid "ring" section')
-    with _errors_at(raw, "outer"):
+    with _errors_at(raw, "ring.outer"):
         outer = curve_from_dict(section.get("outer"))
-    with _errors_at(raw, "inner"):
+    with _errors_at(raw, "ring.inner"):
         inner = curve_from_dict(section.get("inner"))
     with _errors_at(raw, "ring"):
         return make_ring(chart, outer, inner)
@@ -153,7 +159,8 @@ def _solve_options(cfg: dict, raw: str) -> SolveOptions:
     section = cfg.get("solve", {})
     if not isinstance(section, dict):
         _fail(raw, "solve", '"solve" must be an options object')
-    with _errors_at(raw, "solve", (SolverError, TypeError)):
+    with _errors_at(raw, "solve", (SolverError, TypeError),
+                     named=("newton_tol", "max_newton", "min_step")):
         return SolveOptions(**section)
 
 
@@ -330,7 +337,7 @@ def cmd_verify(cfg: dict, raw: str, out_dir: Path, allow_negative: bool) -> int:
     section = cfg.get("verify", {})
     if not isinstance(section, dict):
         _fail(raw, "verify", '"verify" must be an options object')
-    with _errors_at(raw, "verify"):
+    with _errors_at(raw, "verify", named=("tau", "oracle_grid_sizes")):
         tau, oracle_sizes = suite_inputs(section.get("tau", 0.5),
                                          section.get("oracle_grid_sizes", (64, 128, 256)))
     options = _solve_options(cfg, raw)
@@ -369,7 +376,8 @@ def cmd_oracle(cfg: dict, raw: str, out_dir: Path) -> int:
     section = cfg.get("oracle")
     if not isinstance(section, dict):
         _fail(raw, "oracle", 'missing or invalid "oracle" section')
-    with _errors_at(raw, "oracle"):  # OracleInfeasibleError is a ValueError
+    # OracleInfeasibleError is a ValueError
+    with _errors_at(raw, "oracle", named=("r_inner", "r_outer", "tau", "n", "samples")):
         oracle = radial_oracle(section.get("r_inner", 1.0), section.get("r_outer", 2.0),
                                section.get("tau", 0.3), section.get("n", 2))
         radii = np.linspace(oracle.r_inner, oracle.r_outer,

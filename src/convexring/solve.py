@@ -28,11 +28,12 @@ leave an O(h^2) value error that the h^-2-scaled residual turns into an O(1)
 start residual (1.5-1.8 on every level of the README ring at tau = 1), and
 cost the finest level a second factorisation.
 
-Every linear system is solved by one sparse LU factorisation (SuperLU) with
-the minimum-degree ordering on A^T + A, which suits the structurally
-symmetric Jacobian.  The face geometry and the Jacobian's sparsity pattern
-depend only on the grid; they are built on first use and cached per grid, so
-each factorisation only refills the matrix values.
+Every linear system is solved by one sparse LU factorisation (SuperLU) of
+the Jacobian assembled in a nested-dissection order of the interior nodes
+(George 1973), so SuperLU runs no ordering of its own and keeps only its
+threshold row pivoting.  The face geometry, the order and the Jacobian's
+sparsity pattern depend only on the grid; they are built on first use and
+cached per grid, so each factorisation only refills the matrix values.
 
 Dirichlet rows (s = 0 outer, s = 1 inner) are never touched by the solvers.
 """
@@ -64,6 +65,8 @@ TAU_START = 0.05
 CHORD_CONTRACTION = 0.1
 # smallest (ns, ntheta) the nested start coarsens to
 COARSEST_GRID = (17, 16)
+# nested dissection stops at blocks of at most this many interior nodes
+_ND_LEAF = 16
 
 
 class SolverError(RuntimeError):
@@ -162,6 +165,50 @@ def _window(x: np.ndarray, start: int, rows: int, b: int) -> np.ndarray:
     return x if b == 0 else np.roll(x, -b, axis=1)
 
 
+def _dissection_blocks(rows: int, ntheta: int) -> list[tuple[int, int, int, int]]:
+    """Nested-dissection order of a (rows, ntheta) node grid, periodic in
+    theta, as blocks (first row, first column, height, width) whose nodes
+    follow each other row-major.
+
+    Column 0 cuts the ring open and comes last.  The open strip is bisected
+    recursively across its longer side by one middle column or row, which
+    comes after both halves; blocks of at most ``_ND_LEAF`` nodes are
+    leaves.  One line separates because the 9-point stencil couples a node
+    only to its (+-1, +-1) neighbours (George 1973; Lipton, Rose & Tarjan
+    1979)."""
+    blocks = []
+
+    def dissect(r0, c0, h, w):
+        if h <= 0 or w <= 0:
+            return
+        if h * w <= _ND_LEAF:
+            blocks.append((r0, c0, h, w))
+        elif w >= h:
+            half = w // 2
+            dissect(r0, c0, h, half)
+            dissect(r0, c0 + half + 1, h, w - half - 1)
+            blocks.append((r0, c0 + half, h, 1))
+        else:
+            half = h // 2
+            dissect(r0, c0, half, w)
+            dissect(r0 + half + 1, c0, h - half - 1, w)
+            blocks.append((r0 + half, c0, 1, w))
+
+    dissect(0, 1, rows, ntheta - 1)
+    blocks.append((0, 0, rows, 1))
+    return blocks
+
+
+def _nested_dissection(rows: int, ntheta: int) -> np.ndarray:
+    """The row-major index of the node at each place of the
+    ``_dissection_blocks`` order."""
+    r0, c0, h, w = (np.array(x) for x in zip(*_dissection_blocks(rows, ntheta)))
+    size = h * w
+    block = np.repeat(np.arange(size.size), size)
+    k = np.arange(rows * ntheta) - np.repeat(np.cumsum(size) - size, size)
+    return (r0[block] + k // w[block]) * ntheta + c0[block] + k % w[block]
+
+
 class _Assembler:
     """Face geometry, flux and Jacobian assembly for one grid.
 
@@ -250,24 +297,30 @@ class _Assembler:
 
     @cached_property
     def _pattern(self):
-        """CSC structure of the Jacobian, built once per grid.
+        """CSC structure of the Jacobian in nested-dissection order, built
+        once per grid.
 
-        Returns (indptr, indices, order).  Residual row (i, j) couples to the
-        nine nodes (i + a, j + b), a, b in {-1, 0, 1}, and ``jacobian`` fills
-        one (3, 3, ns-2, ntheta) table of values indexed by (a+1, b+1, i-1, j);
-        ``order`` picks the entries whose column is an unknown, in CSC order.
+        Returns (indptr, indices, order, position).  Residual row (i, j)
+        couples to the nine nodes (i + a, j + b), a, b in {-1, 0, 1}, and
+        ``jacobian`` fills one (3, 3, ns-2, ntheta) table of values indexed by
+        (a+1, b+1, i-1, j); ``order`` picks the entries whose column is an
+        unknown, in CSC order; ``position`` is the place of each interior
+        node (row-major) in the order.
         """
-        ns, nt = self.ns, self.ntheta
-        n_int = (ns - 2) * nt
-        a, b, i, j = np.meshgrid(np.arange(-1, 2), np.arange(-1, 2),
-                                 np.arange(1, ns - 1), np.arange(nt), indexing="ij")
-        rows = ((i - 1) * nt + j).ravel()
-        cols = ((i + a - 1) * nt + np.mod(j + b, nt)).ravel()
-        unknown = np.flatnonzero(((i + a >= 1) & (i + a <= ns - 2)).ravel())
-        order = unknown[np.argsort(cols[unknown] * n_int + rows[unknown])]
-        counts = np.bincount(cols[unknown], minlength=n_int)
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        return indptr, rows[order].astype(np.int32), order
+        rows, nt = self.ns - 2, self.ntheta
+        n_int = rows * nt
+        # place of every node in the order; -1 on the Dirichlet rows
+        place = np.full((rows + 2, nt), -1)
+        place[1:-1].flat[_nested_dissection(rows, nt)] = np.arange(n_int)
+        position = place[1:-1].ravel()
+        cols = np.stack([_window(place, 1 + a, rows, b)
+                         for a in (-1, 0, 1) for b in (-1, 0, 1)]).ravel()
+        unknown = np.flatnonzero(cols >= 0)
+        cols = cols[unknown]
+        row_of = np.tile(position, 9)[unknown]
+        sort = np.argsort(cols * n_int + row_of)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_int))])
+        return indptr.astype(np.int32), row_of[sort].astype(np.int32), unknown[sort], position
 
     def jacobian(self, v: np.ndarray) -> sp.csc_matrix:
         """Exact Jacobian of the residual w.r.t. interior values.
@@ -275,8 +328,10 @@ class _Assembler:
         The chain rule of ``residual``: for each divergence term (sign, e)
         and stencil entry (k, (a, b), c), row n gains
         sign c / (h_k h_normal) dg/du_k of the face at node n - e, in column
-        n - e + (a, b).  Every call shares the cached ``indptr`` and
-        ``indices``; only the values are new."""
+        n - e + (a, b).  Rows and columns are in the nested-dissection
+        order of ``_pattern``, so :meth:`newton_step` solves with the factors.
+        Every call shares the cached ``indptr`` and ``indices``; only the
+        values are new."""
         h = self.h
         vals = np.zeros((3, 3) + self.det_node.shape)  # by column offset (a+1, b+1)
         for normal in (0, 1):
@@ -286,9 +341,18 @@ class _Assembler:
                     vals[a - ea + 1, b - eb + 1] += (
                         (sign * c / h[k] / h[normal]) * self._faces_at(sens[k], normal, -ea, -eb))
         vals /= self.det_node
-        indptr, indices, order = self._pattern
+        indptr, indices, order, _ = self._pattern
         n_int = indptr.size - 1
         return sp.csc_matrix((vals.ravel()[order], indices, indptr), shape=(n_int, n_int))
+
+    def newton_step(self, lu, r: np.ndarray) -> np.ndarray:
+        """-A^{-1} r on interior rows, shape (ns-2, ntheta), from the factors
+        ``lu`` of A = ``jacobian``: the right-hand side goes into the
+        nested-dissection order and the step comes back out of it."""
+        position = self._pattern[3]
+        rhs = np.empty(position.size)
+        rhs[position] = -r.ravel()
+        return lu.solve(rhs)[position].reshape(r.shape)
 
 
 _ASSEMBLERS: "weakref.WeakKeyDictionary[AnnularGrid, _Assembler]" = weakref.WeakKeyDictionary()
@@ -303,9 +367,11 @@ def _assembler(grid: AnnularGrid) -> _Assembler:
 
 
 def _factorize(matrix: sp.csc_matrix):
-    """Sparse LU factors (SuperLU) of one Jacobian."""
+    """Sparse LU factors (SuperLU) of one Jacobian, which ``jacobian`` already
+    assembles in nested-dissection order: SuperLU keeps that column order and
+    runs no minimum-degree ordering of its own."""
     try:
-        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(matrix, permc_spec="NATURAL")
     except RuntimeError as exc:  # singular factorization
         raise SolverError(f"direct linear solve failed: {exc}") from exc
 
@@ -332,8 +398,7 @@ def solve_harmonic(grid: AnnularGrid, tau: float,
     v = np.zeros((grid.ns, grid.ntheta))
     v[-1] = tau
     r = asm.residual(v, linear=True)
-    delta = _factorize(asm.jacobian(np.zeros_like(v))).solve(-r.ravel())
-    v[1:-1] += delta.reshape(grid.ns - 2, grid.ntheta)
+    v[1:-1] += asm.newton_step(_factorize(asm.jacobian(np.zeros_like(v))), r)
 
     rmax = float(np.max(np.abs(asm.residual(v, linear=True))))
     if rmax > max(options.newton_tol, HARMONIC_RESIDUAL_TOL):
@@ -407,7 +472,7 @@ def _chord_newton(grid: AnnularGrid, v: np.ndarray, options: SolveOptions,
             lu = _factorize(asm.jacobian(v))
             lu_fill = int(lu.nnz)
             factorizations += 1
-        delta = lu.solve(-r.ravel()).reshape(grid.ns - 2, grid.ntheta)
+        delta = asm.newton_step(lu, r)
         # backtracking: accepted steps must strictly decrease the max residual
         alpha = 1.0
         while True:

@@ -199,7 +199,7 @@ def _grad_norms(f: ScalarField) -> np.ndarray:
 
 def _oracle_sizes(grid_sizes: Sequence[int]) -> list[int]:
     """The oracle grid sizes sorted; ValueError unless two or more distinct whole numbers >= 8."""
-    sizes = sorted(_whole(s, "oracle grid size") for s in grid_sizes)
+    sizes = sorted(_whole(s, "oracle_grid_sizes entry") for s in grid_sizes)
     # the oracle grids are n x n (ntheta >= 8); an order needs two distinct sizes
     if len(set(sizes)) < max(len(sizes), 2) or sizes[0] < 8:
         raise ValueError("oracle_grid_sizes must be two or more distinct sizes >= 8")

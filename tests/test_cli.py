@@ -147,25 +147,36 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
 
 def test_semantic_error_names_the_offending_line(tmp_path, capsys):
     # the second config has a "tau" inside "verify" on an earlier line; chart
-    # and grid errors name the line of their value, not of "chart" or "grid"
-    for config, key, message in (
-            (base_config(tau=[0.5, 0.5]), ' "tau"', "strictly increasing"),
-            ({"verify": {"tau": 0.5}, **base_config(tau=[2.0])}, ' "tau"',
+    # and grid errors name the line of their value, not of "chart" or "grid";
+    # a key inside "oracle" or "verify" names its own line, not its section's,
+    # and a top-level "tau" does not stand in for the one in "verify"
+    oracle = {"r_outer": 2.0, "tau": 0.3, "n": 2, "samples": 33, "r_inner": "1"}
+    for command, config, key, message in (
+            ("solve", base_config(tau=[0.5, 0.5]), ' "tau"', "strictly increasing"),
+            ("solve", {"verify": {"tau": 0.5}, **base_config(tau=[2.0])}, ' "tau"',
              "targets must lie in (0, 1]"),
-            (base_config(chart={"epsilon": 0.0, "dim": 2.5}), '  "dim"', "whole number"),
-            (base_config(chart={"dim": 2, "epsilon": "0"}), '  "epsilon"', "must be a number"),
-            (base_config(chart={"epsilon": 1.0, "chart_radius": 5.0}), '  "chart_radius"',
-             "must be < 2"),
-            (base_config(grid={"ntheta": 48, "ns": 17.5}), '  "ns"', "whole number"),
-            (base_config(grid={"ns": 17, "ntheta": 4}), '  "ntheta"', "at least 8")):
+            ("solve", base_config(chart={"epsilon": 0.0, "dim": 2.5}), '  "dim"', "whole number"),
+            ("solve", base_config(chart={"dim": 2, "epsilon": "0"}), '  "epsilon"',
+             "must be a number"),
+            ("solve", base_config(chart={"epsilon": 1.0, "chart_radius": 5.0}),
+             '  "chart_radius"', "must be < 2"),
+            ("solve", base_config(grid={"ntheta": 48, "ns": 17.5}), '  "ns"', "whole number"),
+            ("solve", base_config(grid={"ns": 17, "ntheta": 4}), '  "ntheta"', "at least 8"),
+            ("solve", base_config(solve={"max_newton": 9, "newton_tol": "1e-10"}),
+             '  "newton_tol"', "newton_tol must be a number"),
+            ("oracle", base_config(oracle=oracle), '  "r_inner"', "r_inner must be a number"),
+            ("verify", base_config(verify={"oracle_grid_sizes": [16, 32], "tau": "0.5"}),
+             '  "tau"', "verify tau must be a number"),
+            ("verify", base_config(verify={"tau": 0.5, "oracle_grid_sizes": [16, 32.5]}),
+             '  "oracle_grid_sizes"', "whole number")):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config, indent=1) + "\n")
-        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
         line = next(i for i, text in enumerate(cfg.read_text().splitlines(), start=1)
                     if text.startswith(key))
-        assert err.startswith(f"error: config line {line}: ") and message in err
+        assert err.startswith(f"error: config line {line}: ") and message in err, (command, err)
 
 
 def test_folded_grid_exits_1_naming_the_node(tmp_path, capsys):

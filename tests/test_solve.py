@@ -133,17 +133,26 @@ def test_jacobian_matches_directional_difference():
     for ring in (_circle_ring(eps=1.0, r_out=1.2, r_in=0.5), _sphere_ellipse_ring()):
         grid = build_grid(ring, 7, 16)
         asm = _Assembler(grid)
+        # the Jacobian's rows and columns are in nested-dissection order:
+        # node n (row-major) sits at position[n]
+        position = asm._pattern[3]
+
+        def nd_order(x):
+            out = np.empty(position.size)
+            out[position] = x.ravel()
+            return out
+
         for linear in (False, True):
             v = 0.3 * rng.standard_normal((7, 16))
             direction = rng.standard_normal((5, 16))
             # the linear residual's Jacobian is the Jacobian at zero gradient
             jac = asm.jacobian(np.zeros_like(v) if linear else v)
-            reference = (jac @ direction.ravel()).reshape(5, 16)
+            reference = jac @ nd_order(direction)
 
             vp, vm = v.copy(), v.copy()
             vp[1:-1] += h * direction
             vm[1:-1] -= h * direction
-            fd = (asm.residual(vp, linear=linear) - asm.residual(vm, linear=linear)) / (2 * h)
+            fd = nd_order(asm.residual(vp, linear=linear) - asm.residual(vm, linear=linear)) / (2 * h)
             scale = max(1.0, np.max(np.abs(reference)))
             assert np.max(np.abs(fd - reference)) < 1e-6 * scale, (ring.outer.kind, linear)
 
@@ -222,6 +231,47 @@ def test_jacobian_calls_share_the_sparsity_pattern():
     # the harmonic operator uses the same pattern
     harmonic = asm.jacobian(np.zeros((9, 24)))
     assert np.shares_memory(first.indices, harmonic.indices)
+
+
+@pytest.mark.parametrize("ns, ntheta", [(17, 32), (33, 64)])
+def test_nested_dissection_orders_every_unknown_once_with_small_leaves(ns, ntheta):
+    rows = ns - 2
+    blocks = solve._dissection_blocks(rows, ntheta)
+    order = solve._nested_dissection(rows, ntheta)
+    # a bijection of the interior unknowns, row-major inside every block
+    assert np.array_equal(np.sort(order), np.arange(rows * ntheta))
+    assert order.tolist() == [r * ntheta + c for r0, c0, h, w in blocks
+                              for r in range(r0, r0 + h) for c in range(c0, c0 + w)]
+    # column 0 cuts the periodic ring and comes last
+    assert blocks[-1] == (0, 0, rows, 1)
+    assert np.array_equal(order[-rows:], np.arange(rows) * ntheta)
+    # a leaf touches no earlier block through the 9-point stencil and has at
+    # most 16 nodes; every other block is one separating column or row
+    block_of = np.empty((rows, ntheta), dtype=int)
+    for k, (r0, c0, h, w) in enumerate(blocks):
+        block_of[r0:r0 + h, c0:c0 + w] = k
+    for k, (r0, c0, h, w) in enumerate(blocks):
+        touches_earlier = any(block_of[r + a, (c + b) % ntheta] < k
+                              for r in range(r0, r0 + h) for c in range(c0, c0 + w)
+                              for a in (-1, 0, 1) for b in (-1, 0, 1) if 0 <= r + a < rows)
+        assert (not touches_earlier and h * w <= 16) or min(h, w) == 1, (k, blocks[k])
+    # the assembler's position of each node inverts the order
+    position = _assembler(build_grid(_readme_ring(), ns, ntheta))._pattern[3]
+    assert np.array_equal(position[order], np.arange(rows * ntheta))
+
+
+def test_jacobian_is_canonical_csc():
+    # sorted, duplicate-free row indices in each column: SuperLU gets the
+    # nested-dissection matrix as it is, with no conversion, sort or copy
+    rng = np.random.default_rng(13)
+    grid = build_grid(_sphere_ellipse_ring(), 17, 32)
+    asm = _assembler(grid)
+    jac = asm.jacobian(0.3 * rng.standard_normal((17, 32)))
+    assert jac.format == "csc"
+    assert jac.has_canonical_format
+    # a nine-point stencil: nine entries per column, six next to a Dirichlet row
+    counts = np.diff(jac.indptr)[asm._pattern[3]].reshape(15, 32)
+    assert np.all(counts[1:-1] == 9) and np.all(counts[[0, -1]] == 6)
 
 
 def test_assembler_is_cached_per_grid():
@@ -429,7 +479,8 @@ def test_readme_ring_keeps_newton_counts_and_lu_fill():
     # and 6 steps)
     _, report = solve_minimal_graph(build_grid(ring, 65, 128), 1.0)
     assert (report.newton_iterations, report.factorizations) == (4, 7)
-    # the minimum-degree ordering on A^T + A: COLAMD gave 941244 at 65x128
+    # the nested-dissection order gives 518842 at 65x128; SuperLU's own
+    # minimum degree on A^T + A gave 522760, and COLAMD 941244
     assert 0 < report.lu_fill < 600_000
 
 
