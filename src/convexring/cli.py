@@ -31,7 +31,7 @@ import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -44,15 +44,11 @@ from .levelgeom import (
     extract_level,
 )
 from .ring import AnnularGrid, ConvexRing, build_grid, curve_from_dict, make_ring
-from .solve import (
-    ContinuationError,
-    SolveOptions,
-    SolverError,
-    continuation_solve,
-    continuation_targets,
-)
 from .spaceform import SpaceFormChart, _whole
-from .verify import radial_oracle, run_suite, suite_inputs
+
+# solve and verify (and with them scipy) are imported by the commands that run them
+if TYPE_CHECKING:
+    from .solve import SolveOptions
 
 
 class ConfigError(ValueError):
@@ -156,6 +152,8 @@ def _build_grid(cfg: dict, raw: str, ring: ConvexRing) -> AnnularGrid:
 
 
 def _solve_options(cfg: dict, raw: str) -> SolveOptions:
+    from .solve import SolveOptions, SolverError
+
     section = cfg.get("solve", {})
     if not isinstance(section, dict):
         _fail(raw, "solve", '"solve" must be an options object')
@@ -165,6 +163,8 @@ def _solve_options(cfg: dict, raw: str) -> SolveOptions:
 
 
 def _tau_targets(cfg: dict, raw: str) -> list[float]:
+    from .solve import continuation_targets
+
     targets = cfg.get("tau")
     if not isinstance(targets, list) or not targets:
         _fail(raw, "tau", '"tau" must be a non-empty list of continuation targets')
@@ -200,6 +200,8 @@ def _timestamp(runtimes: dict[str, float]) -> dict[str, Any]:
 
 
 def cmd_solve(cfg: dict, raw: str, out_dir: Path, allow_negative: bool) -> int:
+    from .solve import ContinuationError, continuation_solve
+
     chart = _build_chart(cfg, raw, allow_negative)
     ring = _build_ring(cfg, raw, chart)
     grid = _build_grid(cfg, raw, ring)
@@ -329,6 +331,8 @@ def cmd_levels(cfg: dict, raw: str, snapshot: str, out_dir: Path) -> int:
 
 
 def cmd_verify(cfg: dict, raw: str, out_dir: Path, allow_negative: bool) -> int:
+    from .verify import run_suite, suite_inputs
+
     chart = _build_chart(cfg, raw, allow_negative)
     grid = _build_grid(cfg, raw, _build_ring(cfg, raw, chart))
     selected = cfg.get("checks")
@@ -373,6 +377,8 @@ def cmd_verify(cfg: dict, raw: str, out_dir: Path, allow_negative: bool) -> int:
 
 
 def cmd_oracle(cfg: dict, raw: str, out_dir: Path) -> int:
+    from .verify import radial_oracle
+
     section = cfg.get("oracle")
     if not isinstance(section, dict):
         _fail(raw, "oracle", 'missing or invalid "oracle" section')
@@ -431,7 +437,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, ContinuationError) as exc:
+    except RuntimeError as exc:
+        # SolverError and ContinuationError; solve is imported only if it ran
+        solve = sys.modules.get("convexring.solve")
+        if solve is None or not isinstance(exc, (solve.SolverError, solve.ContinuationError)):
+            raise
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,8 @@
-"""Scalar fields on an annular grid: covariant jets, interpolation, snapshots.
+"""Scalar fields on an annular grid: covariant jets and snapshots.
 
 Fields store nodal values plus the Dirichlet pair (outer_value, inner_value).
 Finite-difference jets are second order: centered stencils at interior nodes,
-one-sided stencils on the two boundary rows (flagged in the returned jet).
+one-sided stencils on the two boundary rows.
 The chain rule runs through the analytic blend map x(s, theta) as stacked 2x2
 algebra: Du = J^{-T} (u_s, u_t) and D^2u = J^{-T} (H - C) J^{-1}, with H the
 computational Hessian and C the map's curvature term (C_st = x_st . Du,
@@ -20,23 +20,13 @@ from typing import Any, Callable
 import numpy as np
 
 from .ring import AnnularGrid, build_grid, ring_from_dict
-from .spaceform import PointJet, frame_components
+from .spaceform import frame_components
 
 SNAPSHOT_FORMAT = "convexring-field"
-INVERT_TOL = 1e-12    # invert_blend_map residual, relative to max(1, |point - inner centre|)
-INVERT_MAX_ITER = 20  # invert_blend_map Newton steps per starting point
 
 
 class FieldShapeError(ValueError):
     """Values array does not match the grid or the declared boundary data."""
-
-
-class DomainError(ValueError):
-    """A query point lies outside the ring."""
-
-
-class InversionError(RuntimeError):
-    """Newton inversion of the blend map failed to converge."""
 
 
 @dataclass
@@ -117,78 +107,6 @@ def _build_jet_table(grid: AnnularGrid, values: np.ndarray) -> dict:
 
     grad, hess = frame_components(grid.ring.chart, grid.nodes, coord_grad, coord_hess)
     return {"value": values, "grad": grad, "hess": hess}
-
-
-def fd_jet(f: ScalarField, index: tuple[int, int]) -> PointJet:
-    """Covariant jet at grid node ``index`` = (i, j), frame components.
-
-    Boundary rows use one-sided stencils and are flagged ``one_sided``."""
-    i, j = index
-    table = f.jet_table()
-    return PointJet(
-        point=f.grid.nodes[i, j],
-        value=float(table["value"][i, j]),
-        grad=table["grad"][i, j].copy(),
-        hess=table["hess"][i, j].copy(),
-        one_sided=(i == 0 or i == f.grid.ns - 1),
-    )
-
-
-def invert_blend_map(grid: AnnularGrid, point) -> tuple[float, float]:
-    """Newton-invert x(s, theta) = point; returns (s, theta) with theta in
-    [0, 2pi).  Raises InversionError on non-convergence and DomainError when
-    the preimage lies outside the ring (s outside [0, 1])."""
-    x = np.asarray(point, dtype=float)
-    center = np.asarray(grid.ring.inner.center)
-    scale = max(1.0, float(np.linalg.norm(x - center)))
-
-    def newton(s0: float, t0: float):
-        s, t = s0, t0
-        for _ in range(INVERT_MAX_ITER + 1):  # the extra pass tests the last step
-            r = grid.map_point(s, t) - x
-            if np.linalg.norm(r) <= INVERT_TOL * scale:
-                return s, t
-            jac = grid.map_jacobian(s, t)
-            try:
-                ds, dt = np.linalg.solve(jac, -r)
-            except np.linalg.LinAlgError:
-                return None
-            s, t = s + ds, t + dt
-        return None
-
-    t0 = float(np.arctan2(x[1] - center[1], x[0] - center[0])) % (2 * np.pi)
-    hit = newton(0.5, t0)
-    if hit is None:
-        # fall back to the nearest node as the starting point
-        d2 = np.sum((grid.nodes - x) ** 2, axis=-1)
-        i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
-        hit = newton(float(grid.s[i]), float(grid.theta[j]))
-    if hit is None:
-        raise InversionError(f"blend-map inversion failed for point {x.tolist()}")
-    s, t = hit
-    if s < -1e-9 or s > 1.0 + 1e-9:
-        raise DomainError(f"point {x.tolist()} lies outside the ring (s = {s:.6g})")
-    return min(max(s, 0.0), 1.0), t % (2 * np.pi)
-
-
-def interpolate(f: ScalarField, point) -> float:
-    """Bilinear interpolation in computational coordinates."""
-    s, t = invert_blend_map(f.grid, point)
-    grid = f.grid
-    i = min(int(s / grid.hs), grid.ns - 2)
-    a = s / grid.hs - i
-    # one quotient for both the cell and the weight: floor division can sit
-    # one cell below int(t / htheta) when t is an ulp below a node angle
-    x = t / grid.htheta
-    j = int(x)
-    b = x - j
-    j %= grid.ntheta
-    jp = (j + 1) % grid.ntheta
-    v = f.values
-    return float(
-        (1 - a) * (1 - b) * v[i, j] + (1 - a) * b * v[i, jp]
-        + a * (1 - b) * v[i + 1, j] + a * b * v[i + 1, jp]
-    )
 
 
 def discrete_c2_distance(f: ScalarField, g: ScalarField) -> float:

@@ -134,15 +134,13 @@ class PointJet:
     ``grad`` and ``hess`` are the covariant gradient and Hessian expressed in
     the frame e_a = lambda^{-1} d/dx_a.  A jet may carry leading axes: a
     stack of points (..., n) has values (...), gradients (..., n) and
-    Hessians (..., n, n).  ``one_sided`` marks jets built from one-sided
-    finite-difference stencils at grid boundaries.
+    Hessians (..., n, n).
     """
 
     point: np.ndarray
     value: float | np.ndarray
     grad: np.ndarray
     hess: np.ndarray
-    one_sided: bool = False
 
 
 def _lambda(chart: SpaceFormChart, pts: np.ndarray):

@@ -1,13 +1,16 @@
-"""The public surface: how many values a caller can set."""
+"""The public surface: the export table, and how many values a caller can set."""
 
 import dataclasses
 import inspect
+from importlib import import_module
+
+import pytest
 
 import convexring
 
 # A change that adds a setting updates this pin and names, in CHANGES.md, the
 # caller outside the tests that sets it to something other than its default.
-SETTABLE_VALUES = 38
+SETTABLE_VALUES = 37
 
 
 def _settable(obj) -> int:
@@ -29,3 +32,22 @@ def test_settable_public_values_are_pinned():
     counts = {name: _settable(getattr(convexring, name)) for name in convexring.__all__}
     per_name = ", ".join(f"{name} {n}" for name, n in counts.items() if n)
     assert sum(counts.values()) == SETTABLE_VALUES, f"settable values per name: {per_name}"
+
+
+def test_exports_come_from_one_table():
+    assert set(convexring.__all__) == set(convexring._EXPORTS)
+    assert set(convexring.__all__) <= set(dir(convexring))
+    for name, home in convexring._EXPORTS.items():
+        assert getattr(convexring, name) is getattr(import_module(f"convexring.{home}"), name)
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from convexring import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(convexring.__all__)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        convexring.no_such_name  # noqa: B018
+    assert not hasattr(convexring, "interpolate")

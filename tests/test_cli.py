@@ -93,6 +93,16 @@ def test_solve_failure_keeps_partial_outputs_and_exits_2(tmp_path, capsys):
     assert "tau=0" in trace["failure"]
 
 
+def test_solver_error_reaching_main_exits_2(tmp_path, capsys, monkeypatch):
+    def fails(*args, **kwargs):
+        raise solve.SolverError("injected solver failure")
+
+    monkeypatch.setattr(solve, "continuation_solve", fails)
+    assert main(["solve", "--config", write_config(tmp_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "solver error: injected solver failure\n"
+
+
 def test_solve_diagnostic_failure_keeps_partial_outputs_and_exits_2(
         tmp_path, capsys, monkeypatch):
     calls = []
@@ -535,3 +545,16 @@ def test_cli_import_leaves_out_scipy_integrate():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_unrelated_runtime_error_is_not_a_solver_failure(solved_run, tmp_path, monkeypatch):
+    # exit 2 is for SolverError and ContinuationError only: any other
+    # RuntimeError is a bug and keeps its traceback
+    def broken(path):
+        raise RuntimeError("not a solver failure")
+
+    monkeypatch.setattr(cli, "load_field", broken)
+    cfg = write_config(tmp_path, levels=[0.1])
+    with pytest.raises(RuntimeError, match="not a solver failure"):
+        main(["levels", "--config", cfg, "--out", str(tmp_path),
+              "--snapshot", str(solved_run[1] / "field_tau_0.3.json")])

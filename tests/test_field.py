@@ -1,4 +1,4 @@
-"""Finite-difference jets, interpolation, distances, and snapshots."""
+"""Finite-difference jets, distances, and snapshots."""
 
 from __future__ import annotations
 
@@ -8,15 +8,11 @@ import numpy as np
 import pytest
 
 from convexring.field import (
-    DomainError,
     FieldShapeError,
     ScalarField,
     discrete_c2_distance,
-    fd_jet,
     field_from_dict,
     field_to_dict,
-    interpolate,
-    invert_blend_map,
     load_field,
     sample_field,
     save_field,
@@ -80,8 +76,7 @@ def test_jets_converge_at_second_order_flat():
     errs, hs = [], []
     for ns, ntheta in ((17, 48), (33, 96), (65, 192)):
         grid = _ellipse_grid(ns, ntheta)
-        fld = sample_field(grid, _trig)
-        table = fld.jet_table()
+        table = sample_field(grid, _trig).jet_table()
         worst = 0.0
         for i in range(1, grid.ns - 1):
             for j in range(grid.ntheta):
@@ -94,9 +89,6 @@ def test_jets_converge_at_second_order_flat():
         errs.append(worst)
         hs.append(grid.max_spacing)
     assert _fit_order(hs, errs) >= 1.9
-    # spot-check that fd_jet agrees with the table it is built from
-    jet = fd_jet(fld, (5, 7))
-    assert np.array_equal(jet.grad, table["grad"][5, 7])
 
 
 def _off_centre_sphere_grid(ns, ntheta):
@@ -124,58 +116,6 @@ def test_jets_match_covariant_jet_on_sphere():
             hs.append(grid.max_spacing)
         assert all(b < a * 0.35 for a, b in zip(errs, errs[1:]))  # better than first order
         assert _fit_order(hs, errs) >= min_order, sizes
-
-
-def test_boundary_jets_are_flagged_one_sided():
-    grid = _circle_grid()
-    f = ScalarField(grid, np.zeros((grid.ns, grid.ntheta)), (0.0, 0.0))
-    assert fd_jet(f, (0, 0)).one_sided
-    assert fd_jet(f, (grid.ns - 1, 5)).one_sided
-    assert not fd_jet(f, (3, 5)).one_sided
-
-
-def test_invert_blend_map_round_trip():
-    grid = _ellipse_grid()
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        s = rng.uniform(0.0, 1.0)
-        t = rng.uniform(0.0, 2 * np.pi)
-        x = grid.map_point(s, t)
-        s2, t2 = invert_blend_map(grid, x)
-        assert abs(s2 - s) < 1e-9
-        assert min(abs(t2 - t), 2 * np.pi - abs(t2 - t)) < 1e-9
-
-
-def test_interpolate_exact_on_nodes_and_s_linear_fields():
-    grid = _circle_grid(ns=9, ntheta=16)
-    ss, _ = np.meshgrid(grid.s, grid.theta, indexing="ij")
-    f = ScalarField(grid, 0.25 + 0.5 * ss, (0.25, 0.75))
-    # node values reproduced exactly
-    assert interpolate(f, grid.nodes[4, 3]) == pytest.approx(f.values[4, 3], abs=1e-12)
-    # s-linear data is reproduced exactly by bilinear interpolation
-    for s, t in ((0.123, 0.7), (0.61, 3.9), (0.95, 5.5)):
-        x = grid.map_point(s, t)
-        assert interpolate(f, x) == pytest.approx(0.25 + 0.5 * s, abs=1e-10)
-
-
-def test_interpolate_reproduces_every_interior_node():
-    # an inverted angle one ulp below a node angle must still select that
-    # node's theta cell (bilinear weight 0, not weight 1 on the next column)
-    grid = _ellipse_grid(ns=9, ntheta=24)
-    values = np.random.default_rng(2).standard_normal((grid.ns, grid.ntheta))
-    f = ScalarField(grid, values, None)
-    for i in range(1, grid.ns - 1):
-        for j in range(grid.ntheta):
-            assert abs(interpolate(f, grid.nodes[i, j]) - values[i, j]) <= 1e-10, (i, j)
-
-
-def test_interpolate_rejects_points_outside_ring():
-    grid = _circle_grid()
-    f = ScalarField(grid, np.zeros((grid.ns, grid.ntheta)), (0.0, 0.0))
-    with pytest.raises(DomainError):
-        interpolate(f, [2.5, 0.0])
-    with pytest.raises(DomainError):
-        interpolate(f, [0.2, 0.1])
 
 
 def test_discrete_c2_distance_linear_offset():

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from convexring.field import ScalarField, fd_jet, sample_field
+from convexring.field import ScalarField, sample_field
 from convexring.levelgeom import (
     LevelRangeError,
     RankScan,
@@ -237,11 +237,18 @@ def sphere_chart_field():
     return u
 
 
+def _node_jet(f, i, j):
+    """Row (i, j) of the field's jet table as one PointJet."""
+    table = f.jet_table()
+    return PointJet(point=f.grid.nodes[i, j], value=table["value"][i, j],
+                    grad=table["grad"][i, j], hess=table["hess"][i, j])
+
+
 def test_rank_scan_matches_a_per_node_loop(sphere_chart_field):
     f = sphere_chart_field
     grid = f.grid
     scan = rank_scan(f)
-    jets = [fd_jet(f, (i, j)) for i in range(1, grid.ns - 1) for j in range(grid.ntheta)]
+    jets = [_node_jet(f, i, j) for i in range(1, grid.ns - 1) for j in range(grid.ntheta)]
     eigs = [principal_curvatures(jet) for jet in jets]
     ranks = [int(np.sum(e > scan.threshold)) for e in eigs]
     first_min = int(np.argmin([e[0] for e in eigs]))
@@ -261,7 +268,7 @@ def test_extract_level_matches_a_per_column_loop(sphere_chart_field):
             col = f.values[:, j] - c
             i = next(i for i in range(grid.ns - 1) if col[i] * col[i + 1] <= 0)
             t = col[i] / (col[i] - col[i + 1])
-            below, above = fd_jet(f, (i, j)), fd_jet(f, (i + 1, j))
+            below, above = _node_jet(f, i, j), _node_jet(f, i + 1, j)
             point = grid.map_point(grid.s[i] + t * grid.hs, grid.theta[j])
             jet = PointJet(point=point, value=c,
                            grad=(1 - t) * below.grad + t * above.grad,
