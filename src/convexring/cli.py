@@ -191,6 +191,12 @@ def _write_json(path: Path, obj: Any) -> None:
     _atomic_write_text(str(path), json.dumps(_jsonable(obj), indent=1) + "\n")
 
 
+def _file_number(x: float) -> str:
+    """x in a file name: its shortest round-trip digits, so distinct values
+    never share a file."""
+    return np.format_float_positional(x, trim="-")
+
+
 def _timestamp(runtimes: dict[str, float]) -> dict[str, Any]:
     now = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return {"written_at": now, "runtime_s": runtimes}
@@ -217,7 +223,7 @@ def cmd_solve(cfg: dict, raw: str, out_dir: Path, allow_negative: bool) -> int:
 
     steps, runtimes = [], {}
     for record in trace.steps:
-        snapshot = f"field_tau_{record.tau:.6g}.json"
+        snapshot = f"field_tau_{_file_number(record.tau)}.json"
         save_field(record.field, str(out_dir / snapshot))
         runtimes[snapshot] = record.report.wall_time
         steps.append({
@@ -320,7 +326,7 @@ def cmd_levels(cfg: dict, raw: str, snapshot: str, out_dir: Path) -> int:
         rows = ["x,y,kappa"]
         rows += [f"{p[0]:.17g},{p[1]:.17g},{k:.17g}"
                  for p, k in zip(report.points, report.kappa)]
-        _atomic_write_text(str(out_dir / f"level_{report.level:.6g}.csv"),
+        _atomic_write_text(str(out_dir / f"level_{_file_number(report.level)}.csv"),
                            "\n".join(rows) + "\n")
         print(f"level {report.level:.6g}: min kappa = {report.kappa_min:.6g}, "
               f"min |grad u| = {report.grad_min:.6g}")

@@ -37,6 +37,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .field import ScalarField
+from .ring import AnnularGrid
 from .spaceform import PointJet, SpaceFormChart, _real, covariant_jet
 
 GRAD_FLOOR = 1e-8
@@ -267,6 +268,12 @@ def extract_level(f: ScalarField, c: float) -> LevelSetReport:
 # -- rank scans ---------------------------------------------------------------
 
 
+def _noise_floor(grid: AnnularGrid) -> float:
+    """10 h^2, h the grid's largest spacing: the discretisation noise floor of
+    second-order stencils on ``grid``."""
+    return 10.0 * grid.max_spacing**2
+
+
 @dataclass
 class RankScan:
     """Curvature-rank census over a set of sample jets."""
@@ -293,7 +300,7 @@ def rank_scan(source: ScalarField | PointJet) -> RankScan:
     smallest curvature is lowest.
     """
     if isinstance(source, ScalarField):
-        threshold = 10.0 * source.grid.max_spacing**2
+        threshold = _noise_floor(source.grid)
         table = source.jet_table()
         points, grad, hess = (a[1:-1] for a in (source.grid.nodes, table["grad"], table["hess"]))
     else:

@@ -499,20 +499,18 @@ def _chord_newton(grid: AnnularGrid, v: np.ndarray, options: SolveOptions,
 
 def _nested_start(grid: AnnularGrid, tau: float, options: SolveOptions,
                   source: np.ndarray | None) -> tuple[np.ndarray, int]:
-    """(start values, factorisations spent): the coarse grid's Newton iterate
-    prolonged onto ``grid``, or the harmonic field when the grid does not
-    coarsen or the coarse solve did not converge.  Only the array leaves:
-    the coarse grid and its assembler are freed before ``grid`` factors."""
+    """(start values, factorisations spent): the coarse grid's Newton iterate,
+    converged or not, prolonged onto ``grid``, or the harmonic field when the
+    grid does not coarsen.  Only the array leaves: the coarse grid and its
+    assembler are freed before ``grid`` factors."""
     coarse = _coarse_grid(grid)
     if coarse is None:
         return solve_harmonic(grid, tau, options).values, 1
     if source is not None:
         source = source[1::2, ::2]  # the coarse interior nodes
     v, spent = _nested_start(coarse, tau, options, source)
-    v, rmax, _, _, factorizations = _chord_newton(coarse, v, options, source)
+    v, _, _, _, factorizations = _chord_newton(coarse, v, options, source)
     del coarse
-    if not rmax <= options.newton_tol:
-        return solve_harmonic(grid, tau, options).values, spent + factorizations + 1
     return _prolong(v, tau), spent + factorizations
 
 
@@ -524,9 +522,9 @@ def solve_minimal_graph(grid: AnnularGrid, tau: float,
     """Damped chord Newton for the minimal graph with boundary data (0, tau).
 
     Starts from ``init``.  Without one, a grid that coarsens starts from
-    the prolonged solution on every other node (recursively, down to about
-    COARSEST_GRID); otherwise, or when that coarse solve fails, from the
-    harmonic field with the same data.  Coarse levels run the Newton loop
+    the prolonged Newton iterate on every other node, converged or not
+    (recursively, down to about COARSEST_GRID); otherwise from the harmonic
+    field with the same data.  Coarse levels run the Newton loop
     only: the requested grid alone gets a field and a report, and
     ``report.converged`` is False when the residual target was not reached.
     """
@@ -605,11 +603,11 @@ def continuation_solve(grid: AnnularGrid, targets: Sequence[float],
     """Predictor-corrector walk up the tau targets (see continuation_targets).
 
     The first solve runs at min(TAU_START, smallest target) from the nested
-    start of solve_minimal_graph, which is harmonic only on the coarsest grid
-    or on a grid that does not coarsen; later solves start from the previous
-    solution rescaled to the new boundary value.  A failed solve halves the
-    step toward the target (down to 2^-10 of the leg) before giving up with
-    the partial trace, as does a converged step whose level diagnostics fail."""
+    start of solve_minimal_graph; later solves start from the previous
+    solution rescaled to the new boundary value.  Each tau gets one solve
+    with options.max_newton Newton steps: a solve that does not converge, or
+    a converged one whose level diagnostics fail, ends the walk with a
+    ContinuationError that carries the partial trace."""
     options = options or SolveOptions()
     targets = continuation_targets(targets)
     trace = ContinuationTrace()
@@ -619,42 +617,28 @@ def continuation_solve(grid: AnnularGrid, targets: Sequence[float],
     schedule = [min(TAU_START, targets[0])]
     schedule += [t for t in targets if t > schedule[0] + 1e-15]
 
-    tau_prev = 0.0
-    field_prev: ScalarField | None = None
-    for target in schedule:
-        leg = target - tau_prev
-        step = leg
-        while True:
-            tau_try = tau_prev + step
-            if field_prev is None:
-                init = None
-            else:
-                v = field_prev.values * (tau_try / tau_prev)
-                v[0] = 0.0
-                v[-1] = tau_try
-                init = ScalarField(grid=grid, values=v,
-                                   boundary_values=(0.0, tau_try))
-            f, report = solve_minimal_graph(grid, tau_try, options=options, init=init)
-            if report.converged:
-                try:
-                    kappa_min, boundary_grad = _step_diagnostics(f, tau_try)
-                except (TopologyError, SingularGradientError) as exc:
-                    raise ContinuationError(
-                        f"step diagnostics failed at tau={tau_try}: {exc}", trace) from exc
-                trace.steps.append(StepRecord(
-                    tau=tau_try, report=report, field=f,
-                    min_level_curvature=kappa_min,
-                    outer_boundary_min_gradient=boundary_grad,
-                ))
-                tau_prev, field_prev = tau_try, f
-                if tau_try >= target - 1e-15:
-                    break
-                step = target - tau_prev
-            else:
-                step *= 0.5
-                if step < leg * 2.0**-10:
-                    raise ContinuationError(
-                        f"continuation stalled between tau={tau_prev} and {target}",
-                        trace,
-                    )
+    for tau in schedule:
+        init = None
+        if trace.steps:
+            prev = trace.steps[-1]
+            v = prev.field.values * (tau / prev.tau)
+            v[0] = 0.0
+            v[-1] = tau
+            init = ScalarField(grid=grid, values=v, boundary_values=(0.0, tau))
+        f, report = solve_minimal_graph(grid, tau, options=options, init=init)
+        if not report.converged:
+            raise ContinuationError(
+                f"continuation stalled at tau={tau}: max residual "
+                f"{report.final_residual_max:.3e} after {report.newton_iterations} "
+                f"Newton steps", trace)
+        try:
+            kappa_min, boundary_grad = _step_diagnostics(f, tau)
+        except (TopologyError, SingularGradientError) as exc:
+            raise ContinuationError(
+                f"step diagnostics failed at tau={tau}: {exc}", trace) from exc
+        trace.steps.append(StepRecord(
+            tau=tau, report=report, field=f,
+            min_level_curvature=kappa_min,
+            outer_boundary_min_gradient=boundary_grad,
+        ))
     return trace

@@ -27,6 +27,7 @@ from .levelgeom import (
     LevelRangeError,
     SingularGradientError,
     TopologyError,
+    _noise_floor,
     extract_level,
     rank_scan,
 )
@@ -188,11 +189,6 @@ def _finish(name: str, margin: float, tolerance: float, claim: str,
         runtime_s=time.perf_counter() - t0, extras=extras)
 
 
-def _slack(grid: AnnularGrid) -> float:
-    # discretization noise floor for second-order stencils
-    return 10.0 * grid.max_spacing**2
-
-
 def _grad_norms(f: ScalarField) -> np.ndarray:
     return np.linalg.norm(f.jet_table()["grad"], axis=-1)
 
@@ -255,7 +251,7 @@ def check_gradient_max_principle(f: ScalarField) -> VerificationReport:
     norms = _grad_norms(f)
     interior = float(np.max(norms[1:-1]))
     boundary = float(np.max(np.maximum(norms[0], norms[-1])))
-    tol = _slack(f.grid)
+    tol = _noise_floor(f.grid)
     extras = {"interior_max": interior, "boundary_max": boundary}
     return _finish("gradient-max-principle", boundary + tol - interior, tol,
                    "sup of |grad u| over the ring is attained on the boundary",
@@ -284,7 +280,7 @@ def check_supersolution(u: ScalarField, omega: ScalarField, tau: float,
     if u.grid is not omega.grid:
         raise ValueError("fields must share one grid")
     v = supersolution if supersolution is not None else build_supersolution(omega, tau)
-    tol = _slack(u.grid)
+    tol = _noise_floor(u.grid)
     defect = float(np.max(_nondivergence_defect(v, omega, tau)))
     excess = float(np.max(u.values - v.values))
     margin = min(tol - defect, tol - excess)
@@ -383,7 +379,7 @@ def check_convexity_and_rank(f: ScalarField,
             raise ValueError("levels are required for a field without boundary data")
         tau = f.boundary_values[1]
         levels = [tau * k / 9.0 for k in range(1, 9)]
-    tol = _slack(f.grid)
+    tol = _noise_floor(f.grid)
 
     kappa_mins = {}
     try:
@@ -411,7 +407,7 @@ def check_gradient_monotonicity(f: ScalarField) -> VerificationReport:
     table = f.jet_table()
     g, h = table["grad"][1:-1], table["hess"][1:-1]
     q = 2.0 * np.einsum("...i,...ij,...j->...", g, h, g)
-    tol = _slack(f.grid)
+    tol = _noise_floor(f.grid)
     fraction = float(np.mean(q > 0.0))
     strict = fraction >= 0.99
     margin = min(float(np.min(q)) + tol, fraction - 0.99)
@@ -431,7 +427,7 @@ def check_hopf_boundary_bound(trace: ContinuationTrace) -> VerificationReport:
     if len(trace.steps) < 2:
         raise ValueError(f"the bound needs two or more continuation steps, got {len(trace.steps)}")
     mins = [s.outer_boundary_min_gradient for s in trace.steps]
-    tol = _slack(trace.steps[0].field.grid)
+    tol = _noise_floor(trace.steps[0].field.grid)
     monotone = min(mins[i + 1] - mins[i] + tol for i in range(len(mins) - 1))
     margin = min(min(mins), monotone)
     extras = {"tau_schedule": trace.tau_schedule, "boundary_minima": mins}

@@ -137,6 +137,30 @@ def test_solve_reports_progress_lines(tmp_path, capsys):
     assert "min level curvature" in lines[-1]
 
 
+def test_distinct_values_get_distinct_files(tmp_path):
+    # tau targets and levels that agree to six significant digits still
+    # write one file each, named by their shortest round-trip digits
+    taus = [0.3000001, 0.3000002]
+    cfg = write_config(tmp_path, grid={"ns": 9, "ntheta": 24}, tau=taus,
+                       levels=[0.1000001, 0.1000002])
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    trace = json.loads((out / "trace.json").read_text())
+    snapshots = [s["snapshot"] for s in trace["steps"]]
+    assert snapshots == ["field_tau_0.05.json", "field_tau_0.3000001.json",
+                         "field_tau_0.3000002.json"]
+    assert sorted(p.name for p in out.glob("field_tau_*.json")) == sorted(snapshots)
+    assert list(trace["timestamp"]["runtime_s"]) == snapshots
+    for name, tau in zip(snapshots, [0.05] + taus):
+        assert load_field(str(out / name)).boundary_values == (0.0, tau)
+
+    lvl_out = tmp_path / "lvl"
+    assert main(["levels", "--config", cfg, "--snapshot", str(out / snapshots[-1]),
+                 "--out", str(lvl_out)]) == 0
+    assert sorted(p.name for p in lvl_out.glob("level_*.csv")) == [
+        "level_0.1000001.csv", "level_0.1000002.csv"]
+
+
 # -- config errors -----------------------------------------------------------
 
 

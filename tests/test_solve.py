@@ -448,7 +448,38 @@ def test_continuation_failure_carries_partial_trace():
     with pytest.raises(ContinuationError) as excinfo:
         continuation_solve(grid, [0.05], options=options)
     assert excinfo.value.trace.steps == []
-    assert "tau=0.0" in str(excinfo.value)
+    assert "continuation stalled at tau=0.05:" in str(excinfo.value)
+
+
+def test_step_that_cannot_converge_ends_the_walk(monkeypatch):
+    # three Newton steps reach tau = 0.05 but not 0.5: the walk makes one
+    # solve there and stops, with no smaller step tried in between
+    taus = []
+    real = solve.solve_minimal_graph
+
+    def recording(grid, tau, *args, **kwargs):
+        taus.append(tau)
+        return real(grid, tau, *args, **kwargs)
+
+    monkeypatch.setattr(solve, "solve_minimal_graph", recording)
+    grid = build_grid(_readme_ring(), 33, 64)
+    with pytest.raises(ContinuationError) as excinfo:
+        continuation_solve(grid, [0.5, 1.0], options=SolveOptions(max_newton=3))
+    assert taus == [0.05, 0.5]
+    assert excinfo.value.trace.tau_schedule == [0.05]
+    message = str(excinfo.value)
+    assert message.startswith("continuation stalled at tau=0.5: max residual ")
+    assert message.endswith(" after 3 Newton steps")
+
+
+def test_readme_walk_keeps_its_newton_and_factorisation_counts():
+    # (Newton steps, factorisations) per step of a converging walk: the
+    # nested start at tau = 0.05, then rescaled previous fields
+    grid = build_grid(_readme_ring(), 65, 128)
+    trace = continuation_solve(grid, [0.5, 1.0])
+    assert trace.tau_schedule == [0.05, 0.5, 1.0]
+    assert [(s.report.newton_iterations, s.report.factorizations)
+            for s in trace.steps] == [(2, 4), (5, 2), (9, 3)]
 
 
 def test_linear_solver_option_is_gone():
@@ -664,16 +695,16 @@ def test_nested_grid_runs_one_harmonic_solve_on_the_coarsest_grid(monkeypatch):
     assert (solves, jet_tables) == ([1], [1])
 
 
-def test_failed_coarse_solve_falls_back_to_the_harmonic_start(monkeypatch):
-    # one Newton step cannot converge on any level, so every level after
-    # the coarsest starts from its own harmonic field, as a grid that does
-    # not nest would
+def test_unconverged_coarse_iterate_is_still_prolonged(monkeypatch):
+    # one Newton step cannot converge on any level; each level still starts
+    # from the prolonged coarse iterate, so only the coarsest grid solves
+    # for its harmonic field
     grids = _harmonic_grids(monkeypatch)
     grid = build_grid(_readme_ring(), 65, 128)
     _, report = solve_minimal_graph(grid, 1.0, options=SolveOptions(max_newton=1))
     assert not report.converged
-    assert grids == [(17, 32), (33, 64), (65, 128)]
-    assert report.factorizations == 3 + 3
+    assert grids == [(17, 32)]
+    assert report.factorizations == 1 + 3
 
 
 def test_rejected_chord_step_refactors_instead_of_ending_the_solve(monkeypatch):
