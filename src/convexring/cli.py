@@ -18,8 +18,10 @@ Config keys by command:
              oracle_grid_sizes)
     oracle   oracle (r_inner, r_outer, tau, n, samples)
 
-Curve specs are {"kind": circle|ellipse|fourier, ...parameters} as accepted
-by make_curve.  Negative curvature charts need --experimental-negative-curvature.
+A section takes only its own keys (chart: epsilon >= 0 and dim; grid: ns and
+ntheta; ring: outer and inner); any other key is a config error at that
+key's line.  Curve specs are {"kind": circle|ellipse|fourier,
+...parameters} as accepted by make_curve.
 """
 
 from __future__ import annotations
@@ -55,6 +57,14 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the line when locatable."""
 
 
+# the keys of each config section; "solve" takes the fields of SolveOptions
+_CHART_KEYS = ("epsilon", "dim")
+_RING_KEYS = ("outer", "inner")
+_GRID_KEYS = ("ns", "ntheta")
+_VERIFY_KEYS = ("tau", "oracle_grid_sizes")
+_ORACLE_KEYS = ("r_inner", "r_outer", "tau", "n", "samples")
+
+
 # -- config loading ------------------------------------------------------------
 
 
@@ -65,14 +75,15 @@ _JSON_TOKEN = re.compile(r'("(?:[^"\\]|\\.)*")(\s*:)?|[{}\[\]]')
 def _line_of_key(raw: str, path: str) -> int | None:
     """Line of the key at the dotted ``path`` from the top-level object
     ("tau", "verify.tau", "ring.outer"), or None when the config lacks it: a
-    "tau" inside "verify" or "oracle" is not the top-level one."""
-    *sections, target = (f'"{k}"' for k in path.split("."))
+    "tau" inside "verify" or "oracle" is not the top-level one.  A path is a
+    key or a section and its key, and only that key may hold a dot."""
+    *sections, target = path.split(".", 1)
     enclosing, key = [], None
     for token in _JSON_TOKEN.finditer(raw):
         if token.group(2):
-            if token.group(1) == target and enclosing[1:] == sections:
+            key = json.loads(token.group(1))  # escapes decoded, as in cfg
+            if key == target and enclosing[1:] == sections:
                 return raw.count("\n", 0, token.start()) + 1
-            key = token.group(1)
         elif token.group() in ("{", "["):
             enclosing.append(key)  # the key whose value opens here
             key = None
@@ -102,6 +113,21 @@ def _errors_at(raw: str, path: str, errors=(ValueError, TypeError), named=()):
         _fail(raw, path if key is None else f"{path}.{key}", message)
 
 
+def _section(cfg: dict, raw: str, name: str, keys: tuple[str, ...],
+             required: bool = True) -> dict:
+    """The object at the top-level key ``name``, empty if it is absent and
+    not ``required``; a key outside ``keys`` fails at its own line."""
+    section = cfg.get(name, None if required else {})
+    if not isinstance(section, dict):
+        _fail(raw, name, f'missing or invalid "{name}" section' if required
+              else f'"{name}" must be an options object')
+    for key in section:
+        if key not in keys:
+            _fail(raw, f"{name}.{key}",
+                  f"unknown {name} key {key!r}; the keys are {', '.join(keys)}")
+    return section
+
+
 def load_config(path: str) -> tuple[dict, str]:
     try:
         raw = Path(path).read_text()
@@ -117,24 +143,14 @@ def load_config(path: str) -> tuple[dict, str]:
     return cfg, raw
 
 
-def _build_chart(cfg: dict, raw: str, allow_negative: bool) -> SpaceFormChart:
-    section = cfg.get("chart")
-    if not isinstance(section, dict):
-        _fail(raw, "chart", 'missing or invalid "chart" section')
-    with _errors_at(raw, "chart", named=("epsilon", "dim", "chart_radius")):
-        # the sign of epsilon is gated below, so that the message names the flag
-        chart = SpaceFormChart(section.get("epsilon", 0.0), section.get("dim", 2),
-                               section.get("chart_radius"), allow_negative_curvature=True)
-    if chart.epsilon < 0.0 and not allow_negative:
-        _fail(raw, "chart.epsilon",
-              "epsilon < 0 requires --experimental-negative-curvature")
-    return chart
+def _build_chart(cfg: dict, raw: str) -> SpaceFormChart:
+    section = _section(cfg, raw, "chart", _CHART_KEYS)
+    with _errors_at(raw, "chart", named=_CHART_KEYS):
+        return SpaceFormChart(section.get("epsilon", 0.0), section.get("dim", 2))
 
 
 def _build_ring(cfg: dict, raw: str, chart: SpaceFormChart) -> ConvexRing:
-    section = cfg.get("ring")
-    if not isinstance(section, dict):
-        _fail(raw, "ring", 'missing or invalid "ring" section')
+    section = _section(cfg, raw, "ring", _RING_KEYS)
     with _errors_at(raw, "ring.outer"):
         outer = curve_from_dict(section.get("outer"))
     with _errors_at(raw, "ring.inner"):
@@ -144,10 +160,8 @@ def _build_ring(cfg: dict, raw: str, chart: SpaceFormChart) -> ConvexRing:
 
 
 def _build_grid(cfg: dict, raw: str, ring: ConvexRing) -> AnnularGrid:
-    section = cfg.get("grid")
-    if not isinstance(section, dict):
-        _fail(raw, "grid", 'missing or invalid "grid" section')
-    with _errors_at(raw, "grid", named=("ns", "ntheta")):
+    section = _section(cfg, raw, "grid", _GRID_KEYS)
+    with _errors_at(raw, "grid", named=_GRID_KEYS):
         return build_grid(ring, section.get("ns", 33), section.get("ntheta", 64))
 
 
@@ -175,26 +189,18 @@ def _tau_targets(cfg: dict, raw: str) -> list[float]:
 # -- serialization helpers -----------------------------------------------------
 
 
-def _jsonable(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
-
 def _write_json(path: Path, obj: Any) -> None:
-    _atomic_write_text(str(path), json.dumps(_jsonable(obj), indent=1) + "\n")
+    # numpy arrays and the numpy scalars that are no Python number become lists
+    # and numbers; np.float64 is a float and prints its shortest digits as is
+    text = json.dumps(obj, indent=1, default=lambda o: o.tolist())
+    _atomic_write_text(str(path), text + "\n")
 
 
 def _file_number(x: float) -> str:
-    """x in a file name: its shortest round-trip digits, so distinct values
-    never share a file."""
-    return np.format_float_positional(x, trim="-")
+    """x in a file name and on its output line: its shortest round-trip
+    digits as repr writes them, 1 for 1.0 and 1e-300 for 1e-300, so distinct
+    values never share a file and no name outgrows the file system's limit."""
+    return repr(float(x)).removesuffix(".0")
 
 
 def _timestamp(runtimes: dict[str, float]) -> dict[str, Any]:
@@ -205,10 +211,10 @@ def _timestamp(runtimes: dict[str, float]) -> dict[str, Any]:
 # -- commands ------------------------------------------------------------------
 
 
-def cmd_solve(cfg: dict, raw: str, out_dir: Path, allow_negative: bool) -> int:
+def cmd_solve(cfg: dict, raw: str, out_dir: Path) -> int:
     from .solve import ContinuationError, continuation_solve
 
-    chart = _build_chart(cfg, raw, allow_negative)
+    chart = _build_chart(cfg, raw)
     ring = _build_ring(cfg, raw, chart)
     grid = _build_grid(cfg, raw, ring)
     targets = _tau_targets(cfg, raw)
@@ -238,7 +244,7 @@ def cmd_solve(cfg: dict, raw: str, out_dir: Path, allow_negative: bool) -> int:
             "min_level_curvature": record.min_level_curvature,
             "outer_boundary_min_gradient": record.outer_boundary_min_gradient,
         })
-        print(f"tau={record.tau:.6g}  newton={record.report.newton_iterations}  "
+        print(f"tau={_file_number(record.tau)}  newton={record.report.newton_iterations}  "
               f"max residual={record.report.final_residual_max:.3e}  "
               f"min |grad u|={record.report.min_gradient_norm:.6g}  "
               f"min level curvature={record.min_level_curvature:.6g}")
@@ -319,7 +325,7 @@ def cmd_levels(cfg: dict, raw: str, snapshot: str, out_dir: Path) -> int:
         try:
             reports.append(extract_level(f, c))
         except (TopologyError, SingularGradientError) as exc:
-            print(f"level {c:.6g}: {exc}", file=sys.stderr)
+            print(f"level {_file_number(c)}: {exc}", file=sys.stderr)
             return 3
 
     for report in reports:
@@ -328,7 +334,7 @@ def cmd_levels(cfg: dict, raw: str, snapshot: str, out_dir: Path) -> int:
                  for p, k in zip(report.points, report.kappa)]
         _atomic_write_text(str(out_dir / f"level_{_file_number(report.level)}.csv"),
                            "\n".join(rows) + "\n")
-        print(f"level {report.level:.6g}: min kappa = {report.kappa_min:.6g}, "
+        print(f"level {_file_number(report.level)}: min kappa = {report.kappa_min:.6g}, "
               f"min |grad u| = {report.grad_min:.6g}")
 
     _atomic_write_text(str(out_dir / "levels.svg"), _level_svg(f.grid.ring, reports))
@@ -336,18 +342,16 @@ def cmd_levels(cfg: dict, raw: str, snapshot: str, out_dir: Path) -> int:
     return 0
 
 
-def cmd_verify(cfg: dict, raw: str, out_dir: Path, allow_negative: bool) -> int:
+def cmd_verify(cfg: dict, raw: str, out_dir: Path) -> int:
     from .verify import run_suite, suite_inputs
 
-    chart = _build_chart(cfg, raw, allow_negative)
+    chart = _build_chart(cfg, raw)
     grid = _build_grid(cfg, raw, _build_ring(cfg, raw, chart))
     selected = cfg.get("checks")
     if selected is not None and not isinstance(selected, list):
         _fail(raw, "checks", '"checks" must be a list of check names')
-    section = cfg.get("verify", {})
-    if not isinstance(section, dict):
-        _fail(raw, "verify", '"verify" must be an options object')
-    with _errors_at(raw, "verify", named=("tau", "oracle_grid_sizes")):
+    section = _section(cfg, raw, "verify", _VERIFY_KEYS, required=False)
+    with _errors_at(raw, "verify", named=_VERIFY_KEYS):
         tau, oracle_sizes = suite_inputs(section.get("tau", 0.5),
                                          section.get("oracle_grid_sizes", (64, 128, 256)))
     options = _solve_options(cfg, raw)
@@ -385,11 +389,9 @@ def cmd_verify(cfg: dict, raw: str, out_dir: Path, allow_negative: bool) -> int:
 def cmd_oracle(cfg: dict, raw: str, out_dir: Path) -> int:
     from .verify import radial_oracle
 
-    section = cfg.get("oracle")
-    if not isinstance(section, dict):
-        _fail(raw, "oracle", 'missing or invalid "oracle" section')
+    section = _section(cfg, raw, "oracle", _ORACLE_KEYS)
     # OracleInfeasibleError is a ValueError
-    with _errors_at(raw, "oracle", named=("r_inner", "r_outer", "tau", "n", "samples")):
+    with _errors_at(raw, "oracle", named=_ORACLE_KEYS):
         oracle = radial_oracle(section.get("r_inner", 1.0), section.get("r_outer", 2.0),
                                section.get("tau", 0.3), section.get("n", 2))
         radii = np.linspace(oracle.r_inner, oracle.r_outer,
@@ -420,8 +422,6 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory (default: config 'out' or '.')")
-        p.add_argument("--experimental-negative-curvature", action="store_true",
-                       help="allow charts with epsilon < 0")
         if name == "levels":
             p.add_argument("--snapshot", required=True, help="field snapshot to read")
     return parser
@@ -434,11 +434,11 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out or cfg.get("out") or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "solve":
-            return cmd_solve(cfg, raw, out_dir, args.experimental_negative_curvature)
+            return cmd_solve(cfg, raw, out_dir)
         if args.command == "levels":
             return cmd_levels(cfg, raw, args.snapshot, out_dir)
         if args.command == "verify":
-            return cmd_verify(cfg, raw, out_dir, args.experimental_negative_curvature)
+            return cmd_verify(cfg, raw, out_dir)
         return cmd_oracle(cfg, raw, out_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,6 +31,8 @@ VALIDATION_SAMPLES = 720
 # the angles every curve and ring validation samples; read-only, shared
 VALIDATION_THETA = np.linspace(0.0, TWO_PI, VALIDATION_SAMPLES, endpoint=False)
 VALIDATION_THETA.flags.writeable = False
+# the smallest and largest length a curve may have
+_LENGTH_SCALES = (1e-100, 1e100)
 
 
 class ConvexityError(ValueError):
@@ -156,8 +158,9 @@ def make_curve(kind: str, **params) -> ConvexCurve:
       fourier  -- center, r0, cos_coeffs, sin_coeffs
                   (radius r(theta) = r0 + sum_k a_k cos(k theta) + b_k sin(k theta))
 
-    A missing parameter or a value that is not a finite number is a
-    ValueError naming the kind.
+    A missing parameter, a value that is not a finite number, and a curve
+    whose extent or speed leaves [1e-100, 1e100] are a ValueError naming the
+    kind.
     """
     if kind not in _REQUIRED_PARAMETER:
         raise ValueError(f"unknown curve kind {kind!r}")
@@ -184,6 +187,14 @@ def make_curve(kind: str, **params) -> ConvexCurve:
     if params:
         raise ValueError(f"unexpected parameters for {kind}: {sorted(params)}")
 
+    # lengths enter the chart squared and the curvature cubed: beyond this
+    # band of scales they overflow or underflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        extent = np.max(np.abs(curve.point(VALIDATION_THETA)))
+        speed = np.linalg.norm(curve.d1(VALIDATION_THETA), axis=-1)
+    low, high = _LENGTH_SCALES
+    if not (extent <= high and low <= np.min(speed) and np.max(speed) <= high):
+        raise ValueError(f"{kind} curve lengths must lie between {low:g} and {high:g}")
     if np.min(curve._radius(VALIDATION_THETA, 0)) <= 0:
         raise ConvexityError("fourier radius function must stay positive")
     kappa = curve.chart_curvature(VALIDATION_THETA)
@@ -219,19 +230,16 @@ class ConvexRing:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "chart": {
-                "epsilon": self.chart.epsilon,
-                "dim": self.chart.dim,
-                "chart_radius": self.chart.chart_radius,
-            },
+            "chart": {"epsilon": self.chart.epsilon, "dim": self.chart.dim},
             "outer": self.outer.to_dict(),
             "inner": self.inner.to_dict(),
         }
 
 
 def ring_from_dict(d: dict[str, Any]) -> ConvexRing:
-    # a snapshot's chart may be experimental: its writer passed the opt-in
-    chart = SpaceFormChart(**d["chart"], allow_negative_curvature=True)
+    # the chart is its epsilon and dim; any other key an older snapshot holds
+    # is ignored
+    chart = SpaceFormChart(d["chart"]["epsilon"], d["chart"]["dim"])
     return make_ring(chart, curve_from_dict(d["outer"]), curve_from_dict(d["inner"]))
 
 
@@ -250,7 +258,7 @@ def containment_margin(outer: ConvexCurve, inner: ConvexCurve) -> float:
 def make_ring(chart: SpaceFormChart, outer: ConvexCurve, inner: ConvexCurve) -> ConvexRing:
     """Validate containment, chart bounds, and (for curved charts) geodesic
     convexity, then return the ring."""
-    # both curves must live inside the accepted chart ball
+    # both curves must lie in the chart's domain
     chart.validate_points(outer.point(VALIDATION_THETA))
     chart.validate_points(inner.point(VALIDATION_THETA))
 

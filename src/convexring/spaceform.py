@@ -5,10 +5,10 @@ ball, with
 
     lambda(x) = 1 / (1 + (eps/4) |x|^2).
 
-eps = 0 is Euclidean space, eps > 0 the round sphere of curvature eps in
-stereographic coordinates (one hemisphere when the chart radius stays below
-2/sqrt(eps)).  eps < 0 is accepted by the same formulas but lies outside the
-supported theory; constructing such a chart requires an explicit opt-in flag.
+eps = 0 is Euclidean space and the chart takes every finite point.  eps > 0
+is the round sphere of curvature eps in stereographic coordinates, and the
+chart takes the open ball |x| < 2/sqrt(eps) inside the equator: the open
+hemisphere.  eps < 0 is rejected.
 
 All tensor components returned by this module are expressed in the orthonormal
 frame e_a = lambda^{-1} d/dx_a unless a docstring says otherwise.  The two
@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class ChartDomainError(ValueError):
-    """A point is not finite or lies outside the chart's accepted coordinate ball."""
+    """A point is not finite, or (epsilon > 0) lies at or beyond the equator."""
 
 
 def _real(value, what: str) -> float:
@@ -54,63 +54,33 @@ def _whole(value, what: str) -> int:
 
 @dataclass(frozen=True)
 class SpaceFormChart:
-    """Curvature parameter, ambient dimension, and accepted coordinate radius.
+    """Curvature parameter and ambient dimension of the model.
 
     Parameters
     ----------
     epsilon : float
-        Sectional curvature of the model.  Must be >= 0 unless
-        ``allow_negative_curvature`` is set; negative values are experimental
-        and unsupported by the verification suite.
+        Sectional curvature of the model, >= 0.  For epsilon > 0 the chart
+        accepts points strictly inside the equator |x| = 2/sqrt(epsilon).
     dim : int
         Ambient dimension, 2 or 3.
-    chart_radius : float, optional
-        Largest coordinate radius |x| the chart accepts.  For eps > 0 it must
-        stay strictly below the equatorial radius 2/sqrt(eps) (default: 90%
-        of it).  For eps < 0 it must stay below the singular radius
-        2/sqrt(-eps) of the conformal factor (default: half of it).
     """
 
     epsilon: float
     dim: int = 2
-    chart_radius: float = field(default=None)  # type: ignore[assignment]
-    allow_negative_curvature: bool = False
 
     def __post_init__(self):
         dim = _whole(self.dim, "dim")
         if dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {dim}")
         eps = _real(self.epsilon, "epsilon")
-        if eps < 0 and not self.allow_negative_curvature:
-            raise ValueError(
-                "epsilon < 0 is experimental and outside the supported theory; "
-                "pass allow_negative_curvature=True to opt in"
-            )
-        limit = np.inf
-        if eps > 0:
-            limit = 2.0 / np.sqrt(eps)       # equator of the stereographic chart
-        elif eps < 0:
-            limit = 2.0 / np.sqrt(-eps)      # conformal factor blows up here
-        radius = self.chart_radius
-        if radius is None:
-            # stay clearly inside the equator (eps > 0) or the singular
-            # radius (eps < 0) while leaving room for generic test points
-            radius = limit if np.isinf(limit) else (0.9 if eps > 0 else 0.5) * limit
-        elif not (np.isinf(limit) and radius == np.inf):  # flat snapshots store Infinity
-            radius = _real(radius, "chart_radius")
-        if not radius > 0:
-            raise ValueError(f"chart_radius must be positive, got {radius}")
-        if np.isfinite(limit) and radius >= limit:
-            raise ValueError(
-                f"chart_radius {radius} must be < {limit} for epsilon={eps}"
-            )
+        if eps < 0:
+            raise ValueError(f"epsilon must be >= 0, got {eps}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "chart_radius", radius)
 
     def validate_points(self, x) -> np.ndarray:
         """Return ``x`` as an array of shape (..., dim), rejecting non-finite
-        points and points outside the accepted coordinate ball."""
+        points and, for epsilon > 0, points at or beyond the equator."""
         pts = np.asarray(x, dtype=float)
         if pts.shape[-1] != self.dim:
             raise ChartDomainError(
@@ -120,10 +90,10 @@ class SpaceFormChart:
         rmax = float(np.max(r)) if r.size else 0.0  # NaN propagates
         if not np.isfinite(rmax):
             raise ChartDomainError(f"point radius {rmax} is not finite")
-        if rmax > self.chart_radius * (1.0 + 1e-12):
+        equator = 2.0 / math.sqrt(self.epsilon) if self.epsilon > 0 else math.inf
+        if rmax >= equator:
             raise ChartDomainError(
-                f"point radius {rmax:.6g} exceeds chart_radius {self.chart_radius:.6g}"
-            )
+                f"point radius {rmax:.6g} reaches the equator radius {equator:.6g}")
         return pts
 
 

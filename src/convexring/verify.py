@@ -130,6 +130,8 @@ def radial_oracle(r_inner: float, r_outer: float, tau: float, n: int = 2) -> Rad
     reproduces the boundary data to 1e-12."""
     r_inner, r_outer, tau = _real(r_inner, "r_inner"), _real(r_outer, "r_outer"), _real(tau, "tau")
     n = _whole(n, "n")
+    if n not in (2, 3):  # before r_inner ** (n - 1) overflows on a huge n
+        raise ValueError(f"n must be 2 or 3, got {n}")
     if not 0.0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
     if not tau > 0.0:

@@ -71,12 +71,33 @@ def test_solve_writes_snapshots_and_trace(solved_run):
     # wall times live only under the timestamp key
     assert "timestamp" in trace
     assert set(trace["timestamp"]) == {"written_at", "runtime_s"}
-    # a flat chart stores its unbounded radius as Infinity, which loads back
+    # a snapshot's chart is its curvature and dimension
     snapshot = out / "field_tau_0.3.json"
-    assert '"chart_radius": Infinity' in snapshot.read_text()
+    assert json.loads(snapshot.read_text())["ring"]["chart"] == {"epsilon": 0.0, "dim": 2}
     f = load_field(str(snapshot))
     assert f.boundary_values == (0.0, 0.3)
-    assert f.grid.ring.chart.chart_radius == np.inf
+    assert f.grid.ring.chart == SpaceFormChart(epsilon=0.0, dim=2)
+
+
+def test_snapshot_with_a_chart_radius_gives_the_same_levels(solved_run, tmp_path, capsys):
+    # snapshots written before the chart lost its radius store
+    # "chart_radius": Infinity in a flat chart; they load, and their levels
+    # are the same files and lines
+    snapshot = solved_run[1] / "field_tau_0.3.json"
+    doc = json.loads(snapshot.read_text())
+    doc["ring"]["chart"]["chart_radius"] = float("inf")
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc, indent=1))
+    assert '"chart_radius": Infinity' in old.read_text()
+    cfg = write_config(tmp_path, levels=[0.1, 0.2])
+    outputs = []
+    for name, path in (("new", snapshot), ("old", old)):
+        out = tmp_path / name
+        assert main(["levels", "--config", cfg, "--snapshot", str(path), "--out", str(out)]) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs.append((files, capsys.readouterr().out))
+    assert sorted(outputs[0][0]) == ["level_0.1.csv", "level_0.2.csv", "levels.svg"]
+    assert outputs[0] == outputs[1]
 
 
 def test_solve_failure_keeps_partial_outputs_and_exits_2(tmp_path, capsys):
@@ -137,14 +158,17 @@ def test_solve_reports_progress_lines(tmp_path, capsys):
     assert "min level curvature" in lines[-1]
 
 
-def test_distinct_values_get_distinct_files(tmp_path):
+def test_distinct_values_get_distinct_files(tmp_path, capsys):
     # tau targets and levels that agree to six significant digits still
-    # write one file each, named by their shortest round-trip digits
+    # write one file each and print one line each, named by their shortest
+    # round-trip digits
     taus = [0.3000001, 0.3000002]
     cfg = write_config(tmp_path, grid={"ns": 9, "ntheta": 24}, tau=taus,
                        levels=[0.1000001, 0.1000002])
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["tau=0.05", "tau=0.3000001", "tau=0.3000002"]
     trace = json.loads((out / "trace.json").read_text())
     snapshots = [s["snapshot"] for s in trace["steps"]]
     assert snapshots == ["field_tau_0.05.json", "field_tau_0.3000001.json",
@@ -159,6 +183,25 @@ def test_distinct_values_get_distinct_files(tmp_path):
                  "--out", str(lvl_out)]) == 0
     assert sorted(p.name for p in lvl_out.glob("level_*.csv")) == [
         "level_0.1000001.csv", "level_0.1000002.csv"]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["level 0.1000001", "level 0.1000002"]
+
+
+def test_tiny_values_get_short_file_names(tmp_path, capsys):
+    # written out in positional digits, a level of 1e-300 would name a file
+    # past the file system's limit
+    cfg = write_config(tmp_path, grid={"ns": 9, "ntheta": 24}, tau=[1e-5, 0.3],
+                       levels=[1e-300, 1e-5])
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["levels", "--config", cfg, "--snapshot", str(out / "field_tau_0.3.json"),
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("level_*.csv")) == ["level_1e-05.csv",
+                                                               "level_1e-300.csv"]
+    assert (out / "field_tau_1e-05.json").is_file()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:2]] == ["tau=1e-05", "tau=0.3"]
+    assert lines[2].startswith("level 1e-300: ")
 
 
 # -- config errors -----------------------------------------------------------
@@ -192,8 +235,27 @@ def test_semantic_error_names_the_offending_line(tmp_path, capsys):
             ("solve", base_config(chart={"epsilon": 0.0, "dim": 2.5}), '  "dim"', "whole number"),
             ("solve", base_config(chart={"dim": 2, "epsilon": "0"}), '  "epsilon"',
              "must be a number"),
-            ("solve", base_config(chart={"epsilon": 1.0, "chart_radius": 5.0}),
-             '  "chart_radius"', "must be < 2"),
+            ("solve", base_config(chart={"dim": 2, "epsilon": -0.5}), '  "epsilon"',
+             "epsilon must be >= 0, got -0.5"),
+            ("verify", base_config(chart={"dim": 2, "epsilon": -0.5}, checks=[]), '  "epsilon"',
+             "epsilon must be >= 0, got -0.5"),
+            # a key a section does not take names its own line, also the
+            # chart_radius of a config written for an older chart
+            ("solve", base_config(chart={"epsilon": 1.0, "dim": 2, "chart_radius": 1.5}),
+             '  "chart_radius"', "unknown chart key 'chart_radius'"),
+            ("solve", base_config(chart={"epsilon": 0.0, "dim": 2, "chartradius": 3}),
+             '  "chartradius"', "unknown chart key 'chartradius'"),
+            ("solve", base_config(grid={"ns": 17, "nthta": 32}), '  "nthta"',
+             "unknown grid key 'nthta'; the keys are ns, ntheta"),
+            ("solve", base_config(ring={**base_config()["ring"], "middle": None}),
+             '  "middle"', "unknown ring key 'middle'"),
+            ("verify", base_config(verify={"tua": 0.5}, checks=[]), '  "tua"',
+             "unknown verify key 'tua'"),
+            ("oracle", base_config(oracle={"smaples": 9}), '  "smaples"',
+             "unknown oracle key 'smaples'"),
+            # a key is found by its decoded text, and a dot in it is no path
+            ("solve", base_config(grid={"ns": 17, "ntheta": 48, "n.\u00e9": 1}),
+             '  "n.\\u00e9"', "unknown grid key 'n.\u00e9'"),
             ("solve", base_config(grid={"ntheta": 48, "ns": 17.5}), '  "ns"', "whole number"),
             ("solve", base_config(grid={"ns": 17, "ntheta": 4}), '  "ntheta"', "at least 8"),
             ("solve", base_config(solve={"max_newton": 9, "newton_tol": "1e-10"}),
@@ -225,20 +287,37 @@ def test_folded_grid_exits_1_naming_the_node(tmp_path, capsys):
     assert "(13, 10)" in err
 
 
-def test_negative_curvature_needs_the_experimental_flag(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        chart={"epsilon": -0.5, "dim": 2},
-        ring={"outer": {"kind": "circle", "radius": 0.8},
-              "inner": {"kind": "circle", "radius": 0.3}},
-        checks=[],
-    )
-    out = str(tmp_path / "v")
-    assert main(["verify", "--config", cfg, "--out", out]) == 1
-    assert "--experimental-negative-curvature" in capsys.readouterr().err
-    rc = main(["verify", "--config", cfg, "--out", out,
-               "--experimental-negative-curvature"])
-    assert rc == 0
+def test_negative_curvature_exits_1(tmp_path, capsys):
+    ring = {"outer": {"kind": "circle", "radius": 1.0},
+            "inner": {"kind": "circle", "radius": 0.4}}
+    cfg = write_config(tmp_path, chart={"epsilon": -0.5, "dim": 2}, ring=ring,
+                       checks=[], levels=[0.1])
+    for command in ("solve", "verify"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config line 3: epsilon must be >= 0"), err
+        assert len(err.splitlines()) == 1
+        # the opt-in flag is gone: argparse rejects it as any unknown flag
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--experimental-negative-curvature"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --experimental-negative-curvature" in (
+            capsys.readouterr().err)
+    # nor does a snapshot of a negatively curved chart load
+    flat = make_ring(SpaceFormChart(epsilon=0.0), make_curve("circle", radius=1.0),
+                     make_curve("circle", radius=0.4))
+    grid = build_grid(flat, 9, 24)
+    snapshot = tmp_path / "negative.json"
+    save_field(ScalarField(grid, 0.3 * (grid.s[:, None] + 0.0 * grid.theta), (0.0, 0.3)),
+               str(snapshot))
+    doc = json.loads(snapshot.read_text())
+    doc["ring"]["chart"]["epsilon"] = -0.5
+    snapshot.write_text(json.dumps(doc))
+    assert main(["levels", "--config", cfg, "--snapshot", str(snapshot),
+                 "--out", str(tmp_path / "levels")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read snapshot") and "epsilon must be >= 0" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_unknown_curve_kind_exits_1(tmp_path, capsys):
@@ -284,7 +363,8 @@ def test_linear_solver_option_exits_1(tmp_path, capsys):
     ("oracle", {"oracle": {"samples": "x"}}, None),
     ("oracle", {"oracle": {"tau": float("nan")}}, None),
     ("solve", {"chart": {"epsilon": float("nan")}}, None),
-    # a ring that solves in a sound eps=1 chart, so only the NaN radius can fail
+    # a ring that solves in the eps=1 chart: an older config's chart_radius is
+    # a key the chart does not take, whatever its value
     ("solve", {"chart": {"epsilon": 1.0, "chart_radius": float("nan")},
                "ring": {"outer": {"kind": "circle", "radius": 1.0},
                         "inner": {"kind": "circle", "radius": 0.5}}}, None),
@@ -324,6 +404,21 @@ def test_linear_solver_option_exits_1(tmp_path, capsys):
     ("levels", {"levels": ["0.25"]}, "solved"),
     ("oracle", {"oracle": {"r_inner": "1"}}, None),
     ("oracle", {"oracle": {"tau": True}}, None),
+    ("solve", {"chart": {"epsilon": -0.5}}, None),
+    ("verify", {"chart": {"epsilon": -1e-300}, "checks": []}, None),
+    # every section takes only its own keys
+    ("solve", {"chart": {"epsilon": 0.0, "chartradius": 3}}, None),
+    ("solve", {"grid": {"ns": 17, "nthta": 32}}, None),
+    ("solve", {"ring": {"outer": {"kind": "circle", "radius": 2.0},
+                        "inner": {"kind": "circle", "radius": 1.0}, "Outer": None}}, None),
+    ("verify", {"verify": {"tua": 0.5}, "checks": []}, None),
+    ("oracle", {"oracle": {"smaples": 9}}, None),
+    ("oracle", {"oracle": {"n": 10**400}}, None),
+    # lengths whose squares or cubes overflow or underflow
+    ("solve", {"ring": {"outer": {"kind": "ellipse", "radii": [1e300, 2.0]},
+                        "inner": {"kind": "circle", "radius": 1.0}}}, None),
+    ("solve", {"ring": {"outer": {"kind": "circle", "radius": 2.0},
+                        "inner": {"kind": "circle", "radius": 1e-300}}}, None),
 ], ids=["epsilon", "grid-ns", "verify-tau", "oracle-grid-sizes",
         "verify-tau-above-1", "verify-tau-zero", "oracle-grid-size-not-int",
         "oracle-grid-size-below-8", "oracle-grid-sizes-repeated",
@@ -336,7 +431,10 @@ def test_linear_solver_option_exits_1(tmp_path, capsys):
         "oracle-n-fraction", "oracle-samples-inf", "oracle-grid-size-fraction",
         "oracle-grid-size-inf", "radii-string", "center-string", "radius-bool",
         "center-single", "epsilon-string", "epsilon-bool", "epsilon-huge-int",
-        "chart-radius-string", "level-string", "oracle-r-inner-string", "oracle-tau-bool"])
+        "chart-radius-string", "level-string", "oracle-r-inner-string", "oracle-tau-bool",
+        "epsilon-negative", "verify-epsilon-negative", "chart-unknown-key",
+        "grid-unknown-key", "ring-unknown-key", "verify-unknown-key", "oracle-unknown-key",
+        "oracle-n-huge", "radii-huge", "radius-tiny"])
 def test_bad_input_exits_1_with_one_line(command, overrides, snapshot, solved_run,
                                          tmp_path, capsys):
     argv = [command, "--config", write_config(tmp_path, **overrides),

@@ -19,7 +19,7 @@ from convexring.ring import (
     make_ring,
     ring_from_dict,
 )
-from convexring.spaceform import SpaceFormChart
+from convexring.spaceform import ChartDomainError, SpaceFormChart
 
 
 def _flat_chart():
@@ -138,6 +138,17 @@ def test_missing_or_non_finite_curve_parameter_is_rejected():
     ):
         with pytest.raises(ValueError, match=f"{kind} curve parameters must be a number"):
             make_curve(kind, **params)
+    # finite lengths whose squares or cubes overflow or underflow
+    for kind, params in (
+        ("circle", {"radius": 1e300}),
+        ("circle", {"radius": 1e-300}),
+        ("circle", {"radius": 1.0, "center": (1e200, 0.0)}),
+        ("ellipse", {"radii": (1e300, 1.0)}),
+        ("fourier", {"r0": 1e308, "cos_coeffs": (1e308,)}),
+    ):
+        with pytest.raises(ValueError, match=f"{kind} curve lengths must lie between"):
+            make_curve(kind, **params)
+    assert make_curve("circle", radius=1e99).r0 == 1e99
     for center in ((0.5,), (0.0, 0.0, 1.0)):
         with pytest.raises(ValueError, match="unpack"):
             make_curve("circle", radius=1.0, center=center)
@@ -168,13 +179,16 @@ def test_overlapping_curves_rejected():
 
 
 def test_ring_requires_curves_inside_chart_ball():
-    chart = SpaceFormChart(epsilon=1.0, dim=2, chart_radius=0.5)
-    with pytest.raises(Exception):
-        make_ring(
-            chart,
-            make_curve("circle", radius=0.8),
-            make_curve("circle", radius=0.2),
-        )
+    # eps = 1: the chart ends at the equator |x| = 2, so a circle of radius 2
+    # is rejected, while one of radius 1.9 (0.95 of the equator) builds, being
+    # geodesically convex: kappa_g = 1/1.9 - 1.9/4 = 0.0513
+    chart = SpaceFormChart(epsilon=1.0, dim=2)
+    inner = make_curve("circle", radius=0.5)
+    with pytest.raises(ChartDomainError, match="equator"):
+        make_ring(chart, make_curve("circle", radius=2.0), inner)
+    ring = make_ring(chart, make_curve("circle", radius=1.9), inner)
+    kg_min = boundary_convexity_report(ring)["outer"]["geodesic_kappa_min"]
+    assert kg_min == pytest.approx(1.0 / 1.9 - 1.9 / 4.0, abs=1e-12)
 
 
 def test_geodesic_curvature_circle_matches_closed_form():
@@ -183,8 +197,6 @@ def test_geodesic_curvature_circle_matches_closed_form():
     for eps in (0.5, 1.0):
         chart = SpaceFormChart(epsilon=eps, dim=2)
         for R in (0.3, 0.8, 1.2):
-            if R >= chart.chart_radius:
-                continue
             c = make_curve("circle", radius=R)
             kg = geodesic_curvature(c, chart, np.linspace(0, 2 * np.pi, 64))
             assert np.allclose(kg, 1.0 / R - eps * R / 4.0, atol=1e-12)
@@ -300,6 +312,13 @@ def test_curve_serialization_round_trip():
 
 def test_ring_serialization_round_trip():
     ring = _circle_ring()
-    back = ring_from_dict(ring.to_dict())
+    d = ring.to_dict()
+    assert d["chart"] == {"epsilon": ring.chart.epsilon, "dim": ring.chart.dim}
+    back = ring_from_dict(d)
     assert back.outer == ring.outer and back.inner == ring.inner
+    # a chart written with more keys reads its epsilon and dim alone, and a
+    # negative epsilon is rejected on reading as on building
+    assert ring_from_dict({**d, "chart": {**d["chart"], "chart_radius": np.inf}}) == back
+    with pytest.raises(ValueError, match="epsilon must be >= 0"):
+        ring_from_dict({**d, "chart": {"epsilon": -0.5, "dim": 2}})
     assert back.chart.epsilon == ring.chart.epsilon

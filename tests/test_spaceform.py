@@ -34,11 +34,11 @@ def test_conformal_factor_flat_is_one():
 
 
 def test_conformal_factor_sphere_value():
-    # eps = 1 at (2, 0): 1 / (1 + 4/4) = 1/2
-    chart = SpaceFormChart(epsilon=1.0, dim=2, chart_radius=1.99)
+    # eps = 1 at (2, 0): 1 / (1 + 4/4) = 1/2; the chart takes every point
+    # strictly inside that equator
+    chart = SpaceFormChart(epsilon=1.0, dim=2)
     assert conformal_factor(chart, [1.99, 0.0]) == pytest.approx(1.0 / (1 + 0.25 * 1.99**2), rel=1e-15)
-    wide = SpaceFormChart(epsilon=1.0, dim=2, chart_radius=1.9999999)
-    assert abs(conformal_factor(wide, [1.9999999, 0.0]) - 0.5) < 1e-7
+    assert abs(conformal_factor(chart, [1.9999999, 0.0]) - 0.5) < 1e-7
 
 
 def test_conformal_factor_broadcasts():
@@ -171,9 +171,9 @@ def test_frame_components_closed_form_matches_christoffel_reference():
     # frame_components contracts Gamma in closed form; christoffel() keeps the
     # rank-3 tensor as the reference: (d2u - Gamma^c_ab du_c) / lambda^2
     rng = np.random.default_rng(17)
-    for eps, opt_in in ((0.0, False), (0.7, False), (-0.5, True)):
+    for eps in (0.0, 0.7):
         for dim in (2, 3):
-            chart = SpaceFormChart(epsilon=eps, dim=dim, allow_negative_curvature=opt_in)
+            chart = SpaceFormChart(epsilon=eps, dim=dim)
             x = rng.uniform(-0.5, 0.5, size=(5, 7, dim))
             du = rng.standard_normal((5, 7, dim))
             d2u = rng.standard_normal((5, 7, dim, dim))
@@ -188,31 +188,34 @@ def test_frame_components_closed_form_matches_christoffel_reference():
 
 
 def test_chart_rejects_points_outside_radius():
-    chart = SpaceFormChart(epsilon=1.0, dim=2, chart_radius=0.5)
-    with pytest.raises(ChartDomainError):
-        conformal_factor(chart, [0.6, 0.0])
+    # the domain is the open hemisphere |x| < 2/sqrt(eps): the equator itself
+    # (|(1.2, 1.6)| is 2 exactly) and every point beyond it are rejected
+    chart = SpaceFormChart(epsilon=1.0, dim=2)
+    for point in ([2.0, 0.0], [1.2, 1.6], [0.0, -2.5], [[0.1, 0.0], [3.0, 0.0]]):
+        with pytest.raises(ChartDomainError, match="equator"):
+            conformal_factor(chart, point)
+    with pytest.raises(ChartDomainError, match="equator"):
+        conformal_factor(SpaceFormChart(epsilon=4.0, dim=3), [0.0, 1.0, 0.0])
+    assert conformal_factor(SpaceFormChart(epsilon=4.0, dim=2), [0.0, 0.999]) > 0.5
 
 
 def test_chart_rejects_non_finite_points():
     with pytest.raises(ChartDomainError, match="not finite"):
         conformal_factor(SpaceFormChart(epsilon=1.0, dim=2), [[0.1, 0.0], [np.nan, 0.0]])
+    # a flat chart takes every finite point
     flat = SpaceFormChart(epsilon=0.0, dim=2)
-    assert flat.chart_radius == np.inf
+    assert conformal_factor(flat, [1e150, -1e150]) == 1.0
     with pytest.raises(ChartDomainError, match="not finite"):
         conformal_factor(flat, [np.inf, 0.0])
 
 
-def test_chart_radius_must_stay_inside_equator():
-    with pytest.raises(ValueError):
-        SpaceFormChart(epsilon=4.0, dim=2, chart_radius=1.0)  # limit is 2/sqrt(4) = 1
-
-
-def test_negative_curvature_requires_opt_in():
-    with pytest.raises(ValueError):
-        SpaceFormChart(epsilon=-1.0, dim=2)
-    chart = SpaceFormChart(epsilon=-1.0, dim=2, allow_negative_curvature=True)
-    assert conformal_factor(chart, [0.5, 0.0]) == pytest.approx(1.0 / (1 - 0.0625))
-    assert sectional_curvature_probe(chart, np.array([0.2, 0.1])) == pytest.approx(-1.0, abs=1e-12)
+def test_negative_curvature_is_rejected():
+    for eps in (-1.0, -0.5, -1e-300):
+        with pytest.raises(ValueError, match=f"epsilon must be >= 0, got {eps}"):
+            SpaceFormChart(epsilon=eps, dim=2)
+    # a chart is its curvature and dimension, with no further setting
+    with pytest.raises(TypeError):
+        SpaceFormChart(-1.0, 2, allow_negative_curvature=True)
 
 
 def test_dim_validation():
@@ -222,12 +225,8 @@ def test_dim_validation():
         with pytest.raises(ValueError):
             SpaceFormChart(epsilon=0.0, dim=dim)
     assert type(SpaceFormChart(epsilon=0.0, dim=2.0).dim) is int
-    # epsilon and chart_radius are finite numbers; a flat chart alone may
-    # take an infinite radius, as its snapshots store it
-    for bad in ({"epsilon": True}, {"epsilon": "0"}, {"epsilon": np.inf},
-                {"epsilon": 0.0, "chart_radius": "50"}, {"epsilon": 0.0, "chart_radius": True},
-                {"epsilon": 1.0, "chart_radius": np.inf}, {"epsilon": 0.0, "chart_radius": np.nan}):
-        with pytest.raises(ValueError, match="epsilon|chart_radius"):
-            SpaceFormChart(**bad)
-    assert SpaceFormChart(epsilon=0.0, chart_radius=np.inf).chart_radius == np.inf
-    assert type(SpaceFormChart(epsilon=np.float32(1.0), chart_radius=1).chart_radius) is float
+    # epsilon is a finite number
+    for bad in (True, "0", np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            SpaceFormChart(epsilon=bad)
+    assert type(SpaceFormChart(epsilon=np.float32(1.0)).epsilon) is float
