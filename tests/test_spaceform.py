@@ -199,6 +199,18 @@ def test_chart_rejects_points_outside_radius():
     assert conformal_factor(SpaceFormChart(epsilon=4.0, dim=2), [0.0, 0.999]) > 0.5
 
 
+def test_chart_radius_must_stay_inside_equator():
+    # eps = 4: the equator is at |x| = 2/sqrt(4) = 1; the chart has no radius
+    # setting of its own, so the equator is the only bound
+    chart = SpaceFormChart(epsilon=4.0, dim=2)
+    for point in ([1.0, 0.0], [0.6, -0.8], [0.0, 1.5]):
+        with pytest.raises(ChartDomainError, match="equator"):
+            conformal_factor(chart, point)
+    assert conformal_factor(chart, [0.6, 0.79]) > 0.5
+    with pytest.raises(TypeError):
+        SpaceFormChart(epsilon=4.0, dim=2, chart_radius=1.0)
+
+
 def test_chart_rejects_non_finite_points():
     with pytest.raises(ChartDomainError, match="not finite"):
         conformal_factor(SpaceFormChart(epsilon=1.0, dim=2), [[0.1, 0.0], [np.nan, 0.0]])
