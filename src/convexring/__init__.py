@@ -25,6 +25,7 @@ _HOMES = {
         "principal_curvatures", "rank_scan", "second_fundamental_form",
         "sigma_k_level", "structure_condition_check",
     ),
+    "oracle": ("OracleInfeasibleError", "RadialOracle", "radial_height", "radial_oracle"),
     "ring": (
         "AnnularGrid", "ContainmentError", "ConvexCurve", "ConvexRing",
         "ConvexityError", "GridFoldError", "boundary_convexity_report", "build_grid",
@@ -43,11 +44,10 @@ _HOMES = {
         "sectional_curvature_probe",
     ),
     "verify": (
-        "SUITE_CHECKS", "OracleInfeasibleError", "RadialOracle", "VerificationReport",
-        "check_convexity_and_rank", "check_gradient_max_principle",
-        "check_gradient_monotonicity", "check_hopf_boundary_bound",
-        "check_small_tau_regime", "check_solver_vs_oracle", "check_supersolution",
-        "check_tau_estimates", "radial_height", "radial_oracle", "run_suite",
+        "SUITE_CHECKS", "VerificationReport", "check_convexity_and_rank",
+        "check_gradient_max_principle", "check_gradient_monotonicity",
+        "check_hopf_boundary_bound", "check_small_tau_regime", "check_solver_vs_oracle",
+        "check_supersolution", "check_tau_estimates", "run_suite",
     ),
 }
 # public name -> home module

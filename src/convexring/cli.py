@@ -1,8 +1,9 @@
 """Command-line front end: config parsing, run orchestration, and exports.
 
 One JSON config document drives every command.  Exit codes are scriptable,
-each failure printing one line on stderr: 0 success, 1 config problem or
-unreadable snapshot (naming the line of the offending key, if any), 2 solver
+each failure printing one line on stderr: 0 success, 1 config problem,
+command-line usage error or unreadable snapshot (naming the line of the
+offending key, if any), 2 solver
 or continuation failure, level diagnostics included (partial outputs are
 kept), 3 verification failure or check error.  ``verify`` makes one ``run_suite``
 call, the library's driver, so its checks share their solves and each
@@ -48,7 +49,7 @@ from .levelgeom import (
 from .ring import AnnularGrid, ConvexRing, build_grid, curve_from_dict, make_ring
 from .spaceform import SpaceFormChart, _whole
 
-# solve and verify (and with them scipy) are imported by the commands that run them
+# solve, verify and oracle (and with them scipy) are imported by the commands that run them
 if TYPE_CHECKING:
     from .solve import SolveOptions
 
@@ -387,7 +388,7 @@ def cmd_verify(cfg: dict, raw: str, out_dir: Path) -> int:
 
 
 def cmd_oracle(cfg: dict, raw: str, out_dir: Path) -> int:
-    from .verify import radial_oracle
+    from .oracle import radial_oracle
 
     section = _section(cfg, raw, "oracle", _ORACLE_KEYS)
     # OracleInfeasibleError is a ValueError
@@ -407,8 +408,18 @@ def cmd_oracle(cfg: dict, raw: str, out_dir: Path) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse held to the exit-code contract: a usage error (unknown flag
+    or command, missing option) is a ConfigError, one ``error: ...`` line
+    and exit code 1, where argparse prints its usage and exits 2.
+    Subparsers are built from this class too."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="convexring",
         description="minimal graphs over convex rings: solve, inspect levels, verify",
     )
@@ -428,8 +439,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         cfg, raw = load_config(args.config)
         out_dir = Path(args.out or cfg.get("out") or ".")
         out_dir.mkdir(parents=True, exist_ok=True)

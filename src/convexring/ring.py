@@ -294,6 +294,15 @@ def boundary_convexity_report(ring: ConvexRing) -> dict[str, Any]:
     return report
 
 
+def _check_grid_size(ns: int, ntheta: int, what: str) -> None:
+    """ValueError, opening with ``what``, unless the solver's Jacobian on an
+    ns x ntheta grid, 9 (ns - 2) ntheta entries at most, fits the int32
+    indices of its sparse pattern (the index type SuperLU takes)."""
+    if 9 * (ns - 2) * ntheta > np.iinfo(np.int32).max:
+        raise ValueError(f"{what} too large: an ns x ntheta grid needs 9 (ns - 2) ntheta "
+                         f"Jacobian entries, at most 2**31 - 1 (int32 sparse indices)")
+
+
 class AnnularGrid:
     """Structured grid blending the two boundary curves of a ring.
 
@@ -309,6 +318,7 @@ class AnnularGrid:
             raise ValueError("ns must be at least 4 (one-sided stencils need 4 rows)")
         if ntheta < 8:
             raise ValueError("ntheta must be at least 8")
+        _check_grid_size(ns, ntheta, "ns" if ns >= ntheta else "ntheta")
         self.ring = ring
         self.ns = ns
         self.ntheta = ntheta

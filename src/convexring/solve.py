@@ -34,6 +34,11 @@ the Jacobian assembled in a nested-dissection order of the interior nodes
 threshold row pivoting.  The face geometry, the order and the Jacobian's
 sparsity pattern depend only on the grid; they are built on first use and
 cached per grid, so each factorisation only refills the matrix values.
+The factors are float32, half the bytes of float64 ones, while every
+residual, iterate and tolerance stays float64: the chord method's float64
+residual corrects the low-precision step as mixed-precision iterative
+refinement does (Buttari et al. 2007; Carson & Higham 2018), and the
+one-shot harmonic solve reapplies its factors to the same end.
 
 Dirichlet rows (s = 0 outer, s = 1 inner) are never touched by the solvers.
 """
@@ -109,7 +114,7 @@ class SolveReport:
     tau: float
     min_gradient_norm: float
     wall_time: float
-    lu_fill: int  # L+U nonzeros of the last Newton factorisation; 0 if none ran
+    lu_fill: int  # L+U nonzeros of the last Newton factorisation (float32); 0 if none ran
     # every LU factorisation of the call: Newton, coarse levels and harmonic start
     factorizations: int
 
@@ -366,12 +371,35 @@ def _assembler(grid: AnnularGrid) -> _Assembler:
     return asm
 
 
-def _factorize(matrix: sp.csc_matrix):
-    """Sparse LU factors (SuperLU) of one Jacobian, which ``jacobian`` already
-    assembles in nested-dissection order: SuperLU keeps that column order and
-    runs no minimum-degree ordering of its own."""
+class _Factors:
+    """float32 SuperLU factors of a float64 matrix, solving in float64.
+
+    The matrix is scaled by the power of two 2^-e that brings its largest
+    entry into [1/2, 1) (e from ``np.frexp``), so the float32 cast stays in
+    range whatever the size of the ring (entries scale as its length^-2);
+    the right-hand side gets the same scale, which leaves the solution
+    unchanged, and both scalings are exact."""
+
+    def __init__(self, matrix: sp.csc_matrix):
+        _, e = np.frexp(np.max(np.abs(matrix.data)))
+        self._scale = np.ldexp(1.0, -e)
+        scaled = sp.csc_matrix(((matrix.data * self._scale).astype(np.float32),
+                                matrix.indices, matrix.indptr), shape=matrix.shape)
+        self._lu = spla.splu(scaled, permc_spec="NATURAL")
+        self.nnz = self._lu.nnz  # L+U nonzeros
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^{-1} rhs for the float64 matrix A, to float32 accuracy."""
+        return self._lu.solve((rhs * self._scale).astype(np.float32)).astype(np.float64)
+
+
+def _factorize(matrix: sp.csc_matrix) -> _Factors:
+    """Sparse LU factors of one Jacobian, float32 values under a float64
+    ``solve`` (see ``_Factors``).  ``jacobian`` already assembles it in
+    nested-dissection order: SuperLU keeps that column order and runs no
+    minimum-degree ordering of its own."""
     try:
-        return spla.splu(matrix, permc_spec="NATURAL")
+        return _Factors(matrix)
     except RuntimeError as exc:  # singular factorization
         raise SolverError(f"direct linear solve failed: {exc}") from exc
 
@@ -388,20 +416,29 @@ def solve_harmonic(grid: AnnularGrid, tau: float,
                    options: SolveOptions | None = None) -> ScalarField:
     """Solve the conformal Laplace problem with data 0 outside, tau inside.
 
-    One assembly and one linear solve; the result satisfies the discrete
-    maximum principle (values in [0, tau])."""
+    One assembly and one factorisation.  The float32 factors are reapplied
+    to the float64 residual (iterative refinement) while its max falls and
+    is above max(newton_tol, HARMONIC_RESIDUAL_TOL); the result satisfies
+    the discrete maximum principle (values in [0, tau])."""
     options = options or SolveOptions()
     tau = _real(tau, "tau")
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
+    tol = max(options.newton_tol, HARMONIC_RESIDUAL_TOL)
     asm = _assembler(grid)
     v = np.zeros((grid.ns, grid.ntheta))
     v[-1] = tau
+    lu = _factorize(asm.jacobian(np.zeros_like(v)))
     r = asm.residual(v, linear=True)
-    v[1:-1] += asm.newton_step(_factorize(asm.jacobian(np.zeros_like(v))), r)
+    rmax = float(np.max(np.abs(r)))
+    while True:
+        v[1:-1] += asm.newton_step(lu, r)
+        r = asm.residual(v, linear=True)
+        previous, rmax = rmax, float(np.max(np.abs(r)))
+        if rmax <= tol or not rmax < previous:
+            break
 
-    rmax = float(np.max(np.abs(asm.residual(v, linear=True))))
-    if rmax > max(options.newton_tol, HARMONIC_RESIDUAL_TOL):
+    if rmax > tol:
         raise SolverError(f"harmonic solve left residual max {rmax:.3e}")
     if v.min() < -1e-10 or v.max() > tau + 1e-10:
         raise SolverError("harmonic solution violates the discrete maximum principle")

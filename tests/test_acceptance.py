@@ -21,6 +21,7 @@ from convexring.levelgeom import (
     sigma_k_level,
     structure_condition_check,
 )
+from convexring.oracle import radial_oracle
 from convexring.ring import ConvexCurve, ConvexityError, build_grid, make_curve, make_ring
 from convexring.solve import continuation_solve, solve_harmonic, solve_minimal_graph
 from convexring.spaceform import PointJet, SpaceFormChart
@@ -32,7 +33,6 @@ from convexring.verify import (
     check_solver_vs_oracle,
     check_supersolution,
     check_tau_estimates,
-    radial_oracle,
 )
 
 

@@ -264,7 +264,16 @@ def test_semantic_error_names_the_offending_line(tmp_path, capsys):
             ("verify", base_config(verify={"oracle_grid_sizes": [16, 32], "tau": "0.5"}),
              '  "tau"', "verify tau must be a number"),
             ("verify", base_config(verify={"tau": 0.5, "oracle_grid_sizes": [16, 32.5]}),
-             '  "oracle_grid_sizes"', "whole number")):
+             '  "oracle_grid_sizes"', "whole number"),
+            # sizes past the solver's int32 sparse indices, at read time
+            ("verify", base_config(verify={"tau": 0.5, "oracle_grid_sizes": [16, 10**400]}),
+             '  "oracle_grid_sizes"', "oracle_grid_sizes entry too large"),
+            ("verify", base_config(verify={"tau": 0.5, "oracle_grid_sizes": [10**6, 16]}),
+             '  "oracle_grid_sizes"', "oracle_grid_sizes entry too large"),
+            ("solve", base_config(grid={"ntheta": 48, "ns": 10**400}), '  "ns"',
+             "ns too large"),
+            ("verify", base_config(grid={"ns": 17, "ntheta": 10**8}, checks=[]), '  "ntheta"',
+             "ntheta too large")):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config, indent=1) + "\n")
         rc = main([command, "--config", str(cfg), "--out", str(tmp_path)])
@@ -297,12 +306,11 @@ def test_negative_curvature_exits_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: config line 3: epsilon must be >= 0"), err
         assert len(err.splitlines()) == 1
-        # the opt-in flag is gone: argparse rejects it as any unknown flag
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--config", cfg, "--experimental-negative-curvature"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --experimental-negative-curvature" in (
-            capsys.readouterr().err)
+        # the opt-in flag is gone: it is a usage error like any unknown flag
+        assert main([command, "--config", cfg, "--experimental-negative-curvature"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: convexring: unrecognized arguments: "
+                       "--experimental-negative-curvature\n")
     # nor does a snapshot of a negatively curved chart load
     flat = make_ring(SpaceFormChart(epsilon=0.0), make_curve("circle", radius=1.0),
                      make_curve("circle", radius=0.4))
@@ -318,6 +326,30 @@ def test_negative_curvature_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read snapshot") and "epsilon must be >= 0" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--config", "run.json", "--bogus"], "unrecognized arguments: --bogus"),
+    (["verify"], "the following arguments are required: --config"),
+    (["levels", "--config", "run.json"], "the following arguments are required: --snapshot"),
+    (["frob", "--config", "run.json"], "invalid choice: 'frob'"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_error_exits_1_with_one_line(argv, message, capsys):
+    # the config-error code and line, not argparse's usage text and code 2
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: convexring") and message in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_still_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: convexring")
 
 
 def test_unknown_curve_kind_exits_1(tmp_path, capsys):

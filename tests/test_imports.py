@@ -1,7 +1,8 @@
 """Import budgets: a command or a library call imports only the code it runs.
 
 Each case runs in a fresh interpreter, because this one has long imported
-every module.  ``levels`` and grid construction need no scipy.
+every module.  ``levels`` and grid construction need no scipy, and
+``oracle`` no sparse solver.
 """
 
 import json
@@ -39,7 +40,7 @@ def _fresh(body: str) -> tuple[int, dict, str]:
     return result.returncode, report, result.stderr
 
 
-def _levels(*argv: str) -> tuple[int, dict, str]:
+def _command(*argv: str) -> tuple[int, dict, str]:
     return _fresh(f"from convexring.cli import main\ncode = main({list(argv)!r})\n")
 
 
@@ -59,18 +60,18 @@ def snapshot(tmp_path_factory):
 
 
 def test_levels_imports_no_scipy(snapshot, tmp_path):
-    code, report, _ = _levels("levels", "--config", str(snapshot / "config.json"),
-                              "--snapshot", str(snapshot / "field.json"),
-                              "--out", str(tmp_path))
+    code, report, _ = _command("levels", "--config", str(snapshot / "config.json"),
+                               "--snapshot", str(snapshot / "field.json"),
+                               "--out", str(tmp_path))
     assert code == 0
     assert len(list(tmp_path.glob("level_*.csv"))) == 3
     assert report["scipy"] == []
 
 
 def test_levels_on_missing_snapshot_imports_no_scipy(snapshot, tmp_path):
-    code, report, err = _levels("levels", "--config", str(snapshot / "config.json"),
-                                "--snapshot", str(tmp_path / "missing.json"),
-                                "--out", str(tmp_path))
+    code, report, err = _command("levels", "--config", str(snapshot / "config.json"),
+                                 "--snapshot", str(tmp_path / "missing.json"),
+                                 "--out", str(tmp_path))
     assert code == 1
     assert len(err.strip().splitlines()) == 1
     assert "cannot read snapshot" in err
@@ -86,3 +87,13 @@ def test_package_import_and_build_grid_import_no_solver():
         "code = 0 if cr.build_grid(ring, 9, 16).ns == 9 else 1\n")
     assert code == 0
     assert report == {"scipy": [], "solve": False}
+
+
+def test_oracle_imports_no_sparse_solver(tmp_path):
+    (tmp_path / "config.json").write_text(json.dumps({"oracle": {"samples": 5}}))
+    code, report, _ = _command("oracle", "--config", str(tmp_path / "config.json"),
+                               "--out", str(tmp_path))
+    assert code == 0
+    assert (tmp_path / "oracle.csv").read_text().count("\n") == 6
+    assert not report["solve"]
+    assert not [m for m in report["scipy"] if m.startswith("scipy.sparse")]

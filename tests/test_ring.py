@@ -10,6 +10,7 @@ from convexring.ring import (
     ContainmentError,
     ConvexityError,
     GridFoldError,
+    _check_grid_size,
     boundary_convexity_report,
     build_grid,
     containment_margin,
@@ -286,6 +287,20 @@ def test_grid_minimum_sizes():
         build_grid(ring, ns=3, ntheta=32)
     with pytest.raises(ValueError):
         build_grid(ring, ns=9, ntheta=4)
+
+
+def test_grid_maximum_size_fits_int32_jacobian_indices():
+    # 9 (ns - 2) ntheta Jacobian entries must fit the solver's int32 sparse
+    # indices; a grid past that is rejected before any node is allocated
+    ring = _circle_ring()
+    for ns, ntheta, larger in ((10**400, 32, "ns"), (10**6, 10**6, "ns"),
+                               (17, 10**6 * 17, "ntheta"), (10**6, 256, "ns")):
+        with pytest.raises(ValueError, match=f"^{larger} too large: "):
+            AnnularGrid(ring, ns, ntheta)
+    # the bound itself: 9 * 238609294 = 2**31 - 2 entries pass, one row more fails
+    _check_grid_size(2 + 238609294, 1, "ns")
+    with pytest.raises(ValueError, match="^oracle_grid_sizes entry too large"):
+        _check_grid_size(3 + 238609294, 1, "oracle_grid_sizes entry")
 
 
 def test_grid_sizes_are_whole_numbers():

@@ -12,6 +12,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from convexring import field, solve
 from convexring.field import ScalarField
@@ -510,6 +511,60 @@ def test_readme_ring_keeps_newton_counts_and_lu_fill():
     # the nested-dissection order gives 518842 at 65x128; SuperLU's own
     # minimum degree on A^T + A gave 522760, and COLAMD 941244
     assert 0 < report.lu_fill < 600_000
+
+
+def _scaled_readme_ring(scale):
+    chart = SpaceFormChart(epsilon=0.0)
+    return make_ring(chart, make_curve("ellipse", radii=(3.0 * scale, 2.0 * scale)),
+                     make_curve("ellipse", radii=(1.2 * scale, 0.8 * scale)))
+
+
+@pytest.mark.parametrize("scale, outcome", [
+    (1e-30, "harmonic solve left residual max "),
+    (1e-10, "harmonic solve left residual max "),
+    (1e18, (True, 0, 1)),
+])
+def test_scaled_ring_ends_as_with_float64_factors(scale, outcome):
+    # Jacobian entries scale as scale^-2 (1e60 and 1e-36 here), past the
+    # float32 range both ways: the power-of-two scaling keeps the cast
+    # finite (an overflow would be a RuntimeWarning, an error under pytest,
+    # and then a singular factor).  Each ring ends as it does with float64
+    # factors: the absolute residual bars fail the small rings, and the
+    # large one starts converged (the bars are not scale-aware, ROADMAP
+    # item 1)
+    grid = build_grid(_scaled_readme_ring(scale), 33, 64)
+    if isinstance(outcome, str):
+        with pytest.raises(SolverError) as excinfo:
+            solve_minimal_graph(grid, 1.0)
+        assert str(excinfo.value).startswith(outcome)
+    else:
+        _, report = solve_minimal_graph(grid, 1.0)
+        assert (report.converged, report.newton_iterations, report.factorizations) == outcome
+
+
+def test_float32_newton_step_matches_a_float64_solve():
+    grid = build_grid(_readme_ring(), 129, 256)
+    asm = _assembler(grid)
+    v = solve_harmonic(grid, 1.0).values
+    jac, r = asm.jacobian(v), asm.residual(v)
+    factors = solve._factorize(jac)
+    assert factors._lu.L.dtype == np.float32
+    step = asm.newton_step(factors, r)
+    reference = asm.newton_step(spla.splu(jac, permc_spec="NATURAL"), r)
+    assert step.dtype == np.float64
+    assert np.max(np.abs(step - reference)) <= 1e-4 * np.max(np.abs(reference))
+
+
+def test_harmonic_refinement_meets_its_tolerance_and_the_float64_solve():
+    grid = build_grid(_readme_ring(), 129, 256)
+    asm = _assembler(grid)
+    f = solve_harmonic(grid, 1.0)
+    assert np.max(np.abs(asm.residual(f.values, linear=True))) <= solve.HARMONIC_RESIDUAL_TOL
+    v = np.zeros_like(f.values)
+    v[-1] = 1.0
+    lu = spla.splu(asm.jacobian(np.zeros_like(v)), permc_spec="NATURAL")
+    v[1:-1] += asm.newton_step(lu, asm.residual(v, linear=True))
+    assert np.max(np.abs(f.values - v)) <= 1e-10
 
 
 def test_lu_fill_is_zero_without_a_factorisation():

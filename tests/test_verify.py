@@ -23,10 +23,10 @@ from convexring.solve import (
     solve_harmonic,
     solve_minimal_graph,
 )
+from convexring.oracle import OracleInfeasibleError, radial_height, radial_oracle
 from convexring.spaceform import SpaceFormChart
 from convexring.verify import (
     SUITE_CHECKS,
-    OracleInfeasibleError,
     check_convexity_and_rank,
     check_gradient_max_principle,
     check_gradient_monotonicity,
@@ -35,8 +35,6 @@ from convexring.verify import (
     check_solver_vs_oracle,
     check_supersolution,
     check_tau_estimates,
-    radial_height,
-    radial_oracle,
     run_suite,
 )
 
@@ -434,8 +432,14 @@ def test_run_suite_subset_and_validation():
     ({"tau": "0.5"}, "verify tau"),
     ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [16.7, 32.9]}, "whole number"),
     ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [16, float("inf")]}, "whole number"),
+    # n x n Jacobians past the solver's int32 sparse indices
+    ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [16, 10**400]},
+     "oracle_grid_sizes entry too large"),
+    ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [10**6, 16]},
+     "oracle_grid_sizes entry too large"),
 ], ids=["one-size", "repeated-size", "size-below-8", "no-size", "tau-above-1",
-        "tau-zero", "tau-nan", "tau-bool", "tau-string", "size-fraction", "size-inf"])
+        "tau-zero", "tau-nan", "tau-bool", "tau-string", "size-fraction", "size-inf",
+        "size-huge", "size-million"])
 def test_run_suite_rejects_bad_inputs_before_any_solve(kwargs, message, monkeypatch):
     def no_solve(*args, **kw):
         raise AssertionError("a solve ran")
