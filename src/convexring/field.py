@@ -1,13 +1,16 @@
 """Scalar fields on an annular grid: covariant jets and snapshots.
 
-Fields store nodal values plus the Dirichlet pair (outer_value, inner_value).
-Finite-difference jets are second order: centered stencils at interior nodes,
-one-sided stencils on the two boundary rows.
-The chain rule runs through the analytic blend map x(s, theta) as stacked 2x2
-algebra: Du = J^{-T} (u_s, u_t) and D^2u = J^{-T} (H - C) J^{-1}, with H the
+Fields store a read-only copy of their nodal values plus the Dirichlet pair
+(outer_value, inner_value).  Finite-difference jets are second order:
+centered stencils at interior nodes, one-sided stencils on the two boundary
+rows.  The chain rule runs through the analytic blend map x(s, theta) as
+elementwise 2x2 arithmetic on (ns, ntheta) component arrays:
+Du = J^{-T} (u_s, u_t) and D^2u = J^{-T} (H - C) J^{-1}, with H the
 computational Hessian and C the map's curvature term (C_st = x_st . Du,
-C_tt = x_tt . Du, C_ss = 0).  The Christoffel correction and frame rescaling
-follow in :func:`convexring.spaceform.frame_components`.
+C_tt = x_tt . Du, C_ss = 0).  J^{-1}, x_st, x_tt, lambda and grad log lambda
+at the nodes depend on the grid alone; the grid builds them on its first jet
+table and keeps them.  The Christoffel correction and frame rescaling are the
+kernel behind :func:`convexring.spaceform.frame_components`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .ring import AnnularGrid, build_grid, ring_from_dict
-from .spaceform import frame_components
+from .spaceform import _to_frame
 
 SNAPSHOT_FORMAT = "convexring-field"
 
@@ -36,7 +39,9 @@ class ScalarField:
     values[i, j] lives at grid node (s_i, theta_j).  When the Dirichlet pair
     ``boundary_values = (outer_value, inner_value)`` is declared, row i = 0
     must equal outer_value exactly and row i = ns-1 inner_value exactly.
-    Synthetic fields without Dirichlet structure may pass ``None``.
+    Synthetic fields without Dirichlet structure may pass ``None``.  The field
+    keeps a read-only copy of the values, so a caller that later writes its
+    array changes neither the field, its Dirichlet rows nor its cached jets.
     """
 
     grid: AnnularGrid
@@ -45,7 +50,7 @@ class ScalarField:
     _jets: dict | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.shape != (self.grid.ns, self.grid.ntheta):
             raise FieldShapeError(
                 f"values shape {v.shape} != grid shape {(self.grid.ns, self.grid.ntheta)}"
@@ -59,6 +64,7 @@ class ScalarField:
                     "boundary rows must equal the declared Dirichlet values"
                 )
             self.boundary_values = (float(outer), float(inner))
+        v.setflags(write=False)
         self.values = v
 
     # cached full-grid jet table
@@ -91,21 +97,30 @@ def _comp_derivatives(values: np.ndarray, hs: float, ht: float):
     return u_s, u_t, u_ss, u_st, u_tt
 
 
-def _build_jet_table(grid: AnnularGrid, values: np.ndarray) -> dict:
-    s = grid.s[:, None]
-    jinv, _ = grid.map_jacobian_inverse(s, grid.theta)
-    _, x_st, x_tt = grid.map_second(s, grid.theta)
+def _coordinate_derivatives(grid: AnnularGrid, values: np.ndarray):
+    """Du and D^2u in chart coordinates, as component arrays; the
+    computational-space arrays die on return, before the frame conversion."""
+    geo = grid._node_geometry
+    (j00, j01), (j10, j11) = geo.jinv
     u_s, u_t, u_ss, u_st, u_tt = _comp_derivatives(values, grid.hs, grid.htheta)
 
     # Du = J^{-T} (u_s, u_t); the rows of J^{-1} are ds/dx and dtheta/dx
-    coord_grad = u_s[..., None] * jinv[..., 0, :] + u_t[..., None] * jinv[..., 1, :]
-    # subtract the map's curvature term (x_ss = 0), then pull back two-sided
-    u_st = u_st - np.sum(x_st * coord_grad, axis=-1)
-    u_tt = u_tt - np.sum(x_tt * coord_grad, axis=-1)
-    comp_hess = np.stack([u_ss, u_st, u_st, u_tt], axis=-1).reshape(values.shape + (2, 2))
-    coord_hess = np.swapaxes(jinv, -1, -2) @ comp_hess @ jinv
+    du = (u_s * j00 + u_t * j10, u_s * j01 + u_t * j11)
+    # subtract the map's curvature term (x_ss = 0) ...
+    (st0, st1), (tt0, tt1) = geo.x_st, geo.x_tt
+    h_st = u_st - (st0 * du[0] + st1 * du[1])
+    h_tt = u_tt - (tt0 * du[0] + tt1 * du[1])
+    # ... then pull back two-sided: m = H J^{-1}, D^2u = J^{-T} m
+    m00, m01 = u_ss * j00 + h_st * j10, u_ss * j01 + h_st * j11
+    m10, m11 = h_st * j00 + h_tt * j10, h_st * j01 + h_tt * j11
+    d_xy = j00 * m01 + j10 * m11
+    return du, ((j00 * m00 + j10 * m10, d_xy), (d_xy, j01 * m01 + j11 * m11))
 
-    grad, hess = frame_components(grid.ring.chart, grid.nodes, coord_grad, coord_hess)
+
+def _build_jet_table(grid: AnnularGrid, values: np.ndarray) -> dict:
+    du, d2u = _coordinate_derivatives(grid, values)
+    geo = grid._node_geometry
+    grad, hess = _to_frame(geo.lam, geo.dlog, du, d2u)
     return {"value": values, "grad": grad, "hess": hess}
 
 

@@ -20,6 +20,7 @@ dense sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -294,6 +295,22 @@ def boundary_convexity_report(ring: ConvexRing) -> dict[str, Any]:
     return report
 
 
+@dataclass(frozen=True)
+class _NodeGeometry:
+    """The grid's blend map and chart at its nodes, one array per component.
+
+    ``jinv[k][a]`` is d(s, theta)_k / dx_a, ``x_tt``, ``lam`` and ``dlog`` (the
+    coordinate gradient of log lambda) are (ns, ntheta), and ``x_st`` depends
+    on theta alone, (ntheta,).
+    """
+
+    jinv: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    x_st: tuple[np.ndarray, np.ndarray]
+    x_tt: tuple[np.ndarray, np.ndarray]
+    lam: np.ndarray
+    dlog: tuple[np.ndarray, np.ndarray]
+
+
 def _check_grid_size(ns: int, ntheta: int, what: str) -> None:
     """ValueError, opening with ``what``, unless the solver's Jacobian on an
     ns x ntheta grid, 9 (ns - 2) ntheta entries at most, fits the int32
@@ -384,6 +401,22 @@ class AnnularGrid:
         x_st = self.ring.inner.d1(theta) - self.ring.outer.d1(theta)
         x_tt = (1.0 - s) * self.ring.outer.d2(theta) + s * self.ring.inner.d2(theta)
         return np.zeros_like(x_st), x_st, x_tt
+
+    @cached_property
+    def _node_geometry(self) -> _NodeGeometry:
+        """J^{-1}, x_st, x_tt, lambda and grad log lambda at the nodes: built
+        by the first jet table on this grid and kept for the grid's life."""
+        s = self.s[:, None]
+        jinv, _ = self.map_jacobian_inverse(s, self.theta)
+        _, x_st, x_tt = self.map_second(s, self.theta)
+        chart = self.ring.chart
+        lam, dlog = _log_lambda_derivatives(chart, chart.validate_points(self.nodes))
+
+        def parts(a):
+            return tuple(np.ascontiguousarray(a[..., k]) for k in range(2))
+
+        return _NodeGeometry(jinv=(parts(jinv[..., 0, :]), parts(jinv[..., 1, :])),
+                             x_st=parts(x_st), x_tt=parts(x_tt), lam=lam, dlog=parts(dlog))
 
     def refine(self) -> "AnnularGrid":
         """Halve both spacings; existing nodes are a subset of the new ones."""

@@ -149,6 +149,35 @@ def christoffel(chart: SpaceFormChart, x) -> np.ndarray:
     )
 
 
+def _to_frame(lam, dlog, du, d2u):
+    """The frame conversion of :func:`frame_components` on components.
+
+    ``lam`` and the n components ``dlog[c]`` of grad log(lambda) come from the
+    caller, with ``du[c]`` and the n x n nested ``d2u[a][b]``; all broadcast
+    elementwise.  An entry below the diagonal that is the very array above it
+    is converted once.  Returns the stacked frame tensors, (..., n) and
+    (..., n, n).
+    """
+    n = len(du)
+    dot = dlog[0] * du[0]
+    for c in range(1, n):
+        dot = dot + dlog[c] * du[c]
+    lam2 = lam * lam
+    grad = [du[a] / lam for a in range(n)]
+    hess = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if b < a and d2u[a][b] is d2u[b][a]:
+                hess[a][b] = hess[b][a]
+                continue
+            correction = dlog[a] * du[b] + dlog[b] * du[a]
+            if a == b:
+                correction = correction - dot
+            hess[a][b] = (d2u[a][b] - correction) / lam2
+    grad, hess = np.stack(grad, axis=-1), np.stack([h for row in hess for h in row], axis=-1)
+    return grad, hess.reshape(hess.shape[:-1] + (n, n))
+
+
 def frame_components(chart: SpaceFormChart, x, coord_grad, coord_hess):
     """Convert coordinate derivatives of a scalar to frame components.
 
@@ -160,18 +189,17 @@ def frame_components(chart: SpaceFormChart, x, coord_grad, coord_hess):
 
     and rescales both tensors into the orthonormal frame lambda^{-1} *
     (coordinate basis): grad = du / lambda, hess = u_{;ab} / lambda^2.
-    Broadcasts over leading axes.
+    Broadcasts over leading axes.  This is the analytic route
+    (:func:`covariant_jet`); the grid jet tables of ``convexring.field`` run
+    the same component kernel with lambda and phi kept by their grid.
     """
     pts = chart.validate_points(x)
     du = np.asarray(coord_grad, dtype=float)
     d2u = np.asarray(coord_hess, dtype=float)
     lam, phi = _log_lambda_derivatives(chart, pts)
-    correction = phi[..., :, None] * du[..., None, :]
-    correction = (correction + np.swapaxes(correction, -1, -2)
-                  - np.sum(phi * du, axis=-1)[..., None, None] * np.eye(chart.dim))
-    grad = du / lam[..., None]
-    hess = (d2u - correction) / (lam * lam)[..., None, None]
-    return grad, hess
+    n = range(chart.dim)
+    return _to_frame(lam, [phi[..., c] for c in n], [du[..., c] for c in n],
+                     [[d2u[..., a, b] for b in n] for a in n])
 
 
 def covariant_jet(chart: SpaceFormChart, sampler, x) -> PointJet:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from functools import partial
 
 import numpy as np
 import pytest
 
+from convexring import field
 from convexring.field import (
     FieldShapeError,
     ScalarField,
@@ -17,8 +20,9 @@ from convexring.field import (
     sample_field,
     save_field,
 )
-from convexring.ring import build_grid, make_curve, make_ring
-from convexring.spaceform import SpaceFormChart, covariant_jet
+from convexring.levelgeom import extract_level
+from convexring.ring import AnnularGrid, build_grid, make_curve, make_ring
+from convexring.spaceform import SpaceFormChart, covariant_jet, frame_components
 
 
 def _circle_grid(ns=17, ntheta=32, eps=0.0, r_inner=1.0, r_outer=2.0):
@@ -116,6 +120,77 @@ def test_jets_match_covariant_jet_on_sphere():
             hs.append(grid.max_spacing)
         assert all(b < a * 0.35 for a, b in zip(errs, errs[1:]))  # better than first order
         assert _fit_order(hs, errs) >= min_order, sizes
+
+
+def _matmul_jet_table(grid, values):
+    # the stacked 2x2 matmul chain and frame_components the jet table once ran
+    s = grid.s[:, None]
+    jinv, _ = grid.map_jacobian_inverse(s, grid.theta)
+    _, x_st, x_tt = grid.map_second(s, grid.theta)
+    u_s, u_t, u_ss, u_st, u_tt = field._comp_derivatives(values, grid.hs, grid.htheta)
+    coord_grad = u_s[..., None] * jinv[..., 0, :] + u_t[..., None] * jinv[..., 1, :]
+    u_st = u_st - np.sum(x_st * coord_grad, axis=-1)
+    u_tt = u_tt - np.sum(x_tt * coord_grad, axis=-1)
+    comp_hess = np.stack([u_ss, u_st, u_st, u_tt], axis=-1).reshape(values.shape + (2, 2))
+    coord_hess = np.swapaxes(jinv, -1, -2) @ comp_hess @ jinv
+    return frame_components(grid.ring.chart, grid.nodes, coord_grad, coord_hess)
+
+
+def test_jet_table_matches_the_matmul_reference():
+    # flat README ellipses, and a curved ring with an off-centre fourier
+    # inner curve: full J^{-1}, x_st and x_tt off the radial, phi != 0
+    sphere = make_ring(
+        SpaceFormChart(epsilon=1.0, dim=2), make_curve("ellipse", radii=(1.2, 0.8)),
+        make_curve("fourier", r0=0.4, center=(0.05, -0.03), cos_coeffs=(0.0, 0.03),
+                   sin_coeffs=(0.02, 0.0, 0.01)))
+    for grid in (_ellipse_grid(33, 64), build_grid(sphere, 33, 64)):
+        table = sample_field(grid, _trig).jet_table()
+        grad, hess = _matmul_jet_table(grid, table["value"])
+        for new, ref in ((table["grad"], grad), (table["hess"], hess)):
+            # every row, the two boundary rows included
+            err = np.max(np.abs(new - ref).reshape(grid.ns, -1), axis=1)
+            scale = np.max(np.abs(ref).reshape(grid.ns, -1), axis=1)
+            assert np.all(err <= 1e-13 * scale)
+
+
+def test_node_geometry_is_built_once_per_grid_and_freed_with_it(monkeypatch):
+    calls = []
+    inverse = AnnularGrid.map_jacobian_inverse
+
+    def counting(self, s, theta):
+        calls.append(np.broadcast_shapes(np.shape(s), np.shape(theta)))
+        return inverse(self, s, theta)
+
+    monkeypatch.setattr(AnnularGrid, "map_jacobian_inverse", counting)
+    grid = _ellipse_grid(17, 48)
+    assert calls == [] and "_node_geometry" not in vars(grid)
+    f = sample_field(grid, _trig)
+    g = sample_field(grid, lambda x: x[..., 0] ** 2)
+    f.jet_table(), g.jet_table()
+    assert calls == [(grid.ns, grid.ntheta)]
+
+    geometry = weakref.ref(grid._node_geometry)
+    del grid, f, g
+    gc.collect()
+    assert geometry() is None
+
+
+def test_field_owns_its_values():
+    # the caller's array is copied: writing it after the jets are cached
+    # changes neither the levels the field reads nor its Dirichlet rows
+    grid = _circle_grid()
+    u = np.repeat(grid.s[:, None], grid.ntheta, axis=1)
+    f = ScalarField(grid, u, (0.0, 1.0))
+    before = extract_level(f, 0.5).kappa_min
+    u[1:-1] **= 2
+    squared = ScalarField(grid, u, (0.0, 1.0))
+    u[0] = 5.0
+    assert np.array_equal(f.values, np.repeat(grid.s[:, None], grid.ntheta, axis=1))
+    assert extract_level(f, 0.5).kappa_min == before == pytest.approx(1 / 1.5)
+    assert np.all(squared.values[0] == 0.0)
+    assert extract_level(squared, 0.5).kappa_min == pytest.approx(0.77421, abs=1e-5)
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[0] = 5.0
 
 
 def test_discrete_c2_distance_linear_offset():
