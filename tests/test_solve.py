@@ -555,6 +555,25 @@ def test_float32_newton_step_matches_a_float64_solve():
     assert np.max(np.abs(step - reference)) <= 1e-4 * np.max(np.abs(reference))
 
 
+def test_every_factorisation_keeps_its_superlu_settings(monkeypatch):
+    # a return to SuperLU's default 10-column panels lifts the 257x512
+    # peak memory ~30 MB above the factors, and gives the same answers
+    calls = []
+
+    class Recording:
+        def splu(self, matrix, **kwargs):
+            calls.append((matrix.format, matrix.dtype, kwargs))
+            return spla.splu(matrix, **kwargs)
+
+    monkeypatch.setattr(solve, "spla", Recording())
+    _, report = solve_minimal_graph(build_grid(_readme_ring(), 65, 128), 1.0)
+    assert report.converged and len(calls) == report.factorizations > 1
+    solve_harmonic(build_grid(_readme_ring(), 33, 64), 1.0)
+    assert len(calls) == report.factorizations + 1
+    assert all(call == ("csc", np.float32, {"permc_spec": "NATURAL", "panel_size": 1})
+               for call in calls)
+
+
 def test_harmonic_refinement_meets_its_tolerance_and_the_float64_solve():
     grid = build_grid(_readme_ring(), 129, 256)
     asm = _assembler(grid)
