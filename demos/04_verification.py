@@ -4,15 +4,17 @@ Each check certifies one qualitative property of the solved minimal graph
 (oracle agreement, gradient bounds, supersolution domination, tau scaling,
 convexity and rank, monotonicity, boundary gradient growth).  A check passes
 when its margin is nonnegative; tolerances already include the 10 h^2 slack
-that discretization is entitled to.  The checks share one solve on the grid
-passed in, and each time includes the solves its check triggered; a check
-that raises is listed as ERROR with its message.
+that discretization is entitled to.  On the grid passed in, the checks share
+one harmonic solve (scaled to each height), one solve at the suite's tau, and
+one continuation walk over every height the tau-dependent checks read; each
+time includes the solves its check triggered, so the first check on the walk
+carries it.  A check that raises, or that needs a height above where the walk
+stopped, is listed as ERROR with its message.
 """
 
 from convexring import SpaceFormChart, build_grid, make_curve, make_ring, run_suite
 
-# the default grid of run_suite, built explicitly: 33 x 64 on the flat ring
-# between the circles of radius 1 and 2
+# 33 x 64 on the flat ring between the circles of radius 1 and 2
 ring = make_ring(SpaceFormChart(epsilon=0.0, dim=2),
                  make_curve("circle", radius=2.0),
                  make_curve("circle", radius=1.0))

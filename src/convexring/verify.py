@@ -28,16 +28,19 @@ from .levelgeom import (
 from .oracle import radial_oracle
 from .ring import AnnularGrid, _check_grid_size, build_grid, make_curve, make_ring
 from .solve import (
+    TAU_START,
+    ContinuationError,
     ContinuationTrace,
     SolveOptions,
     SolveReport,
     SolverError,
+    StepRecord,
     build_supersolution,
     continuation_solve,
     solve_harmonic,
     solve_minimal_graph,
 )
-from .spaceform import SpaceFormChart, _real, _whole
+from .spaceform import _real, _whole
 
 
 # -- reports -------------------------------------------------------------------
@@ -87,6 +90,59 @@ def suite_inputs(tau: float, oracle_grid_sizes: Sequence[int]) -> tuple[float, l
     if not 0.0 < tau <= 1.0:
         raise ValueError("verify tau must lie in (0, 1]")
     return tau, _oracle_sizes(oracle_grid_sizes)
+
+
+# -- fields along tau ------------------------------------------------------------
+
+# The heights each ring check reads from a continuation walk; the suite walks
+# the union of the heights its selected checks need, once.
+_HEIGHTS: dict[str, tuple[float, ...]] = {
+    "tau-estimates": (0.1, 0.2, 0.4, 0.8),
+    "small-tau-regime": (0.01, 0.02, 0.04),
+    "hopf-boundary-bound": (TAU_START, 0.25, 0.5, 0.75, 1.0),
+}
+
+
+@dataclass
+class _Walk:
+    """The steps of one continuation walk, and the error that stopped it."""
+
+    steps: list[StepRecord]
+    stop: ContinuationError | None
+
+    def step(self, tau: float) -> StepRecord:
+        """The step at height tau; the walk's error if it stopped below tau."""
+        for s in self.steps:
+            if s.tau == tau:
+                return s
+        # continuation_solve merges a target within 1e-15 of its start into it
+        if self.steps and tau <= self.steps[0].tau + 1e-15:
+            return self.steps[0]
+        raise ContinuationError(str(self.stop), self.stop.trace)
+
+    def field(self, tau: float) -> ScalarField:
+        return self.step(tau).field
+
+    def trace(self, taus: Sequence[float]) -> ContinuationTrace:
+        return ContinuationTrace([self.step(t) for t in taus])
+
+
+def _walk(grid: AnnularGrid, taus: Sequence[float],
+          options: SolveOptions | None) -> _Walk:
+    """One continuation_solve over the sorted distinct heights; a walk that
+    stops keeps the steps it reached."""
+    try:
+        trace, stop = continuation_solve(grid, sorted(set(taus)), options=options), None
+    except ContinuationError as exc:
+        trace, stop = exc.trace, exc
+    return _Walk(trace.steps, stop)
+
+
+def _scaled(omega_1: ScalarField, tau: float) -> ScalarField:
+    """The harmonic field with data (0, tau): the problem is linear in its
+    data, so it is tau times the one with data (0, 1), boundaries exact."""
+    return ScalarField(grid=omega_1.grid, values=tau * omega_1.values,
+                       boundary_values=(0.0, tau))
 
 
 # -- checks --------------------------------------------------------------------
@@ -178,7 +234,12 @@ def check_tau_estimates(grid: AnnularGrid, tau_list: Sequence[float],
     quotient at tau, and the largest distance quotient over its partners
     (pairs closer than 0.05 are excluded).  Per-entry constants rather than
     per-pair quotients: the claim is one constant valid for every pair, and
-    short-gap quotients probe the local modulus, which legitimately varies."""
+    short-gap quotients probe the local modulus, which legitimately varies.
+
+    Without ``field_for_tau`` the fields come from one continuation_solve
+    over the list sorted and without repeats, so the list may come in any
+    order; a walk that stops raises its ContinuationError.  extras keep the
+    caller's order."""
     t0 = time.perf_counter()
     taus = [_real(t, "tau") for t in tau_list]
     if len(taus) < 4:
@@ -187,11 +248,7 @@ def check_tau_estimates(grid: AnnularGrid, tau_list: Sequence[float],
         raise ValueError("tau values must lie in (0, 1]")
 
     if field_for_tau is None:
-        def field_for_tau(t: float) -> ScalarField:
-            f, report = solve_minimal_graph(grid, t, options=options)
-            if not report.converged:
-                raise SolverError(f"solve at tau={t} did not converge")
-            return f
+        field_for_tau = _walk(grid, taus, options).field
 
     fields = {t: field_for_tau(t) for t in taus}
     grad_constants = [float(np.max(_grad_norms(fields[t]))) / t for t in taus]
@@ -228,16 +285,20 @@ def check_small_tau_regime(grid: AnnularGrid,
     harmonic field in discrete C2.  Checked at tau = 0.01, 0.02 and 0.04 as
     one-sided stability of the ratio q(tau) = distance / tau^2: shrinking tau
     must not grow q by more than the 1.5 band (the correction is higher order,
-    so q typically falls)."""
+    so q typically falls).  The three graphs come from one continuation_solve
+    (a walk that stops raises its ContinuationError), and the harmonic field
+    at tau is tau times the one solve with data (0, 1)."""
     t0 = time.perf_counter()
-    taus = [0.01, 0.02, 0.04]
-    qs = []
-    for t in taus:
-        omega = solve_harmonic(grid, t, options)
-        u, report = solve_minimal_graph(grid, t, options=options, init=omega)
-        if not report.converged:
-            raise SolverError(f"solve at tau={t} did not converge")
-        qs.append(discrete_c2_distance(u, omega) / t**2)
+    walk = _walk(grid, _HEIGHTS["small-tau-regime"], options)
+    return _small_tau_regime(walk.field, solve_harmonic(grid, 1.0, options), t0)
+
+
+def _small_tau_regime(field_for_tau: Callable[[float], ScalarField],
+                      omega_1: ScalarField, t0: float) -> VerificationReport:
+    """check_small_tau_regime's measurement on given graphs and the harmonic
+    field with data (0, 1); t0 starts its runtime."""
+    taus = list(_HEIGHTS["small-tau-regime"])
+    qs = [discrete_c2_distance(field_for_tau(t), _scaled(omega_1, t)) / t**2 for t in taus]
     # descending tau pairs: q at the smaller tau vs 1.5x q at the larger
     margin = min(1.5 * qs[i + 1] - qs[i] for i in range(len(qs) - 1))
     extras = {"tau_list": taus, "ratios": qs}
@@ -324,6 +385,21 @@ class _SuiteRun:
     tau: float
     oracle_sizes: Sequence[int]
     options: SolveOptions | None
+    checks: Sequence[str]
+
+    @cached_property
+    def walk(self) -> _Walk:
+        """One walk over every height the selected checks read."""
+        heights = [t for name in self.checks for t in _HEIGHTS.get(name, ())]
+        return _walk(self.grid, heights, self.options)
+
+    @cached_property
+    def omega_1(self) -> ScalarField:
+        return solve_harmonic(self.grid, 1.0, self.options)
+
+    @cached_property
+    def omega(self) -> ScalarField:
+        return _scaled(self.omega_1, self.tau)
 
     @cached_property
     def _solution(self) -> tuple[ScalarField, SolveReport]:
@@ -336,48 +412,46 @@ class _SuiteRun:
             raise SolverError(f"suite solve at tau={self.tau} did not converge")
         return u
 
-    @cached_property
-    def omega(self) -> ScalarField:
-        return solve_harmonic(self.grid, self.tau, self.options)
-
 
 _SUITE: dict[str, Callable[[_SuiteRun], VerificationReport]] = {
     "solver-vs-oracle": lambda r: check_solver_vs_oracle(r.oracle_sizes, options=r.options),
     "gradient-max-principle": lambda r: check_gradient_max_principle(r.u),
     "supersolution": lambda r: check_supersolution(r.u, r.omega, r.tau),
-    "tau-estimates": lambda r: check_tau_estimates(r.grid, (0.1, 0.2, 0.4, 0.8), r.options),
-    "small-tau-regime": lambda r: check_small_tau_regime(r.grid, options=r.options),
+    "tau-estimates": lambda r: check_tau_estimates(
+        r.grid, _HEIGHTS["tau-estimates"], field_for_tau=r.walk.field),
+    "small-tau-regime": lambda r: _small_tau_regime(
+        r.walk.field, r.omega_1, time.perf_counter()),
     "convexity-and-rank": lambda r: check_convexity_and_rank(r.u),
     "gradient-monotonicity": lambda r: check_gradient_monotonicity(r.u),
     "hopf-boundary-bound": lambda r: check_hopf_boundary_bound(
-        continuation_solve(r.grid, (0.25, 0.5, 0.75, 1.0), options=r.options)),
+        r.walk.trace(_HEIGHTS["hopf-boundary-bound"])),
 }
 SUITE_CHECKS = tuple(_SUITE)
 
 
-def run_suite(grid: AnnularGrid | None = None, tau: float = 0.5,
+def run_suite(grid: AnnularGrid, tau: float = 0.5,
               checks: Sequence[str] | None = None,
               oracle_grid_sizes: Sequence[int] = (64, 128, 256),
               options: SolveOptions | None = None) -> list[VerificationReport]:
-    """Run the named checks (default: all) on one grid (default: 33x64 on the
-    flat ring between the circles of radius 1 and 2) and return the reports.
+    """Run the named checks (default: all) on one grid and return the reports.
 
-    The checks share one solve and one harmonic solve at ``tau``; runtime_s
-    includes the solves a check triggered.  A check that raises gets a failed
-    report carrying ``error``, and the rest still run.  The solver-vs-oracle
-    check always runs on the canonical flat circle ring, where the oracle lives.
-    Unknown check names and inputs suite_inputs rejects raise before any check runs."""
+    The checks share one solve and one harmonic solve, at tau = 1: the
+    harmonic field at any tau is that field scaled, and it starts the shared
+    solve at ``tau``.  The checks that read fields along tau (the keys of
+    _HEIGHTS) share one continuation walk over the union of their heights;
+    a walk that stops keeps its steps, and a check that needs a height above
+    the stop reports the walk's error.  runtime_s includes the solves a
+    check triggered.  A check that raises gets a failed report carrying
+    ``error``, and the rest still run.  The solver-vs-oracle check always
+    runs on the canonical flat circle ring, where the oracle lives.  Unknown
+    check names and inputs suite_inputs rejects raise before any check runs."""
     selected = SUITE_CHECKS if checks is None else tuple(checks)
     unknown = [c for c in selected if c not in SUITE_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {list(SUITE_CHECKS)}")
     tau, oracle_grid_sizes = suite_inputs(tau, oracle_grid_sizes)
-    if grid is None:
-        chart = SpaceFormChart(epsilon=0.0)
-        grid = build_grid(make_ring(chart, make_curve("circle", radius=2.0),
-                                    make_curve("circle", radius=1.0)), 33, 64)
 
-    run = _SuiteRun(grid, tau, oracle_grid_sizes, options)
+    run = _SuiteRun(grid, tau, oracle_grid_sizes, options, selected)
     reports = []
     for name in selected:
         t0 = time.perf_counter()

@@ -654,12 +654,12 @@ def test_verify_shares_one_grid_and_one_solve(all_checks, tmp_path, monkeypatch)
     path.write_text(json.dumps(cfg, indent=1) + "\n")
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "v")]) == 0
     if all_checks:
-        # 3 oracle solves on 3 oracle grids, the shared solve, 4 tau-estimates
-        # solves, 3 small-tau solves and 5 continuation steps;
-        # harmonic solves: one per oracle solve, one shared by the shared
-        # solve and supersolution, 4 in tau-estimates, 3 in small-tau-regime
-        # and one for the first continuation step (the last five on 17x32)
-        assert counts == {"solve": 16, "harmonic": 12, "grid": 4}
+        # 3 oracle solves on 3 oracle grids, the shared solve and one
+        # continuation walk over the 12 heights of the three ring checks;
+        # harmonic solves: one per oracle solve, one at tau = 1 scaled to
+        # every tau a check needs, and one on the coarsest grid of the walk's
+        # nested first step
+        assert counts == {"solve": 16, "harmonic": 5, "grid": 4}
     else:
         assert counts == {"solve": 1, "harmonic": 1, "grid": 1}
 

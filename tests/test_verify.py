@@ -8,12 +8,14 @@ r_inner^2).  Check behavior is then pinned on the canonical flat circle ring
 where level radii and curvatures have closed forms.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from convexring import verify
+from convexring import solve, verify
 from convexring.field import ScalarField, sample_field
 from convexring.ring import build_grid, make_curve, make_ring
 from convexring.solve import (
@@ -283,6 +285,31 @@ def test_tau_estimates_validates_input():
         check_tau_estimates(grid, (0.1, 0.2, "0.4", 0.8))
 
 
+def test_tau_estimates_accepts_any_order_and_repeats():
+    # the walk sorts and drops repeats; the constants keep the caller's order
+    grid = build_grid(_circle_ring(), 17, 32)
+    sorted_report = check_tau_estimates(grid, (0.1, 0.2, 0.4, 0.8))
+    for taus in ((0.8, 0.1, 0.4, 0.2), (0.1, 0.2, 0.4, 0.2, 0.8)):
+        report = check_tau_estimates(grid, taus)
+        assert report.margin == sorted_report.margin
+        assert report.extras["tau_list"] == list(taus)
+
+
+def test_harmonic_field_scales_with_its_data():
+    # the suite's one harmonic solve at tau = 1, scaled, is the harmonic
+    # field at tau up to the harmonic solve's residual target
+    ring = make_ring(SpaceFormChart(epsilon=1.0), make_curve("ellipse", radii=(1.2, 0.8)),
+                     make_curve("ellipse", radii=(0.48, 0.32)))
+    for grid in (build_grid(_circle_ring(), 17, 32), build_grid(ring, 33, 64)):
+        omega_1 = solve_harmonic(grid, 1.0)
+        for tau in (0.01, 0.04, 0.25, 0.5, 1.0):
+            scaled = verify._scaled(omega_1, tau)
+            assert scaled.boundary_values == (0.0, tau)
+            assert np.all(scaled.values[-1] == tau)
+            direct = solve_harmonic(grid, tau).values
+            assert np.max(np.abs(scaled.values - direct)) <= 1e-10 * tau
+
+
 def test_small_tau_regime_ratio_is_stable():
     grid = build_grid(_circle_ring(), 33, 64)
     report = check_small_tau_regime(grid)
@@ -402,7 +429,7 @@ def test_adapted_frame_identity_on_solved_graph():
 
 
 def test_run_suite_default_checks_pass():
-    reports = run_suite(oracle_grid_sizes=(17, 33))
+    reports = run_suite(build_grid(_circle_ring(), 33, 64), oracle_grid_sizes=(17, 33))
     assert [r.name for r in reports] == list(SUITE_CHECKS)
     for report in reports:
         assert report.passed, f"{report.name}: margin {report.margin}"
@@ -415,9 +442,10 @@ def test_run_suite_subset_and_validation():
                         checks=["gradient-max-principle"])
     assert len(reports) == 1
     assert reports[0].name == "gradient-max-principle"
-    assert run_suite(checks=[]) == []
+    grid = build_grid(_circle_ring(), 33, 64)
+    assert run_suite(grid, checks=[]) == []
     with pytest.raises(ValueError):
-        run_suite(checks=["no-such-check"])
+        run_suite(grid, checks=["no-such-check"])
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -507,3 +535,59 @@ def test_run_suite_solves_once_when_the_shared_solve_fails(monkeypatch):
     assert [r.name for r in reports] == names
     assert all(not r.passed for r in reports)
     assert {r.error for r in reports} == {"suite solve at tau=0.5 did not converge"}
+
+
+_RING_CHECKS = ["tau-estimates", "small-tau-regime", "hopf-boundary-bound"]
+
+
+def test_run_suite_ring_checks_agree_with_the_standalone_checks():
+    # the suite's one walk against each check's own fields
+    grid = build_grid(_circle_ring(), 17, 32)
+    suite = {r.name: r for r in run_suite(grid, checks=_RING_CHECKS)}
+    alone = {
+        "tau-estimates": check_tau_estimates(grid, (0.1, 0.2, 0.4, 0.8)),
+        "small-tau-regime": check_small_tau_regime(grid),
+        "hopf-boundary-bound": check_hopf_boundary_bound(
+            continuation_solve(grid, (0.25, 0.5, 0.75, 1.0))),
+    }
+    for name, report in alone.items():
+        assert suite[name].error is None
+        assert suite[name].passed == report.passed
+        assert abs(suite[name].margin - report.margin) <= 1e-9, name
+    # both walks start at 0.01 and take the same first three steps
+    assert suite["small-tau-regime"].margin == alone["small-tau-regime"].margin
+    assert (suite["hopf-boundary-bound"].extras["tau_schedule"]
+            == alone["hopf-boundary-bound"].extras["tau_schedule"])
+
+
+def test_run_suite_keeps_the_steps_of_a_stopped_walk(monkeypatch):
+    grid = build_grid(_circle_ring(), 17, 32)
+    unpatched = {r.name: r for r in run_suite(grid, checks=_RING_CHECKS)}
+    real_solve = solve.solve_minimal_graph
+    solved = []
+
+    def stalling(grid, tau, *args, **kwargs):
+        solved.append(tau)
+        f, report = real_solve(grid, tau, *args, **kwargs)
+        return f, dataclasses.replace(report, converged=report.converged and tau < 1.0)
+
+    walks = []
+    real_walk = verify.continuation_solve
+
+    def counting(*args, **kwargs):
+        walks.append(1)
+        return real_walk(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "solve_minimal_graph", stalling)
+    monkeypatch.setattr(verify, "continuation_solve", counting)
+    reports = {r.name: r for r in run_suite(grid, checks=_RING_CHECKS)}
+    # one solve per height of the union, up to the stall
+    assert len(walks) == 1
+    assert solved == [0.01, 0.02, 0.04, 0.05, 0.1, 0.2, 0.25, 0.4, 0.5, 0.75, 0.8, 1.0]
+    hopf = reports["hopf-boundary-bound"]
+    assert not hopf.passed and np.isnan(hopf.margin)
+    assert hopf.error.startswith("continuation stalled at tau=1.0")
+    for name in ("tau-estimates", "small-tau-regime"):
+        assert reports[name].error is None
+        assert reports[name].passed
+        assert reports[name].margin == unpatched[name].margin
