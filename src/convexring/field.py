@@ -78,8 +78,9 @@ def _comp_derivatives(values: np.ndarray, hs: float, ht: float):
     """Computational-space derivatives: centered inside, one-sided second
     order on the first and last s rows, periodic wrap in theta."""
     u = values
-    u_t = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2 * ht)
-    u_tt = (np.roll(u, -1, axis=1) - 2 * u + np.roll(u, 1, axis=1)) / ht**2
+    u_next, u_prev = np.roll(u, -1, axis=1), np.roll(u, 1, axis=1)
+    u_t = (u_next - u_prev) / (2 * ht)
+    u_tt = (u_next - 2 * u + u_prev) / ht**2
 
     def d_s(a: np.ndarray) -> np.ndarray:
         out = np.empty_like(a)

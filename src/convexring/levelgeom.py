@@ -6,8 +6,11 @@ the level-set principal curvatures are kept deliberately separate:
 * :func:`second_fundamental_form` builds h_ij = -u_{;ij}/|grad u| in an
   adapted tangent frame and exposes its eigenvalues (the principal
   curvatures of the level set with respect to the normal grad u / |grad u|).
-  This frame route evaluates stacked jets over leading axes, so
-  :func:`extract_level` and :func:`rank_scan` make one call each.
+  This frame route evaluates stacked jets over leading axes as elementwise
+  arithmetic on the component arrays of grad u, D2u and the tangent vectors,
+  for every dimension alike, so :func:`extract_level` and :func:`rank_scan`
+  make one call each.  A 1x1 form's entry is its eigenvalue; only 2x2 forms
+  (dimension 3) go through ``eigvalsh``.
 * :func:`sigma_k_level` never touches the tangent frame: it contracts the
   gradient with the Newton transformation of the full covariant Hessian,
 
@@ -21,7 +24,8 @@ the two routes is a nontrivial identity enforced by the test suite; do not
 collapse them into one implementation.
 
 Analytic jets are stacked too: samplers take points (..., n), and the rank and
-structure checks make one sampler call and one ``eigvalsh`` each.
+structure checks make one sampler call each; the structure check makes one
+stacked ``eigvalsh`` of its n x n matrices.
 
 Every level-set quantity needs |grad u| >= GRAD_FLOOR; below it the functions
 here raise SingularGradientError naming the point.  The floor is one constant.
@@ -60,47 +64,71 @@ class TopologyError(RuntimeError):
 # -- frames and curvature -----------------------------------------------------
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b along the last axis; stacked matmul makes np.dot's BLAS call per
-    vector, so values match np.dot and np.linalg.norm bit for bit."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+def _inner(a: list, b: list) -> np.ndarray:
+    """sum_c a[c] * b[c] of two vectors given as component lists."""
+    out = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        out = out + x * y
+    return out
 
 
-def _tangent_frame(unit_normal: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt tangent bases seeded from coordinate axes, over leading axes.
+def _tangent_frame(nu: list) -> list[list]:
+    """Gram-Schmidt tangent bases seeded from coordinate axes, as components.
 
-    Axes are taken in order of increasing |axis . normal| (ties resolved by
-    lowest index), which makes the frame deterministic.
-    Returns (..., n-1, n) arrays of orthonormal tangent vectors.
+    ``nu`` holds the n component arrays of the unit normals.  Axes are taken
+    in order of increasing |nu_a|, ties to the lowest index, which makes the
+    frame deterministic: the rank of axis a counts the axes b before it, those
+    with |nu_b| < |nu_a|, or |nu_b| == |nu_a| and b < a.
+    Returns n-1 orthonormal tangent vectors, each a list of n component arrays.
     """
-    n = unit_normal.shape[-1]
-    order = np.argsort(np.abs(unit_normal), axis=-1, kind="stable")
-    frame: list[np.ndarray] = []
+    n = len(nu)
+    mag = [np.abs(c) for c in nu]
+    rank = [sum((mag[b] <= mag[a]) if b < a else (mag[b] < mag[a]) for b in range(n) if b != a)
+            for a in range(n)]
+    frame: list[list] = []
     for k in range(n - 1):
-        v = (np.arange(n) == order[..., k:k + 1]).astype(float)
-        for t in [unit_normal, *frame]:
-            v = v - _dot(v, t)[..., None] * t
-        norm = np.sqrt(_dot(v, v))
+        v = [r == k for r in rank]  # the axis of rank k, e_a as booleans
+        for t in [nu, *frame]:
+            d = _inner(v, t)
+            v = [x - d * y for x, y in zip(v, t)]
+        norm = np.sqrt(_inner(v, v))
         if np.any(norm < 1e-12):
             raise SingularGradientError("degenerate tangent frame")
-        frame.append(v / norm[..., None])
-    return np.stack(frame, axis=-2)
+        frame.append([x / norm for x in v])
+    return frame
 
 
-def _level_forms(points: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """h = -T D2u T^T / |grad u| over leading axes, T the tangent frames.
+def _level_forms(points: np.ndarray, grad: np.ndarray,
+                 hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h = -T D2u T^T / |grad u| over leading axes, T the tangent frames, and
+    |grad u|; elementwise on the component arrays of grad u and D2u.
 
-    Raises SingularGradientError naming the first point, in C order, where
-    |grad u| is below the floor."""
-    norm = np.sqrt(_dot(grad, grad))
+    Returns h (..., n-1, n-1), symmetrised, and |grad u| (...).  Raises
+    SingularGradientError naming the first point, in C order, where |grad u|
+    is below the floor."""
+    n = grad.shape[-1]
+    g = [grad[..., a] for a in range(n)]
+    norm = np.sqrt(_inner(g, g))
     low = np.flatnonzero(norm < GRAD_FLOOR)
     if low.size:
         point = np.reshape(points, (norm.size, -1))[low[0]].tolist()
         raise SingularGradientError(
             f"|grad u| = {norm.flat[low[0]]:.3e} below floor {GRAD_FLOOR:.1e} at {point}")
-    tangents = _tangent_frame(grad / norm[..., None])
-    h = -tangents @ hess @ np.swapaxes(tangents, -1, -2) / norm[..., None, None]
-    return 0.5 * (h + np.swapaxes(h, -1, -2))
+    frame = _tangent_frame([c / norm for c in g])
+    rows = [[hess[..., a, b] for b in range(n)] for a in range(n)]
+    hess_t = [[_inner(row, t) for row in rows] for t in frame]
+    q = [[_inner(s, w) for w in hess_t] for s in frame]  # q[i][j] = t_i . D2u t_j
+    h = np.empty(np.shape(norm) + (n - 1, n - 1))
+    for i in range(n - 1):
+        h[..., i, i] = -q[i][i] / norm
+        for j in range(i):
+            h[..., i, j] = h[..., j, i] = -0.5 * (q[i][j] + q[j][i]) / norm
+    return h, norm
+
+
+def _curvatures(h: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of stacked forms; a 1x1 form's entry is its own."""
+    return h[..., 0] if h.shape[-1] == 1 else np.linalg.eigvalsh(h)
 
 
 def second_fundamental_form(jet: PointJet) -> np.ndarray:
@@ -111,12 +139,12 @@ def second_fundamental_form(jet: PointJet) -> np.ndarray:
     increasing u.
     """
     return _level_forms(jet.point, np.asarray(jet.grad, dtype=float),
-                        np.asarray(jet.hess, dtype=float))
+                        np.asarray(jet.hess, dtype=float))[0]
 
 
 def principal_curvatures(jet: PointJet) -> np.ndarray:
     """Sorted eigenvalues of the second fundamental form."""
-    return np.linalg.eigvalsh(second_fundamental_form(jet))
+    return _curvatures(second_fundamental_form(jet))
 
 
 # -- sigma_k: two routes ------------------------------------------------------
@@ -256,12 +284,13 @@ def extract_level(f: ScalarField, c: float) -> LevelSetReport:
     tg, th = t[:, None], t[:, None, None]
     grad = (1 - tg) * table["grad"][i, cols] + tg * table["grad"][i + 1, cols]
     hess = (1 - th) * table["hess"][i, cols] + th * table["hess"][i + 1, cols]
-    kap = _level_forms(pts, grad, hess)[:, 0, 0]
+    h, norm = _level_forms(pts, grad, hess)
+    kap = h[:, 0, 0]
     pts = np.vstack([pts, pts[:1]])
     kap = np.append(kap, kap[0])
     return LevelSetReport(
         level=c, points=pts, kappa=kap, kappa_min=float(np.min(kap)),
-        grad_min=float(np.min(np.sqrt(_dot(grad, grad)))),
+        grad_min=float(np.min(norm)),
     )
 
 
@@ -312,7 +341,7 @@ def rank_scan(source: ScalarField | PointJet) -> RankScan:
     if len(points) == 0:
         raise ValueError("rank scan has no sample points")
 
-    eigs = np.linalg.eigvalsh(_level_forms(points, grad, hess))
+    eigs = _curvatures(_level_forms(points, grad, hess)[0])
     ranks = np.sum(eigs > threshold, axis=-1)
     k = int(np.argmin(eigs[:, 0]))
     return RankScan(

@@ -132,6 +132,62 @@ def test_tangent_frame_is_deterministic():
     assert np.allclose(h, -np.diag([1.0, 2.0]))
 
 
+def _reference_form(grad, hess):
+    """h = -T D2u T^T / |grad u| for one jet, T by Gram-Schmidt from the axes in
+    np.argsort(|nu|, kind="stable") order."""
+    norm = np.linalg.norm(grad)
+    nu = grad / norm
+    frame = []
+    for axis in np.argsort(np.abs(nu), kind="stable")[:-1]:
+        v = np.eye(len(grad))[axis]
+        for t in [nu, *frame]:
+            v = v - np.dot(v, t) * t
+        frame.append(v / np.linalg.norm(v))
+    t = np.array(frame)
+    h = -t @ hess @ t.T / norm
+    return 0.5 * (h + h.T)
+
+
+def test_batched_frame_follows_the_stable_axis_rule():
+    # one stacked call per dimension against a per-jet reference; the tied
+    # |nu| of the constructed gradients pin ties to the lowest axis (in 3-D a
+    # different seed axis rotates the frame and so changes h entrywise)
+    rng = np.random.default_rng(7)
+    ties = {2: [(1.0, 1.0), (-1.0, 1.0)], 3: [(1.0, 1.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, -1.0)]}
+    for n, tied in ties.items():
+        jets = [_random_jet(rng, n) for _ in range(1000)]
+        grad = np.vstack([np.array(tied), [jet.grad for jet in jets]])
+        hess = np.array([_random_jet(rng, n).hess for _ in tied] + [jet.hess for jet in jets])
+        stack = PointJet(point=np.zeros_like(grad), value=np.zeros(len(grad)), grad=grad, hess=hess)
+        h = second_fundamental_form(stack)
+        reference = np.array([_reference_form(g, a) for g, a in zip(grad, hess)])
+        assert h.shape == (len(grad), n - 1, n - 1)
+        assert np.allclose(h, reference, rtol=1e-12, atol=1e-12)
+
+
+def test_grid_geometry_calls_no_eigvalsh(monkeypatch):
+    # 1x1 forms are their own eigenvalues: a 2-D grid field takes no
+    # per-sample LAPACK call, while 2x2 forms (dimension 3) still use eigvalsh
+    grid = _circle_grid(ns=33, ntheta=64)
+    f = sample_field(grid, lambda x: 2.0 - np.sqrt(np.sum(x * x, axis=-1)),
+                     boundary_values=(0.0, 1.0))
+    jet3 = PointJet(point=np.zeros(3), value=0.0, grad=np.array([0.0, 0.0, 1.0]),
+                    hess=np.diag([1.0, 2.0, 9.0]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", refuse)
+        scan = rank_scan(f)
+        rep = extract_level(f, 0.5)
+        with pytest.raises(AssertionError, match="eigvalsh called"):
+            principal_curvatures(jet3)
+    assert scan.constant_rank and scan.min_rank == 1
+    assert rep.kappa_min == pytest.approx(1.0 / 1.5, abs=5e-3)
+    assert np.allclose(principal_curvatures(jet3), [-2.0, -1.0], rtol=0.0, atol=1e-15)
+
+
 def test_phi_values():
     # n = 2, l = 0: phi = |grad|^3 * kappa; radial profile slope gamma at r
     r, gamma = 1.5, 0.8
@@ -256,6 +312,8 @@ def test_rank_scan_matches_a_per_node_loop(sphere_chart_field):
     assert (scan.min_rank, scan.max_rank) == (min(ranks), max(ranks))
     assert scan.lambda_min == pytest.approx(eigs[first_min][0], rel=1e-12)
     assert np.array_equal(scan.location, jets[first_min].point)
+    # the frame-free route: in 2-D sigma_1 is the one curvature
+    assert scan.lambda_min == pytest.approx(min(sigma_k_level(jet, 1) for jet in jets), rel=1e-12)
 
 
 def test_extract_level_matches_a_per_column_loop(sphere_chart_field):
@@ -275,6 +333,7 @@ def test_extract_level_matches_a_per_column_loop(sphere_chart_field):
                            hess=(1 - t) * below.hess + t * above.hess)
             assert np.allclose(rep.points[j], point, rtol=0.0, atol=1e-15)
             assert rep.kappa[j] == pytest.approx(principal_curvatures(jet)[0], rel=1e-12)
+            assert rep.kappa[j] == pytest.approx(sigma_k_level(jet, 1), rel=1e-12)
             grad_norms.append(np.linalg.norm(jet.grad))
         assert rep.grad_min == pytest.approx(min(grad_norms), rel=1e-12)
         assert np.array_equal(rep.points[-1], rep.points[0])
