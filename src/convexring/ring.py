@@ -258,7 +258,9 @@ def containment_margin(outer: ConvexCurve, inner: ConvexCurve) -> float:
 
 def make_ring(chart: SpaceFormChart, outer: ConvexCurve, inner: ConvexCurve) -> ConvexRing:
     """Validate containment, chart bounds, and (for curved charts) geodesic
-    convexity, then return the ring."""
+    convexity, then return the ring.  Rings are built in dimension 2 only."""
+    if chart.dim != 2:
+        raise ValueError(f"rings are built in dimension 2 only, got a chart of dim {chart.dim}")
     # both curves must lie in the chart's domain
     chart.validate_points(outer.point(VALIDATION_THETA))
     chart.validate_points(inner.point(VALIDATION_THETA))

@@ -3,8 +3,14 @@
 Every check returns a VerificationReport whose ``margin`` is the distance to
 its acceptance boundary with the stated tolerance already folded in, so
 ``passed`` is equivalent to ``margin >= 0``.  Margins are reported raw; a
-failing check shows how badly it failed.  The exact-solution oracle that
-``check_solver_vs_oracle`` compares against lives in ``oracle``.
+failing check shows how badly it failed.
+
+Every check but ``check_solver_vs_oracle`` is a function of the fields it
+certifies and reads each field's tau from its Dirichlet data (0, tau); it
+solves nothing.  ``run_suite`` makes the solves its checks share: one
+minimal graph solve, one harmonic solve and one continuation walk.
+``check_solver_vs_oracle`` solves on its own canonical ring, where the
+exact-solution oracle of ``oracle`` lives.
 """
 
 from __future__ import annotations
@@ -30,11 +36,9 @@ from .ring import AnnularGrid, _check_grid_size, build_grid, make_curve, make_ri
 from .solve import (
     TAU_START,
     ContinuationError,
-    ContinuationTrace,
     SolveOptions,
     SolveReport,
     SolverError,
-    StepRecord,
     build_supersolution,
     continuation_solve,
     solve_harmonic,
@@ -103,39 +107,20 @@ _HEIGHTS: dict[str, tuple[float, ...]] = {
 }
 
 
-@dataclass
-class _Walk:
-    """The steps of one continuation walk, and the error that stopped it."""
-
-    steps: list[StepRecord]
-    stop: ContinuationError | None
-
-    def step(self, tau: float) -> StepRecord:
-        """The step at height tau; the walk's error if it stopped below tau."""
-        for s in self.steps:
-            if s.tau == tau:
-                return s
-        # continuation_solve merges a target within 1e-15 of its start into it
-        if self.steps and tau <= self.steps[0].tau + 1e-15:
-            return self.steps[0]
-        raise ContinuationError(str(self.stop), self.stop.trace)
-
-    def field(self, tau: float) -> ScalarField:
-        return self.step(tau).field
-
-    def trace(self, taus: Sequence[float]) -> ContinuationTrace:
-        return ContinuationTrace([self.step(t) for t in taus])
+def _tau(f: ScalarField, name: str) -> float:
+    """The tau of a field with Dirichlet data (0, tau > 0); ValueError otherwise."""
+    data = f.boundary_values
+    if data is None or data[0] != 0.0 or not data[1] > 0.0:
+        raise ValueError(f"{name} needs fields with Dirichlet data (0, tau > 0), got {data}")
+    return data[1]
 
 
-def _walk(grid: AnnularGrid, taus: Sequence[float],
-          options: SolveOptions | None) -> _Walk:
-    """One continuation_solve over the sorted distinct heights; a walk that
-    stops keeps the steps it reached."""
-    try:
-        trace, stop = continuation_solve(grid, sorted(set(taus)), options=options), None
-    except ContinuationError as exc:
-        trace, stop = exc.trace, exc
-    return _Walk(trace.steps, stop)
+def _taus(fields: Sequence[ScalarField], least: int, name: str) -> list[float]:
+    """Each field's tau (see _tau); ValueError for fewer than ``least`` fields."""
+    if len(fields) < least:
+        count = {2: "two", 4: "four"}[least]
+        raise ValueError(f"{name} needs {count} or more fields, got {len(fields)}")
+    return [_tau(f, name) for f in fields]
 
 
 def _scaled(omega_1: ScalarField, tau: float) -> ScalarField:
@@ -206,14 +191,20 @@ def _nondivergence_defect(v: ScalarField, omega: ScalarField, tau: float) -> np.
     return lv + go**2 / (2.0 * tau)
 
 
-def check_supersolution(u: ScalarField, omega: ScalarField, tau: float,
+def check_supersolution(u: ScalarField, omega: ScalarField,
                         supersolution: ScalarField | None = None) -> VerificationReport:
-    """The concave reparametrization of the harmonic field is a strict
-    supersolution and dominates u.  Passing an explicit ``supersolution``
-    replaces the built one (negative controls)."""
+    """The concave reparametrization of the harmonic field omega is a strict
+    supersolution and dominates u.  tau is omega's inner Dirichlet value; u
+    must share omega's grid and Dirichlet data (0, tau), else ValueError.
+    Passing an explicit ``supersolution`` replaces the built one (negative
+    controls)."""
     t0 = time.perf_counter()
     if u.grid is not omega.grid:
         raise ValueError("fields must share one grid")
+    tau = _tau(omega, "supersolution")
+    if u.boundary_values != omega.boundary_values:
+        raise ValueError(f"u has Dirichlet data {u.boundary_values}, "
+                         f"omega {omega.boundary_values}")
     v = supersolution if supersolution is not None else build_supersolution(omega, tau)
     tol = _noise_floor(u.grid)
     defect = float(np.max(_nondivergence_defect(v, omega, tau)))
@@ -225,40 +216,25 @@ def check_supersolution(u: ScalarField, omega: ScalarField, tau: float,
                    t0, extras)
 
 
-def check_tau_estimates(grid: AnnularGrid, tau_list: Sequence[float],
-                        options: SolveOptions | None = None,
-                        field_for_tau: Callable[[float], ScalarField] | None = None,
-                        ) -> VerificationReport:
+def check_tau_estimates(fields: Sequence[ScalarField]) -> VerificationReport:
     """Boundedness of sup|grad u^tau| / tau and of the discrete C2 Lipschitz
-    constant in tau.  One empirical constant per list entry: the gradient
-    quotient at tau, and the largest distance quotient over its partners
-    (pairs closer than 0.05 are excluded).  Per-entry constants rather than
-    per-pair quotients: the claim is one constant valid for every pair, and
-    short-gap quotients probe the local modulus, which legitimately varies.
-
-    Without ``field_for_tau`` the fields come from one continuation_solve
-    over the list sorted and without repeats, so the list may come in any
-    order; a walk that stops raises its ContinuationError.  extras keep the
-    caller's order."""
+    constant in tau, on four or more fields u^tau (ValueError otherwise), in
+    any order.  One empirical constant per field: the gradient quotient at
+    tau, and the largest distance quotient over its partners (pairs closer
+    than 0.05 are excluded).  Per-entry constants rather than per-pair
+    quotients: the claim is one constant valid for every pair, and short-gap
+    quotients probe the local modulus, which legitimately varies.  extras
+    keep the fields' order."""
     t0 = time.perf_counter()
-    taus = [_real(t, "tau") for t in tau_list]
-    if len(taus) < 4:
-        raise ValueError("need at least 4 tau values")
-    if any(not 0.0 < t <= 1.0 for t in taus):
-        raise ValueError("tau values must lie in (0, 1]")
-
-    if field_for_tau is None:
-        field_for_tau = _walk(grid, taus, options).field
-
-    fields = {t: field_for_tau(t) for t in taus}
-    grad_constants = [float(np.max(_grad_norms(fields[t]))) / t for t in taus]
+    taus = _taus(fields, 4, "tau-estimates")
+    grad_constants = [float(np.max(_grad_norms(f))) / t for t, f in zip(taus, fields)]
     quotients = {}
     for i in range(len(taus)):
         for j in range(i + 1, len(taus)):
             gap = abs(taus[j] - taus[i])
             if gap < 0.05:
                 continue
-            d = discrete_c2_distance(fields[taus[i]], fields[taus[j]])
+            d = discrete_c2_distance(fields[i], fields[j])
             quotients[(taus[i], taus[j])] = d / gap
     distance_constants = []
     for t in taus:
@@ -279,27 +255,23 @@ def check_tau_estimates(grid: AnnularGrid, tau_list: Sequence[float],
                    t0, extras)
 
 
-def check_small_tau_regime(grid: AnnularGrid,
-                           options: SolveOptions | None = None) -> VerificationReport:
+def check_small_tau_regime(fields: Sequence[ScalarField],
+                           omega_1: ScalarField) -> VerificationReport:
     """For small tau the minimal graph stays within const * tau^2 of the
-    harmonic field in discrete C2.  Checked at tau = 0.01, 0.02 and 0.04 as
-    one-sided stability of the ratio q(tau) = distance / tau^2: shrinking tau
-    must not grow q by more than the 1.5 band (the correction is higher order,
-    so q typically falls).  The three graphs come from one continuation_solve
-    (a walk that stops raises its ContinuationError), and the harmonic field
-    at tau is tau times the one solve with data (0, 1)."""
+    harmonic field in discrete C2, on two or more fields u^tau (the suite
+    reads tau = 0.01, 0.02 and 0.04) and the harmonic field omega_1 with
+    data (0, 1), whose multiple tau * omega_1 is the harmonic field at tau.
+    Checked as one-sided stability of the ratio q(tau) = distance / tau^2
+    over the fields sorted by tau: shrinking tau must not grow q by more
+    than the 1.5 band (the correction is higher order, so q typically falls)."""
     t0 = time.perf_counter()
-    walk = _walk(grid, _HEIGHTS["small-tau-regime"], options)
-    return _small_tau_regime(walk.field, solve_harmonic(grid, 1.0, options), t0)
-
-
-def _small_tau_regime(field_for_tau: Callable[[float], ScalarField],
-                      omega_1: ScalarField, t0: float) -> VerificationReport:
-    """check_small_tau_regime's measurement on given graphs and the harmonic
-    field with data (0, 1); t0 starts its runtime."""
-    taus = list(_HEIGHTS["small-tau-regime"])
-    qs = [discrete_c2_distance(field_for_tau(t), _scaled(omega_1, t)) / t**2 for t in taus]
-    # descending tau pairs: q at the smaller tau vs 1.5x q at the larger
+    taus = sorted(_taus(fields, 2, "small-tau-regime"))
+    if omega_1.boundary_values != (0.0, 1.0):
+        raise ValueError("small-tau-regime needs the harmonic field with data (0, 1), "
+                         f"got {omega_1.boundary_values}")
+    fields = sorted(fields, key=lambda f: f.boundary_values[1])
+    qs = [discrete_c2_distance(f, _scaled(omega_1, t)) / t**2 for t, f in zip(taus, fields)]
+    # ascending tau pairs: q at the smaller tau vs 1.5x q at the larger
     margin = min(1.5 * qs[i + 1] - qs[i] for i in range(len(qs) - 1))
     extras = {"tau_list": taus, "ratios": qs}
     return _finish("small-tau-regime", margin, 1.5,
@@ -358,19 +330,20 @@ def check_gradient_monotonicity(f: ScalarField) -> VerificationReport:
                    t0, extras)
 
 
-def check_hopf_boundary_bound(trace: ContinuationTrace) -> VerificationReport:
+def check_hopf_boundary_bound(fields: Sequence[ScalarField]) -> VerificationReport:
     """min over the outer boundary of |grad u^tau| is positive and does not
-    decrease along the continuation schedule (ValueError for fewer than two steps)."""
+    decrease in tau, on two or more fields u^tau sorted by tau (ValueError
+    for fewer)."""
     t0 = time.perf_counter()
     name = "hopf-boundary-bound"
     claim = "the outer-boundary gradient stays bounded away from zero, increasing in tau"
-    if len(trace.steps) < 2:
-        raise ValueError(f"the bound needs two or more continuation steps, got {len(trace.steps)}")
-    mins = [s.outer_boundary_min_gradient for s in trace.steps]
-    tol = _noise_floor(trace.steps[0].field.grid)
+    taus = sorted(_taus(fields, 2, name))
+    fields = sorted(fields, key=lambda f: f.boundary_values[1])
+    mins = [float(np.min(_grad_norms(f)[0])) for f in fields]
+    tol = _noise_floor(fields[0].grid)
     monotone = min(mins[i + 1] - mins[i] + tol for i in range(len(mins) - 1))
     margin = min(min(mins), monotone)
-    extras = {"tau_schedule": trace.tau_schedule, "boundary_minima": mins}
+    extras = {"tau_schedule": taus, "boundary_minima": mins}
     return _finish(name, margin, tol, claim, t0, extras)
 
 
@@ -388,10 +361,23 @@ class _SuiteRun:
     checks: Sequence[str]
 
     @cached_property
-    def walk(self) -> _Walk:
-        """One walk over every height the selected checks read."""
-        heights = [t for name in self.checks for t in _HEIGHTS.get(name, ())]
-        return _walk(self.grid, heights, self.options)
+    def walk(self) -> tuple[dict[float, ScalarField], ContinuationError | None]:
+        """One continuation_solve over the sorted distinct heights the selected
+        checks read: the fields it reached, by tau, and the error that stopped it."""
+        heights = sorted({t for name in self.checks for t in _HEIGHTS.get(name, ())})
+        try:
+            steps, stop = continuation_solve(self.grid, heights, options=self.options).steps, None
+        except ContinuationError as exc:
+            steps, stop = exc.trace.steps, exc
+        return {s.tau: s.field for s in steps}, stop
+
+    def fields(self, check: str) -> list[ScalarField]:
+        """The walk's fields at the heights the named check reads; the walk's
+        error if it stopped below one of them."""
+        reached, stop = self.walk
+        if any(t not in reached for t in _HEIGHTS[check]):
+            raise ContinuationError(str(stop), stop.trace)
+        return [reached[t] for t in _HEIGHTS[check]]
 
     @cached_property
     def omega_1(self) -> ScalarField:
@@ -416,15 +402,13 @@ class _SuiteRun:
 _SUITE: dict[str, Callable[[_SuiteRun], VerificationReport]] = {
     "solver-vs-oracle": lambda r: check_solver_vs_oracle(r.oracle_sizes, options=r.options),
     "gradient-max-principle": lambda r: check_gradient_max_principle(r.u),
-    "supersolution": lambda r: check_supersolution(r.u, r.omega, r.tau),
-    "tau-estimates": lambda r: check_tau_estimates(
-        r.grid, _HEIGHTS["tau-estimates"], field_for_tau=r.walk.field),
-    "small-tau-regime": lambda r: _small_tau_regime(
-        r.walk.field, r.omega_1, time.perf_counter()),
+    "supersolution": lambda r: check_supersolution(r.u, r.omega),
+    "tau-estimates": lambda r: check_tau_estimates(r.fields("tau-estimates")),
+    "small-tau-regime": lambda r: check_small_tau_regime(
+        r.fields("small-tau-regime"), r.omega_1),
     "convexity-and-rank": lambda r: check_convexity_and_rank(r.u),
     "gradient-monotonicity": lambda r: check_gradient_monotonicity(r.u),
-    "hopf-boundary-bound": lambda r: check_hopf_boundary_bound(
-        r.walk.trace(_HEIGHTS["hopf-boundary-bound"])),
+    "hopf-boundary-bound": lambda r: check_hopf_boundary_bound(r.fields("hopf-boundary-bound")),
 }
 SUITE_CHECKS = tuple(_SUITE)
 

@@ -121,7 +121,7 @@ def test_criterion_03_supersolution_inequalities(test_rings):
             omega = solve_harmonic(grid, tau)
             u, rep = solve_minimal_graph(grid, tau)
             assert rep.converged
-            margins[f"{name}@{tau}"] = check_supersolution(u, omega, tau).margin
+            margins[f"{name}@{tau}"] = check_supersolution(u, omega).margin
     worst = min(margins.values())
     _criterion(3, worst >= 0.0,
                f"defect and comparison hold on 2 rings x 3 tau, "
@@ -140,9 +140,9 @@ def test_criterion_04_gradient_max_principle(solved_fields):
 def test_criterion_05_tau_bands_within_two(test_rings):
     grid = build_grid(test_rings["circles-eps0"], 33, 64)
     taus = (0.1, 0.2, 0.4, 0.8)
-    report = check_tau_estimates(grid, taus)
-    control = check_tau_estimates(
-        grid, taus, field_for_tau=lambda t: solve_harmonic(grid, t))
+    trace = continuation_solve(grid, taus)  # its first step is at TAU_START = 0.05
+    report = check_tau_estimates([s.field for s in trace.steps if s.tau in taus])
+    control = check_tau_estimates([solve_harmonic(grid, t) for t in taus])
     bg, bd = report.extras["gradient_band"], report.extras["distance_band"]
     control_exact = (abs(control.extras["gradient_band"] - 1.0) <= 1e-9
                      and abs(control.extras["distance_band"] - 1.0) <= 1e-9)
@@ -153,7 +153,8 @@ def test_criterion_05_tau_bands_within_two(test_rings):
 
 def test_criterion_06_small_tau_quadratic_regime(test_rings):
     grid = build_grid(test_rings["circles-eps0"], 33, 64)
-    report = check_small_tau_regime(grid)
+    trace = continuation_solve(grid, (0.01, 0.02, 0.04))
+    report = check_small_tau_regime([s.field for s in trace.steps], solve_harmonic(grid, 1.0))
     ratios = [f"{q:.4f}" for q in report.extras["ratios"]]
     _criterion(6, report.passed,
                f"|u - omega|_C2 / tau^2 ratios {ratios} inside the 1.5 band")

@@ -284,6 +284,16 @@ def test_semantic_error_names_the_offending_line(tmp_path, capsys):
         assert err.startswith(f"error: config line {line}: ") and message in err, (command, err)
 
 
+def test_chart_of_dimension_three_exits_1_naming_dimension_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, chart={"epsilon": 0.0, "dim": 3})
+    for command in ("solve", "verify"):
+        rc = main([command, "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: config line ") and "dimension 2 only" in err, err
+
+
 def test_folded_grid_exits_1_naming_the_node(tmp_path, capsys):
     cfg = write_config(tmp_path, ring={
         "outer": {"kind": "ellipse", "radii": [2.6, 1.1]},

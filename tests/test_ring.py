@@ -192,6 +192,15 @@ def test_ring_requires_curves_inside_chart_ball():
     assert kg_min == pytest.approx(1.0 / 1.9 - 1.9 / 4.0, abs=1e-12)
 
 
+def test_ring_requires_a_chart_of_dimension_two():
+    # the curves and the grid are planar: a 3-D chart builds no ring, with a
+    # message that names the rule rather than a point shape
+    outer, inner = make_curve("circle", radius=2.0), make_curve("circle", radius=1.0)
+    for eps in (0.0, 1.0):
+        with pytest.raises(ValueError, match="dimension 2 only, got a chart of dim 3"):
+            make_ring(SpaceFormChart(epsilon=eps, dim=3), outer, inner)
+
+
 def test_geodesic_curvature_circle_matches_closed_form():
     # chart circle of radius R about the origin on the eps-sphere:
     # kappa_g = 1/R - eps R / 4 (equals cot of the geodesic radius, scaled)

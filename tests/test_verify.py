@@ -230,7 +230,7 @@ def test_supersolution_check_passes():
         omega = solve_harmonic(grid, tau)
         u, rep = solve_minimal_graph(grid, tau)
         assert rep.converged
-        report = check_supersolution(u, omega, tau)
+        report = check_supersolution(u, omega)
         assert report.passed
         assert report.extras["max_operator_defect"] < 0.0
         assert report.extras["max_comparison_excess"] <= 0.0
@@ -242,7 +242,7 @@ def test_supersolution_negative_control_fails():
     grid = build_grid(_circle_ring(), 33, 64)
     omega = solve_harmonic(grid, 0.5)
     u, _ = solve_minimal_graph(grid, 0.5)
-    report = check_supersolution(u, omega, 0.5, supersolution=u)
+    report = check_supersolution(u, omega, supersolution=u)
     assert not report.passed
     assert report.margin < 0.0
 
@@ -253,12 +253,30 @@ def test_supersolution_requires_shared_grid():
     omega_a = solve_harmonic(grid_a, 0.5)
     u_b, _ = solve_minimal_graph(grid_b, 0.5)
     with pytest.raises(ValueError):
-        check_supersolution(u_b, omega_a, 0.5)
+        check_supersolution(u_b, omega_a)
+
+
+def test_supersolution_requires_matching_dirichlet_data():
+    # tau is read from omega: a u at another height is a ValueError, not a
+    # failed claim
+    grid = build_grid(_circle_ring(), 9, 24)
+    omega = solve_harmonic(grid, 0.5)
+    u, _ = solve_minimal_graph(grid, 1.0)
+    with pytest.raises(ValueError, match=r"Dirichlet data \(0.0, 1.0\), omega \(0.0, 0.5\)"):
+        check_supersolution(u, omega)
+    with pytest.raises(ValueError, match="Dirichlet data"):
+        check_supersolution(u, ScalarField(grid=grid, values=omega.values))
+
+
+def _walk_fields(grid, taus):
+    trace = continuation_solve(grid, sorted(set(taus)))
+    by_tau = {s.tau: s.field for s in trace.steps}
+    return [by_tau[t] for t in taus]
 
 
 def test_tau_estimates_bands_within_two():
     grid = build_grid(_circle_ring(), 33, 64)
-    report = check_tau_estimates(grid, (0.1, 0.2, 0.4, 0.8))
+    report = check_tau_estimates(_walk_fields(grid, (0.1, 0.2, 0.4, 0.8)))
     assert report.passed
     assert report.extras["gradient_band"] < 2.0
     assert report.extras["distance_band"] < 2.0
@@ -268,29 +286,55 @@ def test_tau_estimates_bands_within_two():
 
 def test_tau_estimates_harmonic_control_is_linear():
     grid = build_grid(_circle_ring(), 33, 64)
-    report = check_tau_estimates(grid, (0.1, 0.2, 0.4, 0.8),
-                                 field_for_tau=lambda t: solve_harmonic(grid, t))
+    report = check_tau_estimates([solve_harmonic(grid, t) for t in (0.1, 0.2, 0.4, 0.8)])
     assert report.passed
     assert report.extras["gradient_band"] == pytest.approx(1.0, abs=1e-9)
     assert report.extras["distance_band"] == pytest.approx(1.0, abs=1e-9)
 
 
+def _fields_without_dirichlet_data(grid, like):
+    """Fields on grid whose data are not (0, tau > 0): none, a nonzero outer
+    value, and tau = 0."""
+    flat = ScalarField(grid=grid, values=np.zeros_like(like.values))
+    lifted = ScalarField(grid=grid, values=like.values + 0.1,
+                         boundary_values=(0.1, like.boundary_values[1] + 0.1))
+    zero = ScalarField(grid=grid, values=flat.values, boundary_values=(0.0, 0.0))
+    return flat, lifted, zero
+
+
 def test_tau_estimates_validates_input():
     grid = build_grid(_circle_ring(), 9, 24)
-    with pytest.raises(ValueError):
-        check_tau_estimates(grid, (0.1, 0.2, 0.4))
-    with pytest.raises(ValueError):
-        check_tau_estimates(grid, (0.1, 0.2, 0.4, 1.8))
-    with pytest.raises(ValueError, match="tau must be a number"):
-        check_tau_estimates(grid, (0.1, 0.2, "0.4", 0.8))
+    omegas = [solve_harmonic(grid, t) for t in (0.1, 0.2, 0.4, 0.8)]
+    with pytest.raises(ValueError, match="four or more fields, got 3"):
+        check_tau_estimates(omegas[:3])
+    for bad in _fields_without_dirichlet_data(grid, omegas[0]):
+        with pytest.raises(ValueError, match=r"Dirichlet data \(0, tau > 0\)"):
+            check_tau_estimates(omegas[:3] + [bad])
+
+
+def test_small_tau_and_hopf_validate_their_fields():
+    grid = build_grid(_circle_ring(), 9, 24)
+    omegas = [solve_harmonic(grid, t) for t in (0.01, 0.02)]
+    omega_1 = solve_harmonic(grid, 1.0)
+    with pytest.raises(ValueError, match="two or more fields, got 1"):
+        check_small_tau_regime(omegas[:1], omega_1)
+    for bad in _fields_without_dirichlet_data(grid, omegas[0]):
+        with pytest.raises(ValueError, match=r"Dirichlet data \(0, tau > 0\)"):
+            check_small_tau_regime([omegas[0], bad], omega_1)
+        with pytest.raises(ValueError, match=r"Dirichlet data \(0, tau > 0\)"):
+            check_hopf_boundary_bound([omegas[0], bad])
+    # omega_1 must carry the data (0, 1)
+    for not_omega_1 in (omegas[1], ScalarField(grid=grid, values=omega_1.values)):
+        with pytest.raises(ValueError, match=r"data \(0, 1\)"):
+            check_small_tau_regime(omegas, not_omega_1)
 
 
 def test_tau_estimates_accepts_any_order_and_repeats():
-    # the walk sorts and drops repeats; the constants keep the caller's order
+    # a repeated height adds no pair; the constants keep the fields' order
     grid = build_grid(_circle_ring(), 17, 32)
-    sorted_report = check_tau_estimates(grid, (0.1, 0.2, 0.4, 0.8))
+    sorted_report = check_tau_estimates(_walk_fields(grid, (0.1, 0.2, 0.4, 0.8)))
     for taus in ((0.8, 0.1, 0.4, 0.2), (0.1, 0.2, 0.4, 0.2, 0.8)):
-        report = check_tau_estimates(grid, taus)
+        report = check_tau_estimates(_walk_fields(grid, taus))
         assert report.margin == sorted_report.margin
         assert report.extras["tau_list"] == list(taus)
 
@@ -312,7 +356,8 @@ def test_harmonic_field_scales_with_its_data():
 
 def test_small_tau_regime_ratio_is_stable():
     grid = build_grid(_circle_ring(), 33, 64)
-    report = check_small_tau_regime(grid)
+    report = check_small_tau_regime(_walk_fields(grid, (0.01, 0.02, 0.04)),
+                                    solve_harmonic(grid, 1.0))
     assert report.passed
     qs = report.extras["ratios"]
     assert len(qs) == 3
@@ -391,7 +436,7 @@ def test_gradient_monotonicity_flags_planar_field():
 def test_hopf_bound_along_continuation():
     grid = build_grid(_circle_ring(), 33, 64)
     trace = continuation_solve(grid, (0.25, 0.5, 1.0))
-    report = check_hopf_boundary_bound(trace)
+    report = check_hopf_boundary_bound([s.field for s in trace.steps])
     assert report.passed
     minima = report.extras["boundary_minima"]
     assert all(b > a for a, b in zip(minima, minima[1:]))
@@ -403,8 +448,8 @@ def test_hopf_bound_single_step_is_vacuous():
     grid = build_grid(_circle_ring(), 9, 24)
     trace = continuation_solve(grid, (0.05,))
     assert len(trace.steps) == 1
-    with pytest.raises(ValueError, match="two or more continuation steps, got 1"):
-        check_hopf_boundary_bound(trace)
+    with pytest.raises(ValueError, match="two or more fields, got 1"):
+        check_hopf_boundary_bound([s.field for s in trace.steps])
 
 
 def test_adapted_frame_identity_on_solved_graph():
@@ -541,23 +586,55 @@ _RING_CHECKS = ["tau-estimates", "small-tau-regime", "hopf-boundary-bound"]
 
 
 def test_run_suite_ring_checks_agree_with_the_standalone_checks():
-    # the suite's one walk against each check's own fields
+    # the suite's one walk against the checks called on one walk over the
+    # same heights and one harmonic solve
     grid = build_grid(_circle_ring(), 17, 32)
     suite = {r.name: r for r in run_suite(grid, checks=_RING_CHECKS)}
+    trace = continuation_solve(grid, sorted({t for ts in verify._HEIGHTS.values() for t in ts}))
+    by_tau = {s.tau: s.field for s in trace.steps}
+
+    def fields(name):
+        return [by_tau[t] for t in verify._HEIGHTS[name]]
+
     alone = {
-        "tau-estimates": check_tau_estimates(grid, (0.1, 0.2, 0.4, 0.8)),
-        "small-tau-regime": check_small_tau_regime(grid),
-        "hopf-boundary-bound": check_hopf_boundary_bound(
-            continuation_solve(grid, (0.25, 0.5, 0.75, 1.0))),
+        "tau-estimates": check_tau_estimates(fields("tau-estimates")),
+        "small-tau-regime": check_small_tau_regime(fields("small-tau-regime"),
+                                                   solve_harmonic(grid, 1.0)),
+        "hopf-boundary-bound": check_hopf_boundary_bound(fields("hopf-boundary-bound")),
     }
     for name, report in alone.items():
         assert suite[name].error is None
         assert suite[name].passed == report.passed
-        assert abs(suite[name].margin - report.margin) <= 1e-9, name
-    # both walks start at 0.01 and take the same first three steps
-    assert suite["small-tau-regime"].margin == alone["small-tau-regime"].margin
-    assert (suite["hopf-boundary-bound"].extras["tau_schedule"]
-            == alone["hopf-boundary-bound"].extras["tau_schedule"])
+        assert suite[name].margin == report.margin, name
+        assert suite[name].extras == report.extras, name
+    # the boundary minima read from the jet tables are the walk's own
+    minima = {s.tau: s.outer_boundary_min_gradient for s in trace.steps}
+    hopf = alone["hopf-boundary-bound"].extras
+    assert hopf["boundary_minima"] == [minima[t] for t in hopf["tau_schedule"]]
+
+
+def test_field_checks_solve_nothing(monkeypatch):
+    grid = build_grid(_circle_ring(), 17, 32)
+    trace = continuation_solve(grid, [0.01, 0.02, 0.04, 0.05, 0.1, 0.2, 0.4, 0.8])
+    by_tau = {s.tau: s.field for s in trace.steps}
+    u, omega, omega_1 = by_tau[0.4], solve_harmonic(grid, 0.4), solve_harmonic(grid, 1.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a field check solved")
+
+    for name in ("solve_minimal_graph", "solve_harmonic", "continuation_solve"):
+        monkeypatch.setattr(verify, name, refuse)
+    reports = [
+        check_gradient_max_principle(u),
+        check_supersolution(u, omega),
+        check_tau_estimates([by_tau[t] for t in (0.1, 0.2, 0.4, 0.8)]),
+        check_small_tau_regime([by_tau[t] for t in (0.01, 0.02, 0.04)], omega_1),
+        check_convexity_and_rank(u),
+        check_gradient_monotonicity(u),
+        check_hopf_boundary_bound([by_tau[t] for t in (0.05, 0.1, 0.2, 0.4, 0.8)]),
+    ]
+    assert len({r.name for r in reports}) == 7
+    assert all(r.error is None and np.isfinite(r.margin) for r in reports)
 
 
 def test_run_suite_keeps_the_steps_of_a_stopped_walk(monkeypatch):
