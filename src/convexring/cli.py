@@ -156,7 +156,8 @@ def _build_ring(cfg: dict, raw: str, chart: SpaceFormChart) -> ConvexRing:
         outer = curve_from_dict(section.get("outer"))
     with _errors_at(raw, "ring.inner"):
         inner = curve_from_dict(section.get("inner"))
-    with _errors_at(raw, "ring"):
+    # make_ring first rejects a chart of any dimension but 2: the "dim" key's fault
+    with _errors_at(raw, "ring" if chart.dim == 2 else "chart.dim"):
         return make_ring(chart, outer, inner)
 
 

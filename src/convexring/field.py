@@ -11,6 +11,13 @@ C_tt = x_tt . Du, C_ss = 0).  J^{-1}, x_st, x_tt, lambda and grad log lambda
 at the nodes depend on the grid alone; the grid builds them on its first jet
 table and keeps them.  The Christoffel correction and frame rescaling are the
 kernel behind :func:`convexring.spaceform.frame_components`.
+
+A jet table is filled in blocks of whole rows, about ``_BLOCK`` samples each;
+:func:`convexring.levelgeom.rank_scan` runs its samples in blocks of the same
+constant.  A block's temporaries stay in cache and none is the size of the
+grid, so the peak memory of a table is its output plus a few blocks, however
+many temporaries the arithmetic needs.  Every sample's arithmetic is the same
+in any block, so the values do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -26,6 +33,10 @@ from .ring import AnnularGrid, build_grid, ring_from_dict
 from .spaceform import _to_frame
 
 SNAPSHOT_FORMAT = "convexring-field"
+# samples per block of the grid jet table and of levelgeom.rank_scan: about
+# 8192 keeps every temporary of a block in cache (the block-size sweep of
+# BENCH_blocked_geometry.json)
+_BLOCK = 8192
 
 
 class FieldShapeError(ValueError):
@@ -98,17 +109,15 @@ def _comp_derivatives(values: np.ndarray, hs: float, ht: float):
     return u_s, u_t, u_ss, u_st, u_tt
 
 
-def _coordinate_derivatives(grid: AnnularGrid, values: np.ndarray):
-    """Du and D^2u in chart coordinates, as component arrays; the
-    computational-space arrays die on return, before the frame conversion."""
-    geo = grid._node_geometry
-    (j00, j01), (j10, j11) = geo.jinv
-    u_s, u_t, u_ss, u_st, u_tt = _comp_derivatives(values, grid.hs, grid.htheta)
-
+def _coordinate_derivatives(geo, rows: slice, u_s, u_t, u_ss, u_st, u_tt):
+    """Du and D^2u in chart coordinates, as component arrays, from the
+    computational-space derivatives of the grid rows ``rows`` and the node
+    geometry ``geo`` of the whole grid."""
+    (j00, j01), (j10, j11) = ([a[rows] for a in row] for row in geo.jinv)
     # Du = J^{-T} (u_s, u_t); the rows of J^{-1} are ds/dx and dtheta/dx
     du = (u_s * j00 + u_t * j10, u_s * j01 + u_t * j11)
-    # subtract the map's curvature term (x_ss = 0) ...
-    (st0, st1), (tt0, tt1) = geo.x_st, geo.x_tt
+    # subtract the map's curvature term (x_ss = 0; x_st depends on theta alone) ...
+    (st0, st1), (tt0, tt1) = geo.x_st, (a[rows] for a in geo.x_tt)
     h_st = u_st - (st0 * du[0] + st1 * du[1])
     h_tt = u_tt - (tt0 * du[0] + tt1 * du[1])
     # ... then pull back two-sided: m = H J^{-1}, D^2u = J^{-T} m
@@ -119,9 +128,25 @@ def _coordinate_derivatives(grid: AnnularGrid, values: np.ndarray):
 
 
 def _build_jet_table(grid: AnnularGrid, values: np.ndarray) -> dict:
-    du, d2u = _coordinate_derivatives(grid, values)
+    """The jet table of ``values``, evaluated in blocks of max(1, _BLOCK //
+    ntheta) rows into the stacked grad (ns, ntheta, 2) and hess (ns, ntheta,
+    2, 2).  Every block's temporaries stay near _BLOCK samples, so they stay
+    in cache and none is the size of the grid; each sample's arithmetic is
+    the same in any block, so the table does not depend on the block size."""
+    ns, ntheta = values.shape
     geo = grid._node_geometry
-    grad, hess = _to_frame(geo.lam, geo.dlog, du, d2u)
+    grad, hess = np.empty((ns, ntheta, 2)), np.empty((ns, ntheta, 2, 2))
+    step = max(1, _BLOCK // ntheta)
+    for r0 in range(0, ns, step):
+        r1 = min(ns, r0 + step)
+        # the window of values the stencils read: a halo row on each side
+        # and 4 rows at least, for the one-sided stencils on its end rows
+        w0 = max(0, min(r0 - 1, ns - 4))
+        w1 = min(ns, max(r1 + 1, w0 + 4))
+        comp = _comp_derivatives(values[w0:w1], grid.hs, grid.htheta)
+        rows = slice(r0, r1)
+        du, d2u = _coordinate_derivatives(geo, rows, *(d[r0 - w0:r1 - w0] for d in comp))
+        grad[rows], hess[rows] = _to_frame(geo.lam[rows], [c[rows] for c in geo.dlog], du, d2u)
     return {"value": values, "grad": grad, "hess": hess}
 
 

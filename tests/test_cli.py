@@ -286,12 +286,16 @@ def test_semantic_error_names_the_offending_line(tmp_path, capsys):
 
 def test_chart_of_dimension_three_exits_1_naming_dimension_2(tmp_path, capsys):
     cfg = write_config(tmp_path, chart={"epsilon": 0.0, "dim": 3})
+    # the line of "dim", where the offending value stands, not that of "ring"
+    lines = Path(cfg).read_text().splitlines()
+    dim_line = next(n for n, line in enumerate(lines, 1) if '"dim"' in line)
+    assert dim_line < next(n for n, line in enumerate(lines, 1) if '"ring"' in line)
     for command in ("solve", "verify"):
         rc = main([command, "--config", cfg, "--out", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: config line ") and "dimension 2 only" in err, err
+        assert err.startswith(f"error: config line {dim_line}: ") and "dimension 2 only" in err, err
 
 
 def test_folded_grid_exits_1_naming_the_node(tmp_path, capsys):

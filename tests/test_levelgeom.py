@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from convexring import field
 from convexring.field import ScalarField, sample_field
 from convexring.levelgeom import (
     LevelRangeError,
@@ -351,6 +352,76 @@ def test_batched_geometry_names_the_first_singular_point(sphere_chart_field):
     first_point = extract_level(f, 0.25).points[0].tolist()
     with pytest.raises(SingularGradientError, match=re.escape(f"at {first_point}")):
         extract_level(tiny, 0.25 * scale)
+
+
+def _scan_numbers(scan):
+    return (scan.samples, scan.min_rank, scan.max_rank, scan.lambda_min,
+            scan.location.tolist(), scan.threshold)
+
+
+def test_rank_scan_is_the_same_in_every_block_size(monkeypatch, sphere_chart_field):
+    # the flat README ring and an epsilon = 1 ring, in blocks of one sample,
+    # of one row and a ragged last block (31 * 64 samples in blocks of 100)
+    ring = make_ring(SpaceFormChart(epsilon=0.0, dim=2), make_curve("ellipse", radii=(3.0, 2.0)),
+                     make_curve("ellipse", radii=(1.2, 0.8)))
+    grid = build_grid(ring, 33, 64)
+    readme = ScalarField(grid, np.repeat(grid.s[:, None], grid.ntheta, axis=1), (0.0, 1.0))
+    for f in (readme, sphere_chart_field):
+        monkeypatch.setattr(field, "_BLOCK", f.values.size)
+        whole = _scan_numbers(rank_scan(f))
+        for block in (1, f.grid.ntheta, 100):
+            monkeypatch.setattr(field, "_BLOCK", block)
+            assert _scan_numbers(rank_scan(f)) == whole
+
+
+def test_rank_scan_locates_the_first_minimum_across_blocks(monkeypatch):
+    # grad e_1 and hess diag(0, -c): the one curvature is c, and its least
+    # value 1 comes twice, at samples 3 and 9, in the first and the third
+    # block of four
+    c = np.array([3.0, 2.0, 4.0, 1.0, 5.0, 6.0, 2.0, 7.0, 8.0, 1.0, 3.0])
+    hess = np.zeros((len(c), 2, 2))
+    hess[:, 1, 1] = -c
+    jets = PointJet(point=np.arange(2.0 * len(c)).reshape(-1, 2), value=np.zeros(len(c)),
+                    grad=np.broadcast_to([1.0, 0.0], (len(c), 2)), hess=hess)
+    for block in (4, 1, 5, len(c)):
+        monkeypatch.setattr(field, "_BLOCK", block)
+        scan = rank_scan(jets)
+        assert (scan.lambda_min, scan.location.tolist()) == (1.0, [6.0, 7.0])
+        assert (scan.samples, scan.min_rank, scan.max_rank) == (len(c), 1, 1)
+
+
+def test_rank_scan_names_the_first_singular_node_across_blocks(monkeypatch, sphere_chart_field):
+    # a flat 3 x 3 patch has zero gradient at its centre: nodes (3, 10) and
+    # (20, 5) lie in different blocks of one row
+    f = sphere_chart_field
+    values = f.values.copy()
+    values[2:5, 9:12] = values[3, 10]
+    values[19:22, 4:7] = values[20, 5]
+    first_node = f.grid.nodes[3, 10].tolist()
+    for block in (f.grid.ntheta, 1, 100, values.size):
+        monkeypatch.setattr(field, "_BLOCK", block)
+        flat = ScalarField(f.grid, values, f.boundary_values)
+        with pytest.raises(SingularGradientError, match=re.escape(f"at {first_node}")):
+            rank_scan(flat)
+
+
+def test_rank_scan_of_a_3d_stack_larger_than_a_block(monkeypatch):
+    # u = -|x|^2: level spheres, curvatures 1/|x| twice, least at the largest |x|
+    rng = np.random.default_rng(7)
+    points = rng.uniform(-1.0, 1.0, (10_000, 3))
+    points *= rng.uniform(1.0, 2.0, (len(points), 1)) / np.linalg.norm(points, axis=-1, keepdims=True)
+    jets = PointJet(point=points, value=-np.sum(points * points, axis=-1), grad=-2 * points,
+                    hess=np.broadcast_to(-2 * np.eye(3), (len(points), 3, 3)))
+    blocks = (field._BLOCK, 7)
+    monkeypatch.setattr(field, "_BLOCK", len(points))
+    whole = _scan_numbers(rank_scan(jets))
+    assert whole[:3] == (len(points), 2, 2)
+    far = int(np.argmax(np.linalg.norm(points, axis=-1)))
+    assert whole[3] == pytest.approx(1.0 / np.linalg.norm(points[far]), rel=1e-12)
+    assert whole[4] == points[far].tolist()
+    for block in blocks:
+        monkeypatch.setattr(field, "_BLOCK", block)
+        assert _scan_numbers(rank_scan(jets)) == whole
 
 
 def test_structure_condition_three_examples():
