@@ -224,11 +224,8 @@ def phi_test(jet: PointJet, l: int) -> float:
     n = g.shape[0]
     if not 0 <= l <= n - 2:
         raise ValueError(f"l must be in [0, {n - 2}], got {l}")
-    norm = float(np.linalg.norm(g))
-    if norm < GRAD_FLOOR:
-        raise SingularGradientError(f"|grad u| below floor at {jet.point.tolist()}")
-    curvatures = principal_curvatures(jet)
-    return norm ** (l + 3) * elementary_symmetric(curvatures, l + 1)
+    h, norm = _level_forms(jet.point, g, np.asarray(jet.hess, dtype=float))
+    return float(norm) ** (l + 3) * elementary_symmetric(_curvatures(h), l + 1)
 
 
 # -- level extraction ---------------------------------------------------------

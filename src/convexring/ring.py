@@ -11,10 +11,10 @@ and the grid between them blends boundary positions linearly,
     x(s, theta) = (1 - s) * gamma_outer(theta) + s * gamma_inner(theta),
 
 so the s = 0 row lies exactly on the outer boundary and s = 1 exactly on the
-inner one.  The ``map_*`` methods broadcast s against theta: given s[:, None]
-and a row of angles they evaluate each curve once per angle.  Convexity,
-containment, and grid folding are all validated at construction time by
-dense sampling.
+inner one.  The grid's map and its Jacobian broadcast s against theta: given
+s[:, None] and a row of angles they evaluate each curve once per angle, and
+the Jacobian comes as component arrays.  Convexity, containment, and grid
+folding are all validated at construction time by dense sampling.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ class ConvexCurve:
     axes = its semiaxes, a fourier curve its series and axes (1, 1).  ``kind``
     only names the config and snapshot format.  ``point``, ``d1`` and ``d2``
     take theta of any shape and append an axis of length 2, so the grid's
-    ``map_*`` methods broadcast over (s, theta) and evaluate each curve once
-    per angle.  Use :func:`make_curve`, which validates convexity; the
-    constructor itself does not.
+    blend map and its derivatives broadcast over (s, theta) and evaluate each
+    curve once per angle.  Use :func:`make_curve`, which validates
+    convexity; the constructor itself does not.
     """
 
     kind: str
@@ -327,8 +327,10 @@ class AnnularGrid:
 
     Node (i, j) sits at x(s_i, theta_j) with s_i = i/(ns-1) and
     theta_j = 2 pi j / ntheta; the theta direction is periodic.  The blend
-    map, its Jacobian, and its second derivatives are analytic and can be
-    evaluated anywhere, which the solvers use for face-centered fluxes.
+    map and its Jacobian are analytic and can be evaluated anywhere: the
+    fold check takes det J at the nodes, the solver J^{-1} at the face
+    centres, and the node geometry of the jet tables J^{-1} and the second
+    derivatives at the nodes, all as component arrays.
     """
 
     def __init__(self, ring: ConvexRing, ns: int, ntheta: int):
@@ -348,8 +350,7 @@ class AnnularGrid:
 
         # (s[:, None], theta) broadcasts: each curve is evaluated at ntheta angles
         self.nodes = self.map_point(self.s[:, None], self.theta)   # (ns, ntheta, 2)
-        jac = self.map_jacobian(self.s[:, None], self.theta)
-        self.det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+        _, _, self.det = self._jacobian(self.s[:, None], self.theta)
         self._validate_determinants(self.det)
 
         ds = np.linalg.norm(np.diff(self.nodes, axis=0), axis=-1)
@@ -374,51 +375,39 @@ class AnnularGrid:
         s = np.asarray(s, dtype=float)[..., None]
         return (1.0 - s) * self.ring.outer.point(theta) + s * self.ring.inner.point(theta)
 
-    def map_jacobian(self, s, theta) -> np.ndarray:
-        """d(x)/d(s, theta), shape (..., 2, 2); columns are x_s and x_theta."""
-        s = np.asarray(s, dtype=float)[..., None]
-        x_s = self.ring.inner.point(theta) - self.ring.outer.point(theta)
-        x_t = (1.0 - s) * self.ring.outer.d1(theta) + s * self.ring.inner.d1(theta)
-        return np.stack(np.broadcast_arrays(x_s, x_t), axis=-1)
+    def _jacobian(self, s, theta):
+        """The blend map's Jacobian columns x_s and x_theta, each a pair of
+        components, and det J.  x_s depends on theta alone."""
+        outer, inner = self.ring.outer, self.ring.inner
+        p_out, p_in = outer.point(theta), inner.point(theta)
+        d1_out, d1_in = outer.d1(theta), inner.d1(theta)
+        x_s = tuple(p_in[..., k] - p_out[..., k] for k in range(2))
+        x_t = tuple((1.0 - s) * d1_out[..., k] + s * d1_in[..., k] for k in range(2))
+        return x_s, x_t, x_s[0] * x_t[1] - x_t[0] * x_s[1]
 
-    def map_jacobian_inverse(self, s, theta) -> tuple[np.ndarray, np.ndarray]:
-        """(J^{-1}, det J) of the blend map; J^{-1} has shape (..., 2, 2),
-        rows d(s)/d(x) and d(theta)/d(x)."""
-        jac = self.map_jacobian(s, theta)
-        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-        jinv = np.empty_like(jac)
-        jinv[..., 0, 0] = jac[..., 1, 1]
-        jinv[..., 0, 1] = -jac[..., 0, 1]
-        jinv[..., 1, 0] = -jac[..., 1, 0]
-        jinv[..., 1, 1] = jac[..., 0, 0]
-        jinv /= det[..., None, None]
-        return jinv, det
-
-    def map_second(self, s, theta):
-        """Second derivatives of the blend map: (x_ss, x_st, x_tt).
-
-        x_ss vanishes identically (the blend is linear in s); x_ss and x_st
-        depend on theta alone and keep its shape."""
-        s = np.asarray(s, dtype=float)[..., None]
-        x_st = self.ring.inner.d1(theta) - self.ring.outer.d1(theta)
-        x_tt = (1.0 - s) * self.ring.outer.d2(theta) + s * self.ring.inner.d2(theta)
-        return np.zeros_like(x_st), x_st, x_tt
+    def _jacobian_inverse(self, s, theta):
+        """The rows of J^{-1}, d(s)/d(x) and d(theta)/d(x) as component pairs,
+        and det J."""
+        x_s, x_t, det = self._jacobian(s, theta)
+        return ((x_t[1] / det, -x_t[0] / det), (-x_s[1] / det, x_s[0] / det)), det
 
     @cached_property
     def _node_geometry(self) -> _NodeGeometry:
         """J^{-1}, x_st, x_tt, lambda and grad log lambda at the nodes: built
-        by the first jet table on this grid and kept for the grid's life."""
-        s = self.s[:, None]
-        jinv, _ = self.map_jacobian_inverse(s, self.theta)
-        _, x_st, x_tt = self.map_second(s, self.theta)
+        by the first jet table on this grid and kept for the grid's life.
+        x_ss vanishes (the blend is linear in s) and x_st depends on theta
+        alone."""
+        s, theta = self.s[:, None], self.theta
+        jinv, _ = self._jacobian_inverse(s, theta)
+        outer, inner = self.ring.outer, self.ring.inner
+        d1_out, d1_in = outer.d1(theta), inner.d1(theta)
+        d2_out, d2_in = outer.d2(theta), inner.d2(theta)
+        x_st = tuple(d1_in[..., k] - d1_out[..., k] for k in range(2))
+        x_tt = tuple((1.0 - s) * d2_out[..., k] + s * d2_in[..., k] for k in range(2))
         chart = self.ring.chart
         lam, dlog = _log_lambda_derivatives(chart, chart.validate_points(self.nodes))
-
-        def parts(a):
-            return tuple(np.ascontiguousarray(a[..., k]) for k in range(2))
-
-        return _NodeGeometry(jinv=(parts(jinv[..., 0, :]), parts(jinv[..., 1, :])),
-                             x_st=parts(x_st), x_tt=parts(x_tt), lam=lam, dlog=parts(dlog))
+        return _NodeGeometry(jinv=jinv, x_st=x_st, x_tt=x_tt, lam=lam,
+                             dlog=(dlog[..., 0], dlog[..., 1]))
 
     def refine(self) -> "AnnularGrid":
         """Halve both spacings; existing nodes are a subset of the new ones."""

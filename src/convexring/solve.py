@@ -246,11 +246,10 @@ class _Assembler:
 
     @staticmethod
     def _face_geometry(grid, s, theta):
-        jinv, det = grid.map_jacobian_inverse(s, theta)
+        ((a, b), (c, d)), det = grid._jacobian_inverse(s, theta)
         lam = conformal_factor(grid.ring.chart, grid.map_point(s, theta))
-        r0, r1 = jinv[..., 0, :], jinv[..., 1, :]
-        g01 = np.sum(r0 * r1, axis=-1)
-        metric = ((np.sum(r0 * r0, axis=-1), g01), (g01, np.sum(r1 * r1, axis=-1)))
+        g01 = a * c + b * d
+        metric = ((a * a + b * b, g01), (g01, c * c + d * d))
         return {"det": det, "G": metric, "inv_lam2": 1.0 / (lam * lam)}
 
     def _gradients(self, v, normal):

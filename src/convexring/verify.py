@@ -282,14 +282,16 @@ def check_small_tau_regime(fields: Sequence[ScalarField],
 def check_convexity_and_rank(f: ScalarField,
                              levels: Sequence[float] | None = None) -> VerificationReport:
     """Every extracted level curve is strictly convex with margin above the
-    noise floor, and the level-Hessian rank is constant over the interior."""
+    noise floor, and the level-Hessian rank is constant over the interior.
+
+    Without ``levels`` the levels are tau k / 9, k = 1..8, with tau from the
+    field's Dirichlet data (0, tau > 0), and other data is a ValueError;
+    explicit levels are read on any field."""
     t0 = time.perf_counter()
     name = "convexity-and-rank"
     claim = "level sets are strictly convex and their curvature rank is constant"
     if levels is None:
-        if f.boundary_values is None:
-            raise ValueError("levels are required for a field without boundary data")
-        tau = f.boundary_values[1]
+        tau = _tau(f, name)
         levels = [tau * k / 9.0 for k in range(1, 9)]
     tol = _noise_floor(f.grid)
 

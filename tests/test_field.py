@@ -123,10 +123,14 @@ def test_jets_match_covariant_jet_on_sphere():
 
 
 def _matmul_jet_table(grid, values):
-    # the stacked 2x2 matmul chain and frame_components the jet table once ran
-    s = grid.s[:, None]
-    jinv, _ = grid.map_jacobian_inverse(s, grid.theta)
-    _, x_st, x_tt = grid.map_second(s, grid.theta)
+    # the stacked 2x2 matmul chain and frame_components the jet table once
+    # ran, with J^{-1} from np.linalg.inv and x_st, x_tt from the curves
+    s, theta, outer, inner = grid.s[:, None, None], grid.theta, grid.ring.outer, grid.ring.inner
+    x_s, x_t, _ = grid._jacobian(grid.s[:, None], theta)
+    jac = np.stack(np.broadcast_arrays(x_s[0], x_t[0], x_s[1], x_t[1]), axis=-1)
+    jinv = np.linalg.inv(jac.reshape(values.shape + (2, 2)))
+    x_st = inner.d1(theta) - outer.d1(theta)
+    x_tt = (1.0 - s) * outer.d2(theta) + s * inner.d2(theta)
     u_s, u_t, u_ss, u_st, u_tt = field._comp_derivatives(values, grid.hs, grid.htheta)
     coord_grad = u_s[..., None] * jinv[..., 0, :] + u_t[..., None] * jinv[..., 1, :]
     u_st = u_st - np.sum(x_st * coord_grad, axis=-1)
@@ -184,13 +188,13 @@ def test_jet_table_is_the_same_in_every_block_size(monkeypatch):
 
 def test_node_geometry_is_built_once_per_grid_and_freed_with_it(monkeypatch):
     calls = []
-    inverse = AnnularGrid.map_jacobian_inverse
+    inverse = AnnularGrid._jacobian_inverse
 
     def counting(self, s, theta):
         calls.append(np.broadcast_shapes(np.shape(s), np.shape(theta)))
         return inverse(self, s, theta)
 
-    monkeypatch.setattr(AnnularGrid, "map_jacobian_inverse", counting)
+    monkeypatch.setattr(AnnularGrid, "_jacobian_inverse", counting)
     grid = _ellipse_grid(17, 48)
     assert calls == [] and "_node_geometry" not in vars(grid)
     f = sample_field(grid, _trig)

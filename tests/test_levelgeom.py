@@ -115,7 +115,7 @@ def test_singular_gradient_raises():
         second_fundamental_form(jet)
     with pytest.raises(SingularGradientError):
         sigma_k_level(jet, 1)
-    with pytest.raises(SingularGradientError):
+    with pytest.raises(SingularGradientError, match=r"\|grad u\| = 1\.000e-10 below floor"):
         phi_test(jet, 0)
 
 

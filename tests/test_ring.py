@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -257,19 +259,43 @@ def test_grid_jacobian_matches_fd():
     for _ in range(5):
         s = rng.uniform(0.1, 0.9)
         t = rng.uniform(0, 2 * np.pi)
-        jac = grid.map_jacobian(s, t)
+        x_s, x_t, _ = grid._jacobian(s, t)
         fd_s = (grid.map_point(s + h, t) - grid.map_point(s - h, t)) / (2 * h)
         fd_t = (grid.map_point(s, t + h) - grid.map_point(s, t - h)) / (2 * h)
-        assert np.allclose(jac[..., 0], fd_s, atol=1e-8)
-        assert np.allclose(jac[..., 1], fd_t, atol=1e-8)
-        _, x_st, x_tt = grid.map_second(s, t)
+        assert np.allclose(x_s, fd_s, atol=1e-8)
+        assert np.allclose(x_t, fd_t, atol=1e-8)
+    # the node geometry's second derivatives, at interior nodes
+    geo = grid._node_geometry
+    for _ in range(5):
+        i, j = rng.integers(1, grid.ns - 1), rng.integers(grid.ntheta)
+        s, t = grid.s[i], grid.theta[j]
         fd_st = (
             grid.map_point(s + h, t + h) - grid.map_point(s + h, t - h)
             - grid.map_point(s - h, t + h) + grid.map_point(s - h, t - h)
         ) / (4 * h * h)
         fd_tt = (grid.map_point(s, t + h) - 2 * grid.map_point(s, t) + grid.map_point(s, t - h)) / h**2
-        assert np.allclose(x_st, fd_st, atol=1e-3)
-        assert np.allclose(x_tt, fd_tt, atol=1e-3)
+        assert np.allclose([c[j] for c in geo.x_st], fd_st, atol=1e-3)
+        assert np.allclose([c[i, j] for c in geo.x_tt], fd_tt, atol=1e-3)
+
+
+def test_node_geometry_peaks_near_what_it_keeps():
+    # the README ring at 257 x 512: the node geometry keeps its component
+    # arrays as they are computed, with no stacked Jacobian split into copies
+    ring = make_ring(
+        _flat_chart(),
+        make_curve("ellipse", radii=(3.0, 2.0)),
+        make_curve("ellipse", radii=(1.2, 0.8)),
+    )
+    grid = build_grid(ring, ns=257, ntheta=512)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        geometry = grid._node_geometry
+        kept, peak = (b - start for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert geometry.lam.shape == (257, 512)
+    assert peak <= 1.5 * kept, (peak, kept)
 
 
 def test_grid_refinement_nests_nodes():

@@ -413,6 +413,21 @@ def test_convexity_check_fails_on_level_topology():
     assert "error" in report.extras
 
 
+def test_convexity_check_without_levels_needs_data_zero_tau():
+    # the default levels tau k / 9 need Dirichlet data (0, tau > 0); explicit
+    # levels are read on any field
+    grid = build_grid(_circle_ring(), 33, 64)
+    s = np.repeat(grid.s[:, None], grid.ntheta, axis=1)
+    for data in ((0.2, 1.0), (0.0, -1.0), None):
+        values = s if data is None else data[0] + (data[1] - data[0]) * s
+        field = ScalarField(grid=grid, values=values, boundary_values=data)
+        with pytest.raises(ValueError, match=r"Dirichlet data \(0, tau > 0\)"):
+            check_convexity_and_rank(field)
+        lo, hi = sorted(data or (0.0, 1.0))
+        report = check_convexity_and_rank(field, levels=(0.5 * (lo + hi),))
+        assert list(report.extras["kappa_min_by_level"]) == [0.5 * (lo + hi)]
+
+
 def test_gradient_monotonicity_on_solved_field():
     grid = build_grid(_circle_ring(), 33, 64)
     u, _ = solve_minimal_graph(grid, 0.5)
