@@ -19,8 +19,9 @@ Config keys by command:
              oracle_grid_sizes)
     oracle   oracle (r_inner, r_outer, tau, n, samples)
 
-A section takes only its own keys (chart: epsilon >= 0 and dim; grid: ns and
-ntheta; ring: outer and inner); any other key is a config error at that
+Every section (chart, ring, grid, solve, verify, oracle) takes only its own
+keys, listed with their defaults in _SECTIONS (solve: the fields of
+SolveOptions); an unknown key or a bad value is a config error at that
 key's line.  Curve specs are {"kind": circle|ellipse|fourier,
 ...parameters} as accepted by make_curve.
 """
@@ -28,6 +29,7 @@ key's line.  Curve specs are {"kind": circle|ellipse|fourier,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import re
@@ -58,12 +60,15 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the line when locatable."""
 
 
-# the keys of each config section; "solve" takes the fields of SolveOptions
-_CHART_KEYS = ("epsilon", "dim")
-_RING_KEYS = ("outer", "inner")
-_GRID_KEYS = ("ns", "ntheta")
-_VERIFY_KEYS = ("tau", "oracle_grid_sizes")
-_ORACLE_KEYS = ("r_inner", "r_outer", "tau", "n", "samples")
+# each config section's keys and their defaults; "solve" takes the fields of
+# SolveOptions, whose module is imported only by the commands that solve
+_SECTIONS: dict[str, dict[str, Any]] = {
+    "chart": {"epsilon": 0.0, "dim": 2},
+    "ring": {"outer": None, "inner": None},
+    "grid": {"ns": 33, "ntheta": 64},
+    "verify": {"tau": 0.5, "oracle_grid_sizes": (64, 128, 256)},
+    "oracle": {"r_inner": 1.0, "r_outer": 2.0, "tau": 0.3, "n": 2, "samples": 33},
+}
 
 
 # -- config loading ------------------------------------------------------------
@@ -114,19 +119,21 @@ def _errors_at(raw: str, path: str, errors=(ValueError, TypeError), named=()):
         _fail(raw, path if key is None else f"{path}.{key}", message)
 
 
-def _section(cfg: dict, raw: str, name: str, keys: tuple[str, ...],
+def _section(cfg: dict, raw: str, name: str, defaults: dict[str, Any] | None = None,
              required: bool = True) -> dict:
-    """The object at the top-level key ``name``, empty if it is absent and
-    not ``required``; a key outside ``keys`` fails at its own line."""
+    """The object at the top-level key ``name`` laid over its ``defaults``
+    (those of _SECTIONS by default), or the defaults alone if it is absent and
+    not ``required``; a key without a default fails at its own line."""
+    defaults = _SECTIONS[name] if defaults is None else defaults
     section = cfg.get(name, None if required else {})
     if not isinstance(section, dict):
         _fail(raw, name, f'missing or invalid "{name}" section' if required
               else f'"{name}" must be an options object')
     for key in section:
-        if key not in keys:
+        if key not in defaults:
             _fail(raw, f"{name}.{key}",
-                  f"unknown {name} key {key!r}; the keys are {', '.join(keys)}")
-    return section
+                  f"unknown {name} key {key!r}; the keys are {', '.join(defaults)}")
+    return {**defaults, **section}
 
 
 def load_config(path: str) -> tuple[dict, str]:
@@ -145,36 +152,33 @@ def load_config(path: str) -> tuple[dict, str]:
 
 
 def _build_chart(cfg: dict, raw: str) -> SpaceFormChart:
-    section = _section(cfg, raw, "chart", _CHART_KEYS)
-    with _errors_at(raw, "chart", named=_CHART_KEYS):
-        return SpaceFormChart(section.get("epsilon", 0.0), section.get("dim", 2))
+    section = _section(cfg, raw, "chart")
+    with _errors_at(raw, "chart", named=section):
+        return SpaceFormChart(**section)
 
 
 def _build_ring(cfg: dict, raw: str, chart: SpaceFormChart) -> ConvexRing:
-    section = _section(cfg, raw, "ring", _RING_KEYS)
-    with _errors_at(raw, "ring.outer"):
-        outer = curve_from_dict(section.get("outer"))
-    with _errors_at(raw, "ring.inner"):
-        inner = curve_from_dict(section.get("inner"))
+    curves = {}
+    for key, spec in _section(cfg, raw, "ring").items():
+        with _errors_at(raw, f"ring.{key}"):
+            curves[key] = curve_from_dict(spec)
     # make_ring first rejects a chart of any dimension but 2: the "dim" key's fault
     with _errors_at(raw, "ring" if chart.dim == 2 else "chart.dim"):
-        return make_ring(chart, outer, inner)
+        return make_ring(chart, **curves)
 
 
 def _build_grid(cfg: dict, raw: str, ring: ConvexRing) -> AnnularGrid:
-    section = _section(cfg, raw, "grid", _GRID_KEYS)
-    with _errors_at(raw, "grid", named=_GRID_KEYS):
-        return build_grid(ring, section.get("ns", 33), section.get("ntheta", 64))
+    section = _section(cfg, raw, "grid")
+    with _errors_at(raw, "grid", named=section):
+        return build_grid(ring, **section)
 
 
 def _solve_options(cfg: dict, raw: str) -> SolveOptions:
     from .solve import SolveOptions, SolverError
 
-    section = cfg.get("solve", {})
-    if not isinstance(section, dict):
-        _fail(raw, "solve", '"solve" must be an options object')
-    with _errors_at(raw, "solve", (SolverError, TypeError),
-                     named=("newton_tol", "max_newton", "min_step")):
+    defaults = {f.name: f.default for f in dataclasses.fields(SolveOptions)}
+    section = _section(cfg, raw, "solve", defaults, required=False)
+    with _errors_at(raw, "solve", SolverError, named=section):
         return SolveOptions(**section)
 
 
@@ -345,17 +349,16 @@ def cmd_levels(cfg: dict, raw: str, snapshot: str, out_dir: Path) -> int:
 
 
 def cmd_verify(cfg: dict, raw: str, out_dir: Path) -> int:
-    from .verify import run_suite, suite_inputs
+    from .verify import VerificationReport, run_suite, suite_inputs
 
     chart = _build_chart(cfg, raw)
     grid = _build_grid(cfg, raw, _build_ring(cfg, raw, chart))
     selected = cfg.get("checks")
     if selected is not None and not isinstance(selected, list):
         _fail(raw, "checks", '"checks" must be a list of check names')
-    section = _section(cfg, raw, "verify", _VERIFY_KEYS, required=False)
-    with _errors_at(raw, "verify", named=_VERIFY_KEYS):
-        tau, oracle_sizes = suite_inputs(section.get("tau", 0.5),
-                                         section.get("oracle_grid_sizes", (64, 128, 256)))
+    section = _section(cfg, raw, "verify", required=False)
+    with _errors_at(raw, "verify", named=section):
+        tau, oracle_sizes = suite_inputs(**section)
     options = _solve_options(cfg, raw)
 
     with _errors_at(raw, "checks", ValueError):  # unknown names, before any check runs
@@ -364,20 +367,16 @@ def cmd_verify(cfg: dict, raw: str, out_dir: Path) -> int:
     if not reports:
         print("warning: empty check list, nothing verified", file=sys.stderr)
 
+    # an entry is its report without the volatile runtime_s and the error field
+    fields = [f.name for f in dataclasses.fields(VerificationReport)
+              if f.name not in ("runtime_s", "error")]
     entries = []
     for report in reports:
         if report.error is not None:
             entries.append({"name": report.name, "error": report.error})
             print(f"{report.name:<28} ERROR  {report.error}")
             continue
-        entries.append({
-            "name": report.name,
-            "passed": report.passed,
-            "margin": report.margin,
-            "tolerance": report.tolerance,
-            "claim": report.claim,
-            "extras": report.extras,
-        })
+        entries.append({name: getattr(report, name) for name in fields})
         status = "pass" if report.passed else "FAIL"
         print(f"{report.name:<28} {status}   margin={report.margin:+.6g}  "
               f"tolerance={report.tolerance:.6g}")
@@ -391,13 +390,12 @@ def cmd_verify(cfg: dict, raw: str, out_dir: Path) -> int:
 def cmd_oracle(cfg: dict, raw: str, out_dir: Path) -> int:
     from .oracle import radial_oracle
 
-    section = _section(cfg, raw, "oracle", _ORACLE_KEYS)
+    section = _section(cfg, raw, "oracle")
+    samples = section.pop("samples")
     # OracleInfeasibleError is a ValueError
-    with _errors_at(raw, "oracle", named=_ORACLE_KEYS):
-        oracle = radial_oracle(section.get("r_inner", 1.0), section.get("r_outer", 2.0),
-                               section.get("tau", 0.3), section.get("n", 2))
-        radii = np.linspace(oracle.r_inner, oracle.r_outer,
-                            _whole(section.get("samples", 33), "samples"))
+    with _errors_at(raw, "oracle", named=_SECTIONS["oracle"]):
+        oracle = radial_oracle(**section)
+        radii = np.linspace(oracle.r_inner, oracle.r_outer, _whole(samples, "samples"))
     rows = ["r,u,du"] + [f"{r:.17g},{u:.17g},{du:.17g}"
                          for r, u, du in zip(radii, oracle.u(radii), oracle.du(radii))]
     print(f"flux constant c = {oracle.c:.12g}")

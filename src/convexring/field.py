@@ -85,6 +85,11 @@ class ScalarField:
         return self._jets
 
 
+def _grad_norms(f: ScalarField, rows=slice(None)) -> np.ndarray:
+    """|grad u| at the nodes of the given grid rows (0 is the outer boundary)."""
+    return np.linalg.norm(f.jet_table()["grad"][rows], axis=-1)
+
+
 def _comp_derivatives(values: np.ndarray, hs: float, ht: float):
     """Computational-space derivatives: centered inside, one-sided second
     order on the first and last s rows, periodic wrap in theta."""

@@ -353,9 +353,13 @@ class AnnularGrid:
         _, _, self.det = self._jacobian(self.s[:, None], self.theta)
         self._validate_determinants(self.det)
 
-        ds = np.linalg.norm(np.diff(self.nodes, axis=0), axis=-1)
-        dt = np.linalg.norm(np.roll(self.nodes, -1, axis=1) - self.nodes, axis=-1)
-        self.max_spacing = float(max(ds.max(), dt.max()))
+        # the longest node edge, theta wrap included: the sqrt of the largest
+        # dx*dx + dy*dy is the largest np.linalg.norm of the pairs, bit for bit
+        x, y = self.nodes[..., 0], self.nodes[..., 1]
+        edges = ((np.diff(x, axis=0), np.diff(y, axis=0)),
+                 (np.diff(x, axis=1), np.diff(y, axis=1)),
+                 (x[:, 0] - x[:, -1], y[:, 0] - y[:, -1]))
+        self.max_spacing = float(np.sqrt(max(np.max(dx * dx + dy * dy) for dx, dy in edges)))
 
     @staticmethod
     def _validate_determinants(det: np.ndarray) -> None:

@@ -55,7 +55,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .field import ScalarField
+from .field import ScalarField, _grad_norms
 from .levelgeom import SingularGradientError, TopologyError, extract_level
 from .ring import AnnularGrid
 from .spaceform import _real, _whole, conformal_factor
@@ -100,8 +100,9 @@ class SolveOptions:
             self.max_newton = _whole(self.max_newton, "max_newton")
         except ValueError as exc:
             raise SolverError(str(exc)) from None
-        if not (self.newton_tol > 0.0 and self.min_step > 0.0):
-            raise SolverError("tolerances must be positive")
+        for name, value in (("newton_tol", self.newton_tol), ("min_step", self.min_step)):
+            if not value > 0.0:
+                raise SolverError(f"{name} must be positive, got {value}")
         if self.max_newton < 1:
             raise SolverError(f"max_newton must be >= 1, got {self.max_newton}")
 
@@ -407,11 +408,6 @@ def _factorize(matrix: sp.csc_matrix) -> _Factors:
         raise SolverError(f"direct linear solve failed: {exc}") from exc
 
 
-def _min_gradient_norm(f: ScalarField, rows) -> float:
-    """min |grad u| over the given grid rows (0 is the outer boundary)."""
-    return float(np.min(np.linalg.norm(f.jet_table()["grad"][rows], axis=-1)))
-
-
 # -- public solvers -----------------------------------------------------------
 
 
@@ -582,7 +578,7 @@ def solve_minimal_graph(grid: AnnularGrid, tau: float,
         newton_iterations=iterations,
         final_residual_max=rmax,
         tau=float(tau),
-        min_gradient_norm=_min_gradient_norm(f, slice(1, -1)),
+        min_gradient_norm=float(np.min(_grad_norms(f, slice(1, -1)))),
         wall_time=time.perf_counter() - t0,
         lu_fill=lu_fill,
         factorizations=spent + factorizations,
@@ -625,7 +621,7 @@ def _step_diagnostics(f: ScalarField, tau: float) -> tuple[float, float]:
     """(min level curvature, min outer-boundary |grad u|); the interior
     gradient minimum is already in the solve report."""
     kappa_min = min(extract_level(f, frac * tau).kappa_min for frac in (0.25, 0.5, 0.75))
-    return float(kappa_min), _min_gradient_norm(f, 0)
+    return float(kappa_min), float(np.min(_grad_norms(f, 0)))
 
 
 def continuation_targets(targets: Sequence[float]) -> list[float]:
@@ -642,8 +638,9 @@ def continuation_solve(grid: AnnularGrid, targets: Sequence[float],
                        options: SolveOptions | None = None) -> ContinuationTrace:
     """Predictor-corrector walk up the tau targets (see continuation_targets).
 
-    The first solve runs at min(TAU_START, smallest target) from the nested
-    start of solve_minimal_graph; later solves start from the previous
+    The schedule is the targets, preceded by TAU_START when it lies below
+    the smallest one.  The first solve runs from the nested start of
+    solve_minimal_graph; later solves start from the previous
     solution rescaled to the new boundary value.  Each tau gets one solve
     with options.max_newton Newton steps: a solve that does not converge, or
     a converged one whose level diagnostics fail, ends the walk with a
@@ -654,8 +651,7 @@ def continuation_solve(grid: AnnularGrid, targets: Sequence[float],
     if not targets:
         return trace
 
-    schedule = [min(TAU_START, targets[0])]
-    schedule += [t for t in targets if t > schedule[0] + 1e-15]
+    schedule = targets if targets[0] <= TAU_START else [TAU_START, *targets]
 
     for tau in schedule:
         init = None

@@ -22,7 +22,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .field import ScalarField, discrete_c2_distance
+from .field import ScalarField, _grad_norms, discrete_c2_distance
 from .levelgeom import (
     LevelRangeError,
     SingularGradientError,
@@ -71,10 +71,6 @@ def _finish(name: str, margin: float, tolerance: float, claim: str,
         name=name, passed=bool(margin >= 0.0), margin=float(margin),
         tolerance=float(tolerance), claim=claim,
         runtime_s=time.perf_counter() - t0, extras=extras)
-
-
-def _grad_norms(f: ScalarField) -> np.ndarray:
-    return np.linalg.norm(f.jet_table()["grad"], axis=-1)
 
 
 def _oracle_sizes(grid_sizes: Sequence[int]) -> list[int]:
@@ -187,7 +183,7 @@ def _nondivergence_defect(v: ScalarField, omega: ScalarField, tau: float) -> np.
     lap = np.trace(h, axis1=-2, axis2=-1)
     ghg = np.einsum("...i,...ij,...j->...", g, h, g)
     lv = (1.0 + gg) * lap - ghg
-    go = _grad_norms(omega)[1:-1]
+    go = _grad_norms(omega, slice(1, -1))
     return lv + go**2 / (2.0 * tau)
 
 
@@ -341,7 +337,7 @@ def check_hopf_boundary_bound(fields: Sequence[ScalarField]) -> VerificationRepo
     claim = "the outer-boundary gradient stays bounded away from zero, increasing in tau"
     taus = sorted(_taus(fields, 2, name))
     fields = sorted(fields, key=lambda f: f.boundary_values[1])
-    mins = [float(np.min(_grad_norms(f)[0])) for f in fields]
+    mins = [float(np.min(_grad_norms(f, 0))) for f in fields]
     tol = _noise_floor(fields[0].grid)
     monotone = min(mins[i + 1] - mins[i] + tol for i in range(len(mins) - 1))
     margin = min(min(mins), monotone)

@@ -260,6 +260,13 @@ def test_semantic_error_names_the_offending_line(tmp_path, capsys):
             ("solve", base_config(grid={"ns": 17, "ntheta": 4}), '  "ntheta"', "at least 8"),
             ("solve", base_config(solve={"max_newton": 9, "newton_tol": "1e-10"}),
              '  "newton_tol"', "newton_tol must be a number"),
+            ("solve", base_config(solve={"max_newton": 9, "min_step": 0}),
+             '  "min_step"', "min_step must be positive, got 0.0"),
+            ("solve", base_config(solve={"max_newton": 9, "newton_tol": 0}),
+             '  "newton_tol"', "newton_tol must be positive, got 0.0"),
+            ("solve", base_config(solve={"max_newton": 9, "linear_solver": "direct-banded"}),
+             '  "linear_solver"',
+             "unknown solve key 'linear_solver'; the keys are newton_tol, max_newton, min_step"),
             ("oracle", base_config(oracle=oracle), '  "r_inner"', "r_inner must be a number"),
             ("verify", base_config(verify={"oracle_grid_sizes": [16, 32], "tau": "0.5"}),
              '  "tau"', "verify tau must be a number"),
@@ -384,9 +391,9 @@ def test_linear_solver_option_exits_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         line = next(i for i, text in enumerate(Path(cfg).read_text().splitlines(), start=1)
-                    if '"solve"' in text)
+                    if '"linear_solver"' in text)
         assert err.startswith(f"error: config line {line}: ")
-        assert "linear_solver" in err
+        assert "unknown solve key 'linear_solver'" in err
         assert not (out / "trace.json").exists()
 
 

@@ -426,6 +426,9 @@ def test_continuation_small_first_target_starts_there():
     grid = build_grid(_circle_ring(), 9, 24)
     trace = continuation_solve(grid, [0.02])
     assert trace.tau_schedule == [0.02]
+    # a first target just above TAU_START is walked to, not dropped
+    trace = continuation_solve(grid, [0.0500000000000001, 0.3])
+    assert trace.tau_schedule == [0.05, 0.0500000000000001, 0.3]
 
 
 def test_continuation_empty_targets_empty_trace():
