@@ -395,7 +395,10 @@ def cmd_oracle(cfg: dict, raw: str, out_dir: Path) -> int:
     # OracleInfeasibleError is a ValueError
     with _errors_at(raw, "oracle", named=_SECTIONS["oracle"]):
         oracle = radial_oracle(**section)
-        radii = np.linspace(oracle.r_inner, oracle.r_outer, _whole(samples, "samples"))
+        samples = _whole(samples, "samples")
+        if samples < 0:
+            raise ValueError(f"samples must be >= 0, got {samples}")
+        radii = np.linspace(oracle.r_inner, oracle.r_outer, samples)
     rows = ["r,u,du"] + [f"{r:.17g},{u:.17g},{du:.17g}"
                          for r, u, du in zip(radii, oracle.u(radii), oracle.du(radii))]
     print(f"flux constant c = {oracle.c:.12g}")

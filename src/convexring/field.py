@@ -29,14 +29,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .ring import AnnularGrid, build_grid, ring_from_dict
+from .ring import _BLOCK, AnnularGrid, build_grid, ring_from_dict
 from .spaceform import _to_frame
 
 SNAPSHOT_FORMAT = "convexring-field"
-# samples per block of the grid jet table and of levelgeom.rank_scan: about
-# 8192 keeps every temporary of a block in cache (the block-size sweep of
-# BENCH_blocked_geometry.json)
-_BLOCK = 8192
 
 
 class FieldShapeError(ValueError):

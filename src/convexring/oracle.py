@@ -116,7 +116,7 @@ def radial_oracle(r_inner: float, r_outer: float, tau: float, n: int = 2) -> Rad
     max_height = radial_height(c_sup, r_inner, r_outer, n)
     if tau >= max_height:
         raise OracleInfeasibleError(
-            f"height {tau} is not reachable; the maximal radial graph height "
+            f"tau {tau} is not reachable; the maximal radial graph height "
             f"on this ring is {max_height:.12g}", max_height)
 
     lo, hi = 0.0, c_sup

@@ -13,8 +13,11 @@ and the grid between them blends boundary positions linearly,
 so the s = 0 row lies exactly on the outer boundary and s = 1 exactly on the
 inner one.  The grid's map and its Jacobian broadcast s against theta: given
 s[:, None] and a row of angles they evaluate each curve once per angle, and
-the Jacobian comes as component arrays.  Convexity, containment, and grid
-folding are all validated at construction time by dense sampling.
+the Jacobian comes as component arrays.  Every construction check is decided
+from the boundary: convexity from dense samples of each curve, containment
+from the support values of the inner curve's sample polygon at the outer
+curve's sample normals, and grid folding from det J on the two boundary rows,
+which is exact because det J is linear in s.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ VALIDATION_THETA = np.linspace(0.0, TWO_PI, VALIDATION_SAMPLES, endpoint=False)
 VALIDATION_THETA.flags.writeable = False
 # the smallest and largest length a curve may have
 _LENGTH_SCALES = (1e-100, 1e100)
+# samples per block of the grid's nodes, of the grid jet table and of
+# levelgeom.rank_scan: about 8192 keeps every temporary of a block in cache
+# (the block-size sweep of BENCH_blocked_geometry.json)
+_BLOCK = 8192
 
 
 class ConvexityError(ValueError):
@@ -246,14 +253,31 @@ def ring_from_dict(d: dict[str, Any]) -> ConvexRing:
 
 def containment_margin(outer: ConvexCurve, inner: ConvexCurve) -> float:
     """Minimum signed distance from inner-curve samples to the outer curve's
-    supporting half-planes; positive iff the inner curve is strictly inside."""
+    supporting half-planes; positive iff the inner curve is strictly inside.
+
+    Both curves are strictly convex, as :func:`make_curve` returns them, so
+    the inner samples, counterclockwise, are the vertices of a convex
+    polygon, and the largest nu . p over them (the polygon's support value
+    at an outer normal nu) is taken at the vertex between the two edges whose
+    outward normals bracket nu's angle.  ``np.searchsorted`` finds that
+    vertex among the edge-normal angles, and it is evaluated with its two
+    neighbours, which covers a near tie that rounding decides: the margin is
+    the minimum over all m x m sample pairs, bit for bit, in O(m log m)."""
     q = outer.point(VALIDATION_THETA)            # (m, 2)
     nu = outer.outward_normal(VALIDATION_THETA)  # (m, 2)
     p = inner.point(VALIDATION_THETA)            # (m, 2)
-    # signed gap of every inner sample against every supporting line
     offsets = np.einsum("mk,mk->m", nu, q)
-    gaps = offsets[None, :] - np.einsum("mk,pk->pm", nu, p)
-    return float(np.min(gaps))
+    # edge j runs from vertex j to vertex j + 1, with outward normal (dy, -dx);
+    # angles are taken from edge 0's, so they increase over [0, 2 pi)
+    edge = np.roll(p, -1, axis=0) - p
+    start = np.arctan2(-edge[0, 0], edge[0, 1])
+    normal_angles = (np.arctan2(-edge[:, 0], edge[:, 1]) - start) % TWO_PI
+    angles = (np.arctan2(nu[:, 1], nu[:, 0]) - start) % TWO_PI
+    # vertex k lies between edges k - 1 and k
+    vertex = np.searchsorted(normal_angles, angles, side="right")
+    near = p[(vertex[:, None] + np.arange(-1, 2)) % len(p)]  # (m, 3, 2)
+    support = np.max(np.einsum("mk,mck->mc", nu, near), axis=1)
+    return float(np.min(offsets - support))
 
 
 def make_ring(chart: SpaceFormChart, outer: ConvexCurve, inner: ConvexCurve) -> ConvexRing:
@@ -322,15 +346,27 @@ def _check_grid_size(ns: int, ntheta: int, what: str) -> None:
                          f"Jacobian entries, at most 2**31 - 1 (int32 sparse indices)")
 
 
+def _blend(s, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """The blend (1 - s) outer + s inner of two point arrays (..., 2)."""
+    s = np.asarray(s, dtype=float)[..., None]
+    return (1.0 - s) * outer + s * inner
+
+
+def _max_square(d: np.ndarray) -> float:
+    """The largest dx*dx + dy*dy of an array of differences (..., 2)."""
+    return float(np.max(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))
+
+
 class AnnularGrid:
     """Structured grid blending the two boundary curves of a ring.
 
     Node (i, j) sits at x(s_i, theta_j) with s_i = i/(ns-1) and
     theta_j = 2 pi j / ntheta; the theta direction is periodic.  The blend
     map and its Jacobian are analytic and can be evaluated anywhere: the
-    fold check takes det J at the nodes, the solver J^{-1} at the face
-    centres, and the node geometry of the jet tables J^{-1} and the second
-    derivatives at the nodes, all as component arrays.
+    fold check takes det J on the boundary rows, the solver det J at the
+    interior nodes and J^{-1} at the face centres, and the node geometry of
+    the jet tables J^{-1} and the second derivatives at the nodes, all as
+    component arrays.  The grid keeps its nodes and no det J array.
     """
 
     def __init__(self, ring: ConvexRing, ns: int, ntheta: int):
@@ -348,21 +384,42 @@ class AnnularGrid:
         self.hs = 1.0 / (ns - 1)
         self.htheta = TWO_PI / ntheta
 
-        # (s[:, None], theta) broadcasts: each curve is evaluated at ntheta angles
-        self.nodes = self.map_point(self.s[:, None], self.theta)   # (ns, ntheta, 2)
-        _, _, self.det = self._jacobian(self.s[:, None], self.theta)
-        self._validate_determinants(self.det)
+        # det J = x_s x ((1 - s) d1_out + s d1_in) is linear in s, so on each
+        # column its largest |det J| lies at an end, and it keeps one sign and
+        # stays clear of zero iff it does at both ends: rows 0 and ns - 1
+        # decide the fold check.  A grid that fails there fails in full too,
+        # and only then is det J evaluated at every node, to name the first
+        # node at fault
+        _, _, end_det = self._jacobian(self.s[[0, -1], None], self.theta)
+        try:
+            self._validate_determinants(end_det)
+        except GridFoldError:
+            self._validate_determinants(self._jacobian(self.s[:, None], self.theta)[2])
+            raise
 
-        # the longest node edge, theta wrap included: the sqrt of the largest
-        # dx*dx + dy*dy is the largest np.linalg.norm of the pairs, bit for bit
-        x, y = self.nodes[..., 0], self.nodes[..., 1]
-        edges = ((np.diff(x, axis=0), np.diff(y, axis=0)),
-                 (np.diff(x, axis=1), np.diff(y, axis=1)),
-                 (x[:, 0] - x[:, -1], y[:, 0] - y[:, -1]))
-        self.max_spacing = float(np.sqrt(max(np.max(dx * dx + dy * dy) for dx, dy in edges)))
+        # the nodes and the s-edges in blocks of rows, so that no temporary is
+        # the size of the grid; each curve is evaluated at ntheta angles
+        step = max(1, _BLOCK // ntheta)
+        p_out, p_in = ring.outer.point(self.theta), ring.inner.point(self.theta)
+        self.nodes = np.empty((ns, ntheta, 2))
+        for r0 in range(0, ns, step):
+            self.nodes[r0:r0 + step] = _blend(self.s[r0:r0 + step, None], p_out, p_in)
+
+        # the longest node edge: the sqrt of the largest dx*dx + dy*dy is the
+        # largest np.linalg.norm of the pairs, bit for bit.  A theta-edge's
+        # length |(1 - s) dp_out + s dp_in| is convex in s, so the longest
+        # lies on row 0 or ns - 1, where the nodes are the curve points
+        ends = self.nodes[[0, -1]]
+        longest = _max_square(np.roll(ends, -1, axis=1) - ends)
+        for r0 in range(1, ns, step):
+            r1 = min(ns, r0 + step)
+            longest = max(longest, _max_square(self.nodes[r0:r1] - self.nodes[r0 - 1:r1 - 1]))
+        self.max_spacing = float(np.sqrt(longest))
 
     @staticmethod
     def _validate_determinants(det: np.ndarray) -> None:
+        """GridFoldError naming the first node, in C order, where det J
+        nearly vanishes or takes the other sign than at node (0, 0)."""
         scale = float(np.max(np.abs(det)))
         if scale == 0.0 or float(np.min(np.abs(det))) < 1e-12 * scale:
             i, j = np.unravel_index(int(np.argmin(np.abs(det))), det.shape)
@@ -376,8 +433,7 @@ class AnnularGrid:
     # -- analytic blend map -------------------------------------------------
 
     def map_point(self, s, theta) -> np.ndarray:
-        s = np.asarray(s, dtype=float)[..., None]
-        return (1.0 - s) * self.ring.outer.point(theta) + s * self.ring.inner.point(theta)
+        return _blend(s, self.ring.outer.point(theta), self.ring.inner.point(theta))
 
     def _jacobian(self, s, theta):
         """The blend map's Jacobian columns x_s and x_theta, each a pair of

@@ -242,7 +242,7 @@ class _Assembler:
             self._face_geometry(grid, grid.s[1:-1, None], grid.theta + 0.5 * grid.htheta),
         )
         # node data on interior rows
-        self.det_node = grid.det[1:-1]
+        _, _, self.det_node = grid._jacobian(grid.s[1:-1, None], grid.theta)
         self.lam2_node = conformal_factor(grid.ring.chart, grid.nodes[1:-1]) ** 2
 
     @staticmethod

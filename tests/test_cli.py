@@ -268,6 +268,11 @@ def test_semantic_error_names_the_offending_line(tmp_path, capsys):
              '  "linear_solver"',
              "unknown solve key 'linear_solver'; the keys are newton_tol, max_newton, min_step"),
             ("oracle", base_config(oracle=oracle), '  "r_inner"', "r_inner must be a number"),
+            # the oracle's own checks open with their key too
+            ("oracle", base_config(oracle={"r_inner": 1.0, "samples": -3}), '  "samples"',
+             "samples must be >= 0, got -3"),
+            ("oracle", base_config(oracle={"r_inner": 1.0, "tau": 100.0}), '  "tau"',
+             "tau 100.0 is not reachable"),
             ("verify", base_config(verify={"oracle_grid_sizes": [16, 32], "tau": "0.5"}),
              '  "tau"', "verify tau must be a number"),
             ("verify", base_config(verify={"tau": 0.5, "oracle_grid_sizes": [16, 32.5]}),

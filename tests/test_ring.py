@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from convexring.ring import (
+    TWO_PI,
+    VALIDATION_THETA,
     AnnularGrid,
     ContainmentError,
     ConvexityError,
@@ -173,6 +175,85 @@ def test_containment_margin_circles():
     assert containment_margin(outer, inner) == pytest.approx(1.0, abs=1e-6)
 
 
+def _table_margin(outer, inner):
+    """The containment margin as the table of every inner sample against
+    every supporting line of the outer samples, m x m entries."""
+    q = outer.point(VALIDATION_THETA)
+    nu = outer.outward_normal(VALIDATION_THETA)
+    p = inner.point(VALIDATION_THETA)
+    offsets = np.einsum("mk,mk->m", nu, q)
+    gaps = offsets[None, :] - np.einsum("mk,pk->pm", nu, p)
+    return float(np.min(gaps))
+
+
+def _random_curve(rng, scale, center):
+    """A random strictly convex circle, ellipse or fourier curve."""
+    kind = ("circle", "ellipse", "fourier")[rng.integers(3)]
+    if kind == "circle":
+        return make_curve("circle", center=center, radius=scale)
+    if kind == "ellipse":
+        return make_curve("ellipse", center=center, radii=tuple(scale * rng.uniform(0.3, 1.0, 2)))
+    while True:
+        k = np.arange(1, rng.integers(2, 7))
+        cos_coeffs, sin_coeffs = scale * rng.uniform(-1.0, 1.0, (2, k.size)) / (5.0 * k * k)
+        try:
+            return make_curve("fourier", center=center, r0=scale,
+                              cos_coeffs=tuple(cos_coeffs), sin_coeffs=tuple(sin_coeffs))
+        except ConvexityError:
+            continue
+
+
+def _shrunk(curve, factor):
+    """The curve scaled by ``factor`` about its centre."""
+    spec = curve.to_dict()
+    for key in ("radius", "radii", "r0", "cos_coeffs", "sin_coeffs"):
+        if key in spec:
+            spec[key] = (np.asarray(spec[key]) * factor).tolist()
+    return curve_from_dict(spec)
+
+
+def test_containment_margin_is_the_table_minimum_bit_for_bit():
+    # random off-centre pairs of every kind, contained or not, and inner
+    # curves that nearly touch the outer one: scaled copies of it, and
+    # circles pushed to within 1e-3 .. 1e-12 of it
+    rng = np.random.default_rng(30)
+    pairs = []
+    for _ in range(200):
+        outer = _random_curve(rng, rng.uniform(0.5, 3.0), tuple(rng.uniform(-1.0, 1.0, 2)))
+        center = np.asarray(outer.center) + rng.uniform(-0.5, 0.5, 2)
+        pairs.append((outer, _random_curve(rng, rng.uniform(0.05, 2.5), tuple(center))))
+    for _ in range(70):
+        outer = _random_curve(rng, rng.uniform(0.5, 3.0), tuple(rng.uniform(-1.0, 1.0, 2)))
+        pairs.append((outer, _shrunk(outer, 1.0 - 10.0 ** -rng.uniform(3, 12))))
+    for _ in range(40):
+        radius, gap = rng.uniform(0.5, 3.0), 10.0 ** -rng.uniform(3, 12)
+        r = rng.uniform(0.1, 0.9) * radius
+        angle = rng.uniform(0.0, TWO_PI)
+        offset = (radius - r - gap) * np.array([np.cos(angle), np.sin(angle)])
+        pairs.append((make_curve("circle", radius=radius),
+                      make_curve("circle", center=tuple(offset), radius=r)))
+    signs = set()
+    for outer, inner in pairs:
+        margin = containment_margin(outer, inner)
+        assert margin == _table_margin(outer, inner), (outer, inner)
+        signs.add(margin > 0)
+    assert len(pairs) >= 300 and signs == {True, False}
+
+
+def test_containment_margin_allocates_no_table():
+    # fewer bytes at peak than one byte per pair of samples
+    outer = make_curve("ellipse", radii=(3.0, 2.0))
+    inner = make_curve("fourier", center=(0.1, 0.0), r0=1.0, cos_coeffs=(0.05, 0.02))
+    containment_margin(outer, inner)
+    tracemalloc.start()
+    try:
+        containment_margin(outer, inner)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(VALIDATION_THETA) ** 2, peak
+
+
 def test_overlapping_curves_rejected():
     chart = _flat_chart()
     outer = make_curve("circle", radius=2.0)
@@ -244,22 +325,26 @@ def test_grid_node_positions_circles():
 
 def test_grid_determinant_single_signed():
     grid = build_grid(_circle_ring(), ns=12, ntheta=48)
-    assert np.all(grid.det < 0) or np.all(grid.det > 0)
+    _, _, det = grid._jacobian(grid.s[:, None], grid.theta)
+    assert np.all(det < 0) or np.all(det > 0)
 
 
 def test_max_spacing_is_the_norm_of_the_longest_node_edge():
     # bit for bit the largest np.linalg.norm of the node differences along s
-    # and, with the wrap from the last column to the first, along theta
+    # and, with the wrap from the last column to the first, along theta, over
+    # every node; at 5 x 512 the s-edges are the longest
     readme = make_ring(_flat_chart(), make_curve("ellipse", radii=(3.0, 2.0)),
                        make_curve("ellipse", radii=(1.2, 0.8)))
     curved = make_ring(SpaceFormChart(epsilon=1.0, dim=2), make_curve("circle", radius=1.5),
                        make_curve("ellipse", center=(0.2, 0.1), radii=(0.6, 0.4)))
     for ring in (readme, curved):
-        for ns, ntheta in ((17, 32), (65, 128)):
+        for ns, ntheta in ((17, 32), (65, 128), (257, 512), (5, 512)):
             grid = build_grid(ring, ns, ntheta)
             ds = np.linalg.norm(np.diff(grid.nodes, axis=0), axis=-1)
             dt = np.linalg.norm(np.roll(grid.nodes, -1, axis=1) - grid.nodes, axis=-1)
             assert grid.max_spacing == float(max(ds.max(), dt.max()))
+            if (ns, ntheta) == (5, 512):
+                assert ds.max() > dt.max()
 
 
 def test_grid_jacobian_matches_fd():
@@ -311,6 +396,98 @@ def test_node_geometry_peaks_near_what_it_keeps():
         tracemalloc.stop()
     assert geometry.lam.shape == (257, 512)
     assert peak <= 1.5 * kept, (peak, kept)
+
+
+def test_grid_peaks_near_what_it_keeps():
+    # the README ring at 257 x 512: the nodes and the s-edges are taken in
+    # blocks of rows, and the grid keeps its nodes and no det J array
+    ring = make_ring(
+        _flat_chart(),
+        make_curve("ellipse", radii=(3.0, 2.0)),
+        make_curve("ellipse", radii=(1.2, 0.8)),
+    )
+    build_grid(ring, 257, 512)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        grid = build_grid(ring, 257, 512)
+        kept, peak = (b - start for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert not hasattr(grid, "det")
+    assert kept >= grid.nodes.nbytes
+    assert peak <= 1.5 * kept, (peak, kept)
+
+
+def _full_grid_fold(ring, ns, ntheta):
+    """The fold check's message on det J at every node, written out from the
+    curves, or None when the grid passes."""
+    s = np.linspace(0.0, 1.0, ns)[:, None]
+    theta = TWO_PI * np.arange(ntheta) / ntheta
+    x_s = ring.inner.point(theta) - ring.outer.point(theta)
+    x_t = (1.0 - s)[..., None] * ring.outer.d1(theta) + s[..., None] * ring.inner.d1(theta)
+    det = x_s[..., 0] * x_t[..., 1] - x_t[..., 0] * x_s[..., 1]
+    try:
+        AnnularGrid._validate_determinants(det)
+    except GridFoldError as exc:
+        return str(exc)
+    return None
+
+
+def _degenerate_ring(rng):
+    """A folding ring whose det J on its inner row vanishes, to rounding, at
+    theta = 3 pi / 8: the inner ellipse's centre is bisected onto the zero."""
+    outer = make_curve("ellipse", radii=tuple(np.array([2.6, 1.1]) * rng.uniform(0.97, 1.03, 2)))
+    radii = tuple(np.array([0.1, 0.85]) * rng.uniform(0.97, 1.03, 2))
+    theta = TWO_PI * 3 / 16
+
+    def inner_det(cx):
+        inner = make_curve("ellipse", center=(cx, 0.0), radii=radii)
+        x_s, d1 = inner.point(theta) - outer.point(theta), inner.d1(theta)
+        return inner, x_s[0] * d1[1] - d1[0] * x_s[1]
+
+    lo, hi = 0.9, 1.3
+    assert inner_det(lo)[1] < 0.0 < inner_det(hi)[1]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if inner_det(mid)[1] < 0.0 else (lo, mid)
+    return make_ring(_flat_chart(), outer, inner_det(lo)[0])
+
+
+def test_fold_verdicts_match_the_full_grid():
+    # random off-centre inner curves; small ones near the tip of a long
+    # ellipse, which often fold; and rings whose det J vanishes at a node of
+    # the inner row, which degenerate there
+    rng = np.random.default_rng(31)
+    chart = _flat_chart()
+    rings = [_degenerate_ring(rng) for _ in range(8)]
+    while len(rings) < 68:
+        a = rng.uniform(1.0, 3.0)
+        if len(rings) < 48:
+            outer = make_curve("ellipse", radii=(a, a * rng.uniform(0.25, 0.5)))
+            center = (rng.choice([-1.0, 1.0]) * rng.uniform(0.6, 0.95) * a, 0.0)
+            inner = _random_curve(rng, a * rng.uniform(0.01, 0.08), center)
+        else:
+            outer = _random_curve(rng, a, (0.0, 0.0))
+            inner = _random_curve(rng, a * rng.uniform(0.03, 0.3), tuple(rng.uniform(-0.5, 0.5, 2)))
+        try:
+            rings.append(make_ring(chart, outer, inner))
+        except ContainmentError:
+            continue
+    messages = []
+    for ring in rings:
+        for ns, ntheta in ((9, 32), (17, 48), (33, 64)):
+            want = _full_grid_fold(ring, ns, ntheta)
+            if want is None:
+                build_grid(ring, ns, ntheta)
+            else:
+                with pytest.raises(GridFoldError) as caught:
+                    build_grid(ring, ns, ntheta)
+                assert str(caught.value) == want
+            messages.append(want)
+    kinds = {None if m is None else m.split(" at node")[0] for m in messages}
+    assert kinds == {None, "blend map folds", "blend map degenerates"}, kinds
+    assert "blend map degenerates at node (8, 6)" in messages
 
 
 def test_grid_refinement_nests_nodes():
