@@ -5,10 +5,9 @@ Each check certifies one qualitative property of the solved minimal graph
 convexity and rank, monotonicity, boundary gradient growth).  A check passes
 when its margin is nonnegative; tolerances already include the 10 h^2 slack
 that discretization is entitled to.  On the grid passed in, the checks share
-one harmonic solve (scaled to each height), one solve at the suite's tau, and
-one continuation walk over every height the tau-dependent checks read; each
-time includes the solves its check triggered, so the first check on the walk
-carries it.  A check that raises, or that needs a height above where the walk
+one harmonic solve (scaled to each height) and one continuation walk over
+every height they read, the suite's tau among them; each time includes the
+solves its check triggered, so the first check on the walk carries it.  A check that raises, or that needs a height above where the walk
 stopped, is listed as ERROR with its message.
 """
 

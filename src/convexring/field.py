@@ -12,12 +12,14 @@ at the nodes depend on the grid alone; the grid builds them on its first jet
 table and keeps them.  The Christoffel correction and frame rescaling are the
 kernel behind :func:`convexring.spaceform.frame_components`.
 
-A jet table is filled in blocks of whole rows, about ``_BLOCK`` samples each;
-:func:`convexring.levelgeom.rank_scan` runs its samples in blocks of the same
-constant.  A block's temporaries stay in cache and none is the size of the
-grid, so the peak memory of a table is its output plus a few blocks, however
-many temporaries the arithmetic needs.  Every sample's arithmetic is the same
-in any block, so the values do not depend on the block size.
+A jet table is filled in blocks of whole rows, about ``ring._BLOCK`` samples
+each; :func:`convexring.levelgeom.rank_scan` runs its samples in blocks of the
+same constant, and the grid builds its nodes in such blocks of rows.  The
+constant has that one home and is read at call time.  A block's temporaries
+stay in cache and none is the size of the grid, so the peak memory of a table
+is its output plus a few blocks, however many temporaries the arithmetic
+needs.  Every sample's arithmetic is the same in any block, so the values do
+not depend on the block size.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .ring import _BLOCK, AnnularGrid, build_grid, ring_from_dict
+from . import ring
+from .ring import AnnularGrid, build_grid, ring_from_dict
 from .spaceform import _to_frame
 
 SNAPSHOT_FORMAT = "convexring-field"
@@ -129,15 +132,16 @@ def _coordinate_derivatives(geo, rows: slice, u_s, u_t, u_ss, u_st, u_tt):
 
 
 def _build_jet_table(grid: AnnularGrid, values: np.ndarray) -> dict:
-    """The jet table of ``values``, evaluated in blocks of max(1, _BLOCK //
-    ntheta) rows into the stacked grad (ns, ntheta, 2) and hess (ns, ntheta,
-    2, 2).  Every block's temporaries stay near _BLOCK samples, so they stay
-    in cache and none is the size of the grid; each sample's arithmetic is
-    the same in any block, so the table does not depend on the block size."""
+    """The jet table of ``values``, evaluated in blocks of max(1, ring._BLOCK
+    // ntheta) rows into the stacked grad (ns, ntheta, 2) and hess (ns,
+    ntheta, 2, 2).  Every block's temporaries stay near ring._BLOCK samples,
+    so they stay in cache and none is the size of the grid; each sample's
+    arithmetic is the same in any block, so the table does not depend on the
+    block size."""
     ns, ntheta = values.shape
     geo = grid._node_geometry
     grad, hess = np.empty((ns, ntheta, 2)), np.empty((ns, ntheta, 2, 2))
-    step = max(1, _BLOCK // ntheta)
+    step = max(1, ring._BLOCK // ntheta)
     for r0 in range(0, ns, step):
         r1 = min(ns, r0 + step)
         # the window of values the stencils read: a halo row on each side
@@ -222,8 +226,7 @@ def field_from_dict(d: dict[str, Any]) -> ScalarField:
     fmt = d.get("format") if isinstance(d, dict) else None
     if fmt != SNAPSHOT_FORMAT:
         raise FieldShapeError(f"not a field snapshot: format={fmt!r}")
-    ring = ring_from_dict(d["ring"])
-    grid = build_grid(ring, d["grid"]["ns"], d["grid"]["ntheta"])
+    grid = build_grid(ring_from_dict(d["ring"]), d["grid"]["ns"], d["grid"]["ntheta"])
     values = np.asarray(d["values"], dtype=float)
     bv = d.get("boundary_values")
     if bv is not None:

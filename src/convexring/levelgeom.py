@@ -9,7 +9,7 @@ the level-set principal curvatures are kept deliberately separate:
   This frame route evaluates stacked jets over leading axes as elementwise
   arithmetic on the component arrays of grad u, D2u and the tangent vectors,
   for every dimension alike, so :func:`extract_level` makes one call and
-  :func:`rank_scan` one per block of ``field._BLOCK`` samples.  A 1x1 form's
+  :func:`rank_scan` one per block of ``ring._BLOCK`` samples.  A 1x1 form's
   entry is its eigenvalue; only 2x2 forms (dimension 3) go through
   ``eigvalsh``.
 * :func:`sigma_k_level` never touches the tangent frame: it contracts the
@@ -41,7 +41,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import field
+from . import ring
 from .field import ScalarField
 from .ring import AnnularGrid
 from .spaceform import PointJet, SpaceFormChart, _real, covariant_jet
@@ -324,7 +324,7 @@ def rank_scan(source: ScalarField | PointJet) -> RankScan:
     ``source`` is either a :class:`ScalarField` (samples every interior node,
     threshold 10 h^2 with h the grid's largest spacing) or a stacked analytic
     :class:`PointJet` (samples every point of the stack, threshold 1e-8).
-    Samples are taken in C order, in blocks of ``field._BLOCK`` samples that
+    Samples are taken in C order, in blocks of ``ring._BLOCK`` samples that
     keep the level forms' temporaries in cache; ``location`` is the first
     sample where the smallest curvature is lowest, and a SingularGradientError
     names the first sample below the gradient floor.
@@ -343,8 +343,8 @@ def rank_scan(source: ScalarField | PointJet) -> RankScan:
         raise ValueError("rank scan has no sample points")
 
     eigs = np.empty((len(points), n - 1))
-    for b in range(0, len(points), field._BLOCK):
-        block = slice(b, b + field._BLOCK)
+    for b in range(0, len(points), ring._BLOCK):
+        block = slice(b, b + ring._BLOCK)
         eigs[block] = _curvatures(_level_forms(points[block], grad[block], hess[block])[0])
     ranks = np.sum(eigs > threshold, axis=-1)
     k = int(np.argmin(eigs[:, 0]))

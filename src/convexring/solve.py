@@ -63,8 +63,6 @@ from .spaceform import _real, _whole, conformal_factor
 # absolute max-norm residual the one-shot harmonic solve must reach
 # (or options.newton_tol, when that is looser)
 HARMONIC_RESIDUAL_TOL = 1e-9
-# the first continuation step, unless the smallest target lies below it
-TAU_START = 0.05
 # a chord step keeps the last LU only while accepted steps shrink the max
 # residual at least this much (r_new <= CHORD_CONTRACTION * r_old) at full step
 CHORD_CONTRACTION = 0.1
@@ -638,22 +636,16 @@ def continuation_solve(grid: AnnularGrid, targets: Sequence[float],
                        options: SolveOptions | None = None) -> ContinuationTrace:
     """Predictor-corrector walk up the tau targets (see continuation_targets).
 
-    The schedule is the targets, preceded by TAU_START when it lies below
-    the smallest one.  The first solve runs from the nested start of
-    solve_minimal_graph; later solves start from the previous
-    solution rescaled to the new boundary value.  Each tau gets one solve
-    with options.max_newton Newton steps: a solve that does not converge, or
-    a converged one whose level diagnostics fail, ends the walk with a
-    ContinuationError that carries the partial trace."""
+    The schedule is exactly the targets.  The first solve runs from the
+    nested start of solve_minimal_graph; later solves start from the
+    previous solution rescaled to the new boundary value.  Each tau gets one
+    solve with options.max_newton Newton steps: a solve that does not
+    converge, or a converged one whose level diagnostics fail, ends the walk
+    with a ContinuationError that carries the partial trace."""
     options = options or SolveOptions()
     targets = continuation_targets(targets)
     trace = ContinuationTrace()
-    if not targets:
-        return trace
-
-    schedule = targets if targets[0] <= TAU_START else [TAU_START, *targets]
-
-    for tau in schedule:
+    for tau in targets:
         init = None
         if trace.steps:
             prev = trace.steps[-1]

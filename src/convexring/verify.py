@@ -8,7 +8,8 @@ failing check shows how badly it failed.
 Every check but ``check_solver_vs_oracle`` is a function of the fields it
 certifies and reads each field's tau from its Dirichlet data (0, tau); it
 solves nothing.  ``run_suite`` makes the solves its checks share: one
-minimal graph solve, one harmonic solve and one continuation walk.
+harmonic solve and one continuation walk, whose steps are every minimal
+graph field its checks read.
 ``check_solver_vs_oracle`` solves on its own canonical ring, where the
 exact-solution oracle of ``oracle`` lives.
 """
@@ -34,10 +35,8 @@ from .levelgeom import (
 from .oracle import radial_oracle
 from .ring import AnnularGrid, _check_grid_size, build_grid, make_curve, make_ring
 from .solve import (
-    TAU_START,
     ContinuationError,
     SolveOptions,
-    SolveReport,
     SolverError,
     build_supersolution,
     continuation_solve,
@@ -94,13 +93,16 @@ def suite_inputs(tau: float, oracle_grid_sizes: Sequence[int]) -> tuple[float, l
 
 # -- fields along tau ------------------------------------------------------------
 
-# The heights each ring check reads from a continuation walk; the suite walks
-# the union of the heights its selected checks need, once.
+# The heights each ring check reads from a continuation walk; the checks that
+# read u, the field at the suite's tau, read it from the same walk.  The suite
+# walks the union of the heights its selected checks need, once.
 _HEIGHTS: dict[str, tuple[float, ...]] = {
     "tau-estimates": (0.1, 0.2, 0.4, 0.8),
     "small-tau-regime": (0.01, 0.02, 0.04),
-    "hopf-boundary-bound": (TAU_START, 0.25, 0.5, 0.75, 1.0),
+    "hopf-boundary-bound": (0.05, 0.25, 0.5, 0.75, 1.0),
 }
+_U_CHECKS = ("gradient-max-principle", "supersolution", "convexity-and-rank",
+             "gradient-monotonicity")
 
 
 def _tau(f: ScalarField, name: str) -> float:
@@ -219,19 +221,20 @@ def check_tau_estimates(fields: Sequence[ScalarField]) -> VerificationReport:
     tau, and the largest distance quotient over its partners (pairs closer
     than 0.05 are excluded).  Per-entry constants rather than per-pair
     quotients: the claim is one constant valid for every pair, and short-gap
-    quotients probe the local modulus, which legitimately varies.  extras
-    keep the fields' order."""
+    quotients probe the local modulus, which legitimately varies.  Two or
+    more pairs of heights 0.05 apart are needed (ValueError otherwise): with
+    none the distance band is 1 by construction, and with one every distance
+    constant is that pair's quotient.  extras keep the fields' order."""
     t0 = time.perf_counter()
     taus = _taus(fields, 4, "tau-estimates")
+    pairs = [(i, j) for i in range(len(taus)) for j in range(i + 1, len(taus))
+             if abs(taus[j] - taus[i]) >= 0.05]
+    if len({frozenset((taus[i], taus[j])) for i, j in pairs}) < 2:
+        raise ValueError(f"tau-estimates needs two or more pairs of heights 0.05 apart, "
+                         f"got heights {taus}")
     grad_constants = [float(np.max(_grad_norms(f))) / t for t, f in zip(taus, fields)]
-    quotients = {}
-    for i in range(len(taus)):
-        for j in range(i + 1, len(taus)):
-            gap = abs(taus[j] - taus[i])
-            if gap < 0.05:
-                continue
-            d = discrete_c2_distance(fields[i], fields[j])
-            quotients[(taus[i], taus[j])] = d / gap
+    quotients = {(taus[i], taus[j]): discrete_c2_distance(fields[i], fields[j])
+                 / abs(taus[j] - taus[i]) for i, j in pairs}
     distance_constants = []
     for t in taus:
         partnered = [q for pair, q in quotients.items() if t in pair]
@@ -350,7 +353,8 @@ def check_hopf_boundary_bound(fields: Sequence[ScalarField]) -> VerificationRepo
 
 @dataclass
 class _SuiteRun:
-    """One suite run: its inputs and the solves its checks share."""
+    """One suite run: its inputs and the solves its checks share, one
+    continuation walk and one harmonic solve."""
 
     grid: AnnularGrid
     tau: float
@@ -361,21 +365,34 @@ class _SuiteRun:
     @cached_property
     def walk(self) -> tuple[dict[float, ScalarField], ContinuationError | None]:
         """One continuation_solve over the sorted distinct heights the selected
-        checks read: the fields it reached, by tau, and the error that stopped it."""
-        heights = sorted({t for name in self.checks for t in _HEIGHTS.get(name, ())})
+        checks read, tau among them when a check reads u: the fields it
+        reached, by tau, and the error that stopped it."""
+        heights = {t for name in self.checks for t in _HEIGHTS.get(name, ())}
+        if any(name in _U_CHECKS for name in self.checks):
+            heights.add(self.tau)
         try:
-            steps, stop = continuation_solve(self.grid, heights, options=self.options).steps, None
+            steps, stop = continuation_solve(self.grid, sorted(heights),
+                                             options=self.options).steps, None
         except ContinuationError as exc:
             steps, stop = exc.trace.steps, exc
         return {s.tau: s.field for s in steps}, stop
 
-    def fields(self, check: str) -> list[ScalarField]:
-        """The walk's fields at the heights the named check reads; the walk's
-        error if it stopped below one of them."""
+    def _reached(self, heights: Sequence[float]) -> list[ScalarField]:
+        """The walk's fields at ``heights``; the walk's error if it stopped
+        below one of them."""
         reached, stop = self.walk
-        if any(t not in reached for t in _HEIGHTS[check]):
+        if any(t not in reached for t in heights):
             raise ContinuationError(str(stop), stop.trace)
-        return [reached[t] for t in _HEIGHTS[check]]
+        return [reached[t] for t in heights]
+
+    def fields(self, check: str) -> list[ScalarField]:
+        """The walk's fields at the heights the named check reads."""
+        return self._reached(_HEIGHTS[check])
+
+    @property
+    def u(self) -> ScalarField:
+        """The walk's field at the suite's tau."""
+        return self._reached((self.tau,))[0]
 
     @cached_property
     def omega_1(self) -> ScalarField:
@@ -384,17 +401,6 @@ class _SuiteRun:
     @cached_property
     def omega(self) -> ScalarField:
         return _scaled(self.omega_1, self.tau)
-
-    @cached_property
-    def _solution(self) -> tuple[ScalarField, SolveReport]:
-        return solve_minimal_graph(self.grid, self.tau, options=self.options, init=self.omega)
-
-    @property
-    def u(self) -> ScalarField:
-        u, report = self._solution  # kept when it did not converge: one solve per run
-        if not report.converged:
-            raise SolverError(f"suite solve at tau={self.tau} did not converge")
-        return u
 
 
 _SUITE: dict[str, Callable[[_SuiteRun], VerificationReport]] = {
@@ -417,16 +423,16 @@ def run_suite(grid: AnnularGrid, tau: float = 0.5,
               options: SolveOptions | None = None) -> list[VerificationReport]:
     """Run the named checks (default: all) on one grid and return the reports.
 
-    The checks share one solve and one harmonic solve, at tau = 1: the
-    harmonic field at any tau is that field scaled, and it starts the shared
-    solve at ``tau``.  The checks that read fields along tau (the keys of
-    _HEIGHTS) share one continuation walk over the union of their heights;
-    a walk that stops keeps its steps, and a check that needs a height above
-    the stop reports the walk's error.  runtime_s includes the solves a
-    check triggered.  A check that raises gets a failed report carrying
-    ``error``, and the rest still run.  The solver-vs-oracle check always
-    runs on the canonical flat circle ring, where the oracle lives.  Unknown
-    check names and inputs suite_inputs rejects raise before any check runs."""
+    The checks share one harmonic solve, at tau = 1: the harmonic field at
+    any tau is that field scaled.  They share one continuation walk over the
+    union of the heights they read (the values of _HEIGHTS, and ``tau`` for
+    the checks that read u); a walk that stops keeps its steps, and a check
+    that needs a height above the stop reports the walk's error.  runtime_s
+    includes the solves a check triggered.  A check that raises gets a
+    failed report carrying ``error``, and the rest still run.  The
+    solver-vs-oracle check always runs on the canonical flat circle ring,
+    where the oracle lives.  Unknown check names and inputs suite_inputs
+    rejects raise before any check runs."""
     selected = SUITE_CHECKS if checks is None else tuple(checks)
     unknown = [c for c in selected if c not in SUITE_CHECKS]
     if unknown:

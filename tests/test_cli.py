@@ -55,12 +55,12 @@ def solved_run(tmp_path_factory):
 
 def test_solve_writes_snapshots_and_trace(solved_run):
     _, out = solved_run
-    assert (out / "field_tau_0.05.json").is_file()
-    assert (out / "field_tau_0.3.json").is_file()
+    # one snapshot per target, and no step before the first
+    assert sorted(p.name for p in out.glob("field_tau_*.json")) == ["field_tau_0.3.json"]
     trace = json.loads((out / "trace.json").read_text())
     assert trace["completed"] is True
-    assert trace["tau_schedule"] == [0.05, 0.3]
-    assert [s["tau"] for s in trace["steps"]] == [0.05, 0.3]
+    assert trace["tau_schedule"] == [0.3]
+    assert [s["tau"] for s in trace["steps"]] == [0.3]
     for step in trace["steps"]:
         assert step["converged"] is True
         assert step["min_interior_gradient"] > 0.0
@@ -135,7 +135,7 @@ def test_solve_diagnostic_failure_keeps_partial_outputs_and_exits_2(
         return extract_level(*args, **kwargs)
 
     monkeypatch.setattr(solve, "extract_level", fails_on_second_step)
-    cfg = write_config(tmp_path)
+    cfg = write_config(tmp_path, tau=[0.05, 0.3])
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -153,7 +153,7 @@ def test_solve_reports_progress_lines(tmp_path, capsys):
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 1  # one line per target
     assert lines[-1].startswith("tau=0.3")
     assert "min level curvature" in lines[-1]
 
@@ -168,14 +168,13 @@ def test_distinct_values_get_distinct_files(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["tau=0.05", "tau=0.3000001", "tau=0.3000002"]
+    assert [line.split()[0] for line in lines] == ["tau=0.3000001", "tau=0.3000002"]
     trace = json.loads((out / "trace.json").read_text())
     snapshots = [s["snapshot"] for s in trace["steps"]]
-    assert snapshots == ["field_tau_0.05.json", "field_tau_0.3000001.json",
-                         "field_tau_0.3000002.json"]
+    assert snapshots == ["field_tau_0.3000001.json", "field_tau_0.3000002.json"]
     assert sorted(p.name for p in out.glob("field_tau_*.json")) == sorted(snapshots)
     assert list(trace["timestamp"]["runtime_s"]) == snapshots
-    for name, tau in zip(snapshots, [0.05] + taus):
+    for name, tau in zip(snapshots, taus):
         assert load_field(str(out / name)).boundary_values == (0.0, tau)
 
     lvl_out = tmp_path / "lvl"
@@ -680,14 +679,16 @@ def test_verify_shares_one_grid_and_one_solve(all_checks, tmp_path, monkeypatch)
     path.write_text(json.dumps(cfg, indent=1) + "\n")
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "v")]) == 0
     if all_checks:
-        # 3 oracle solves on 3 oracle grids, the shared solve and one
-        # continuation walk over the 12 heights of the three ring checks;
-        # harmonic solves: one per oracle solve, one at tau = 1 scaled to
-        # every tau a check needs, and one on the coarsest grid of the walk's
-        # nested first step
-        assert counts == {"solve": 16, "harmonic": 5, "grid": 4}
+        # 3 oracle solves on 3 oracle grids and one continuation walk over
+        # the 12 heights of the three ring checks, the README tau = 0.5 among
+        # them; harmonic solves: one per oracle solve, one at tau = 1 scaled
+        # to every tau a check needs, and one on the coarsest grid of the
+        # walk's nested first step
+        assert counts == {"solve": 15, "harmonic": 5, "grid": 4}
     else:
-        assert counts == {"solve": 1, "harmonic": 1, "grid": 1}
+        # a walk of one step at the README tau, from the nested start, and
+        # the harmonic field at tau = 1 for supersolution
+        assert counts == {"solve": 1, "harmonic": 2, "grid": 1}
 
 
 # -- oracle ----------------------------------------------------------------

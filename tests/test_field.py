@@ -161,7 +161,8 @@ def test_jet_table_is_the_same_in_every_block_size(monkeypatch):
     # the flat README ring, an epsilon = 1 ring and the smallest grid, in
     # blocks of one row (asked as a whole row or as one sample) and of 3 and
     # 5 rows with a ragged last block (a size short of 6 rows rounds down to
-    # 5); every block's window must hold 4 rows
+    # 5); every block's window must hold 4 rows.  The grid builds its nodes
+    # in blocks of the same constant: its nodes and spacing are the same too
     sphere = make_ring(
         SpaceFormChart(epsilon=1.0, dim=2), make_curve("ellipse", radii=(1.2, 0.8)),
         make_curve("ellipse", radii=(0.48, 0.32), center=(0.05, -0.03)))
@@ -175,11 +176,15 @@ def test_jet_table_is_the_same_in_every_block_size(monkeypatch):
     monkeypatch.setattr(field, "_comp_derivatives", recording)
     for grid in (_ellipse_grid(17, 48), build_grid(sphere, 17, 48), _ellipse_grid(4, 8)):
         values = sample_field(grid, _trig).values
-        monkeypatch.setattr(field, "_BLOCK", grid.ns * grid.ntheta)
+        monkeypatch.setattr("convexring.ring._BLOCK", grid.ns * grid.ntheta)
         whole = field._build_jet_table(grid, values)
+        whole_grid = AnnularGrid(grid.ring, grid.ns, grid.ntheta)
         for rows, block in ((1, grid.ntheta), (1, 1), (3, 3 * grid.ntheta), (5, 6 * grid.ntheta - 1)):
             windows.clear()
-            monkeypatch.setattr(field, "_BLOCK", block)
+            monkeypatch.setattr("convexring.ring._BLOCK", block)
+            blocked = AnnularGrid(grid.ring, grid.ns, grid.ntheta)
+            assert np.array_equal(blocked.nodes, whole_grid.nodes)
+            assert blocked.max_spacing == whole_grid.max_spacing
             table = field._build_jet_table(grid, values)
             assert len(windows) == -(-grid.ns // rows) and min(windows) >= 4
             assert np.array_equal(table["grad"], whole["grad"])

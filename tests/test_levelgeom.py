@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from convexring import field
+import convexring.ring
 from convexring.field import ScalarField, sample_field
 from convexring.levelgeom import (
     LevelRangeError,
@@ -367,10 +367,10 @@ def test_rank_scan_is_the_same_in_every_block_size(monkeypatch, sphere_chart_fie
     grid = build_grid(ring, 33, 64)
     readme = ScalarField(grid, np.repeat(grid.s[:, None], grid.ntheta, axis=1), (0.0, 1.0))
     for f in (readme, sphere_chart_field):
-        monkeypatch.setattr(field, "_BLOCK", f.values.size)
+        monkeypatch.setattr("convexring.ring._BLOCK", f.values.size)
         whole = _scan_numbers(rank_scan(f))
         for block in (1, f.grid.ntheta, 100):
-            monkeypatch.setattr(field, "_BLOCK", block)
+            monkeypatch.setattr("convexring.ring._BLOCK", block)
             assert _scan_numbers(rank_scan(f)) == whole
 
 
@@ -384,7 +384,7 @@ def test_rank_scan_locates_the_first_minimum_across_blocks(monkeypatch):
     jets = PointJet(point=np.arange(2.0 * len(c)).reshape(-1, 2), value=np.zeros(len(c)),
                     grad=np.broadcast_to([1.0, 0.0], (len(c), 2)), hess=hess)
     for block in (4, 1, 5, len(c)):
-        monkeypatch.setattr(field, "_BLOCK", block)
+        monkeypatch.setattr("convexring.ring._BLOCK", block)
         scan = rank_scan(jets)
         assert (scan.lambda_min, scan.location.tolist()) == (1.0, [6.0, 7.0])
         assert (scan.samples, scan.min_rank, scan.max_rank) == (len(c), 1, 1)
@@ -399,7 +399,7 @@ def test_rank_scan_names_the_first_singular_node_across_blocks(monkeypatch, sphe
     values[19:22, 4:7] = values[20, 5]
     first_node = f.grid.nodes[3, 10].tolist()
     for block in (f.grid.ntheta, 1, 100, values.size):
-        monkeypatch.setattr(field, "_BLOCK", block)
+        monkeypatch.setattr("convexring.ring._BLOCK", block)
         flat = ScalarField(f.grid, values, f.boundary_values)
         with pytest.raises(SingularGradientError, match=re.escape(f"at {first_node}")):
             rank_scan(flat)
@@ -412,15 +412,15 @@ def test_rank_scan_of_a_3d_stack_larger_than_a_block(monkeypatch):
     points *= rng.uniform(1.0, 2.0, (len(points), 1)) / np.linalg.norm(points, axis=-1, keepdims=True)
     jets = PointJet(point=points, value=-np.sum(points * points, axis=-1), grad=-2 * points,
                     hess=np.broadcast_to(-2 * np.eye(3), (len(points), 3, 3)))
-    blocks = (field._BLOCK, 7)
-    monkeypatch.setattr(field, "_BLOCK", len(points))
+    blocks = (convexring.ring._BLOCK, 7)
+    monkeypatch.setattr("convexring.ring._BLOCK", len(points))
     whole = _scan_numbers(rank_scan(jets))
     assert whole[:3] == (len(points), 2, 2)
     far = int(np.argmax(np.linalg.norm(points, axis=-1)))
     assert whole[3] == pytest.approx(1.0 / np.linalg.norm(points[far]), rel=1e-12)
     assert whole[4] == points[far].tolist()
     for block in blocks:
-        monkeypatch.setattr(field, "_BLOCK", block)
+        monkeypatch.setattr("convexring.ring._BLOCK", block)
         assert _scan_numbers(rank_scan(jets)) == whole
 
 

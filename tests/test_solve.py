@@ -405,7 +405,7 @@ def test_prescribed_large_curvature_reports_failure():
 def test_continuation_walks_targets_on_circles():
     grid = build_grid(_circle_ring(), 13, 32)
     trace = continuation_solve(grid, [0.25, 0.5, 1.0])
-    assert trace.tau_schedule == [0.05, 0.25, 0.5, 1.0]
+    assert trace.tau_schedule == [0.25, 0.5, 1.0]
     assert all(s.report.converged for s in trace.steps)
     assert all(s.report.min_gradient_norm > 0.0 for s in trace.steps)
     assert all(s.min_level_curvature > 0.0 for s in trace.steps)
@@ -419,7 +419,7 @@ def test_continuation_walks_targets_on_circles():
 def test_continuation_single_target_needs_no_halving():
     grid = build_grid(_ellipse_ring(), 13, 32)
     trace = continuation_solve(grid, [1.0])
-    assert trace.tau_schedule == [0.05, 1.0]
+    assert trace.tau_schedule == [1.0]
     assert all(s.report.converged for s in trace.steps)
 
 
@@ -427,9 +427,29 @@ def test_continuation_small_first_target_starts_there():
     grid = build_grid(_circle_ring(), 9, 24)
     trace = continuation_solve(grid, [0.02])
     assert trace.tau_schedule == [0.02]
-    # a first target just above TAU_START is walked to, not dropped
+    # the schedule is the targets, with no step of its own before them
     trace = continuation_solve(grid, [0.0500000000000001, 0.3])
-    assert trace.tau_schedule == [0.05, 0.0500000000000001, 0.3]
+    assert trace.tau_schedule == [0.0500000000000001, 0.3]
+
+
+def _circles_eps1_ring():
+    return make_ring(SpaceFormChart(epsilon=1.0), make_curve("circle", radius=1.2),
+                     make_curve("circle", radius=0.5))
+
+
+@pytest.mark.parametrize("ring", [_readme_ring, _circles_eps1_ring], ids=["readme", "circles-eps1"])
+@pytest.mark.parametrize("tau", [0.5, 1.0])
+def test_continuation_solves_exactly_its_targets(ring, tau):
+    # a first target gets no step below it: the walk's one step starts from
+    # the nested start and reaches the field of a walk that steps through
+    # 0.05 first, also at tau = 1, where 33x64 does not resolve the field
+    grid = build_grid(ring(), 33, 64)
+    trace = continuation_solve(grid, [tau])
+    assert trace.tau_schedule == [tau]
+    assert trace.steps[0].report.converged
+    through = continuation_solve(grid, [0.05, tau])
+    assert through.tau_schedule == [0.05, tau]
+    assert np.max(np.abs(trace.final_field.values - through.final_field.values)) <= 1e-9
 
 
 def test_continuation_empty_targets_empty_trace():
@@ -459,8 +479,8 @@ def test_continuation_failure_carries_partial_trace():
 
 
 def test_step_that_cannot_converge_ends_the_walk(monkeypatch):
-    # three Newton steps reach tau = 0.05 but not 0.5: the walk makes one
-    # solve there and stops, with no smaller step tried in between
+    # three Newton steps reach tau = 0.05 but not 0.5 from there: the walk
+    # makes one solve at 0.5 and stops, with no smaller step tried in between
     taus = []
     real = solve.solve_minimal_graph
 
@@ -471,7 +491,7 @@ def test_step_that_cannot_converge_ends_the_walk(monkeypatch):
     monkeypatch.setattr(solve, "solve_minimal_graph", recording)
     grid = build_grid(_readme_ring(), 33, 64)
     with pytest.raises(ContinuationError) as excinfo:
-        continuation_solve(grid, [0.5, 1.0], options=SolveOptions(max_newton=3))
+        continuation_solve(grid, [0.05, 0.5, 1.0], options=SolveOptions(max_newton=3))
     assert taus == [0.05, 0.5]
     assert excinfo.value.trace.tau_schedule == [0.05]
     message = str(excinfo.value)
@@ -481,12 +501,13 @@ def test_step_that_cannot_converge_ends_the_walk(monkeypatch):
 
 def test_readme_walk_keeps_its_newton_and_factorisation_counts():
     # (Newton steps, factorisations) per step of a converging walk: the
-    # nested start at tau = 0.05, then rescaled previous fields
+    # nested start at tau = 0.5 (the harmonic solve on 17x32, then one
+    # factorisation on each Newton level), then the rescaled previous field
     grid = build_grid(_readme_ring(), 65, 128)
     trace = continuation_solve(grid, [0.5, 1.0])
-    assert trace.tau_schedule == [0.05, 0.5, 1.0]
+    assert trace.tau_schedule == [0.5, 1.0]
     assert [(s.report.newton_iterations, s.report.factorizations)
-            for s in trace.steps] == [(2, 4), (5, 2), (9, 3)]
+            for s in trace.steps] == [(4, 4), (9, 3)]
 
 
 def test_linear_solver_option_is_gone():

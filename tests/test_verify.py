@@ -312,6 +312,21 @@ def test_tau_estimates_validates_input():
             check_tau_estimates(omegas[:3] + [bad])
 
 
+def test_tau_estimates_needs_two_pairs_of_heights_apart():
+    # with no pair of heights 0.05 apart the distance band is 1 by
+    # construction, and with one pair both constants are its quotient: a
+    # verdict on these heights would be vacuous
+    grid = build_grid(_circle_ring(), 9, 24)
+    for taus in ((0.1, 0.11, 0.12, 0.13), (0.1, 0.11, 0.12, 0.155),
+                 (0.1, 0.2, 0.2, 0.1)):
+        omegas = [solve_harmonic(grid, t) for t in taus]
+        with pytest.raises(ValueError, match="two or more pairs of heights 0.05 apart"):
+            check_tau_estimates(omegas)
+    # two pairs are enough: (0.1, 0.155) and (0.104, 0.155)
+    report = check_tau_estimates([solve_harmonic(grid, t) for t in (0.1, 0.104, 0.14, 0.155)])
+    assert len(report.extras["pair_quotients"]) == 2
+
+
 def test_small_tau_and_hopf_validate_their_fields():
     grid = build_grid(_circle_ring(), 9, 24)
     omegas = [solve_harmonic(grid, t) for t in (0.01, 0.02)]
@@ -542,19 +557,23 @@ def test_run_suite_rejects_bad_inputs_before_any_solve(kwargs, message, monkeypa
 
 
 def test_run_suite_reports_a_raising_check_and_runs_the_rest(monkeypatch):
-    # only the continuation of hopf-boundary-bound gets options it cannot
-    # meet, so that check raises while the shared solve of the others succeeds
+    # the walk gets options it cannot meet only at tau = 1, so
+    # hopf-boundary-bound raises while u at tau = 0.5, read by the others,
+    # is still reached
     stalling = SolveOptions(newton_tol=1e-30, max_newton=6, min_step=0.6)
-    real = verify.continuation_solve
-    monkeypatch.setattr(verify, "continuation_solve",
-                        lambda grid, targets, options=None: real(grid, targets, stalling))
+    real = solve.solve_minimal_graph
+
+    def stalls_at_one(grid, tau, options=None, init=None):
+        return real(grid, tau, options=stalling if tau == 1.0 else options, init=init)
+
+    monkeypatch.setattr(solve, "solve_minimal_graph", stalls_at_one)
     names = ["gradient-max-principle", "hopf-boundary-bound", "gradient-monotonicity"]
     reports = run_suite(grid=build_grid(_circle_ring(), 9, 24), checks=names)
     assert [r.name for r in reports] == names
     first, failed, last = reports
     assert not failed.passed
     assert np.isnan(failed.margin)
-    assert "continuation stalled" in failed.error
+    assert failed.error.startswith("continuation stalled at tau=1.0")
     assert failed.runtime_s > 0.0
     for report in (first, last):
         assert report.error is None
@@ -578,23 +597,28 @@ def test_run_suite_check_runtime_includes_its_solves(monkeypatch):
 
 
 def test_run_suite_solves_once_when_the_shared_solve_fails(monkeypatch):
-    # a solve that does not converge is remembered, not repeated by each check
-    calls = []
-    real = verify.solve_minimal_graph
+    # the checks that read u share the walk's one step at tau; a step that
+    # does not converge stops the walk once, and each check reports its error
+    calls = {"walk": 0, "solve": 0}
+    for module, name, key in ((verify, "continuation_solve", "walk"),
+                              (solve, "solve_minimal_graph", "solve")):
+        real = getattr(module, name)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        def counting(*args, real=real, key=key, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "solve_minimal_graph", counting)
+        monkeypatch.setattr(module, name, counting)
     names = ["gradient-max-principle", "supersolution", "convexity-and-rank",
              "gradient-monotonicity"]
     reports = run_suite(grid=build_grid(_circle_ring(), 9, 24), checks=names,
                         options=SolveOptions(newton_tol=1e-30))
-    assert len(calls) == 1
+    assert calls == {"walk": 1, "solve": 1}
     assert [r.name for r in reports] == names
-    assert all(not r.passed for r in reports)
-    assert {r.error for r in reports} == {"suite solve at tau=0.5 did not converge"}
+    assert all(not r.passed and np.isnan(r.margin) for r in reports)
+    errors = {r.error for r in reports}
+    assert len(errors) == 1
+    assert errors.pop().startswith("continuation stalled at tau=0.5: max residual ")
 
 
 _RING_CHECKS = ["tau-estimates", "small-tau-regime", "hopf-boundary-bound"]
