@@ -265,10 +265,13 @@ def extract_level(f: ScalarField, c: float) -> LevelSetReport:
     """
     c = _check_level(f, c)
     grid = f.grid
-    d = f.values - c
-    crosses = d[:-1] * d[1:] <= 0
-    # an exact hit at node i > 0 shows up in edges i-1 and i; keep edge i-1
-    crosses[1:] &= d[1:-1] != 0
+    v = f.values
+    above, below = v > c, v < c
+    # edge i crosses when node i lies strictly on one side of c and node i+1
+    # does not: an exact hit at node i > 0 belongs to edge i-1 alone, and one
+    # at node 0 to edge 0
+    crosses = (above[:-1] & ~above[1:]) | (below[:-1] & ~below[1:])
+    crosses[0] |= ~(above[0] | below[0])
     counts = crosses.sum(axis=0)
     bad = np.flatnonzero(counts != 1)
     if bad.size:
@@ -276,8 +279,9 @@ def extract_level(f: ScalarField, c: float) -> LevelSetReport:
 
     cols = np.arange(grid.ntheta)
     i = np.argmax(crosses, axis=0)
-    denom = d[i, cols] - d[i + 1, cols]
-    t = np.divide(d[i, cols], denom, out=np.zeros(grid.ntheta), where=denom != 0)
+    d_lo, d_hi = v[i, cols] - c, v[i + 1, cols] - c
+    denom = d_lo - d_hi
+    t = np.divide(d_lo, denom, out=np.zeros(grid.ntheta), where=denom != 0)
     pts = grid.map_point(grid.s[i] + t * grid.hs, grid.theta)
     table = f.jet_table()
     tg, th = t[:, None], t[:, None, None]

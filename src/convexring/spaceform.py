@@ -149,33 +149,35 @@ def christoffel(chart: SpaceFormChart, x) -> np.ndarray:
     )
 
 
-def _to_frame(lam, dlog, du, d2u):
+def _to_frame(lam, dlog, du, d2u, grad, hess) -> None:
     """The frame conversion of :func:`frame_components` on components.
 
     ``lam`` and the n components ``dlog[c]`` of grad log(lambda) come from the
     caller, with ``du[c]`` and the n x n nested ``d2u[a][b]``; all broadcast
-    elementwise.  An entry below the diagonal that is the very array above it
-    is converted once.  Returns the stacked frame tensors, (..., n) and
-    (..., n, n).
+    elementwise.  The frame tensors are written into the arrays ``grad``
+    (n, ...) and ``hess`` (n, n, ...), component axes first, which may hold
+    the very arrays of ``du`` and ``d2u``: every Hessian entry is written
+    before the gradient.  An entry below the diagonal whose input is the very
+    array above it is converted once, and the entry above copied there.  On a
+    flat chart (lambda = 1, grad log lambda = 0) the conversion changes no
+    value, and the grid jet tables skip it.
     """
     n = len(du)
     dot = dlog[0] * du[0]
     for c in range(1, n):
         dot = dot + dlog[c] * du[c]
     lam2 = lam * lam
-    grad = [du[a] / lam for a in range(n)]
-    hess = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
             if b < a and d2u[a][b] is d2u[b][a]:
-                hess[a][b] = hess[b][a]
+                hess[a, b, ...] = hess[b, a, ...]
                 continue
             correction = dlog[a] * du[b] + dlog[b] * du[a]
             if a == b:
                 correction = correction - dot
-            hess[a][b] = (d2u[a][b] - correction) / lam2
-    grad, hess = np.stack(grad, axis=-1), np.stack([h for row in hess for h in row], axis=-1)
-    return grad, hess.reshape(hess.shape[:-1] + (n, n))
+            np.divide(d2u[a][b] - correction, lam2, out=hess[a, b, ...])
+    for a in range(n):
+        np.divide(du[a], lam, out=grad[a, ...])
 
 
 def frame_components(chart: SpaceFormChart, x, coord_grad, coord_hess):
@@ -191,15 +193,21 @@ def frame_components(chart: SpaceFormChart, x, coord_grad, coord_hess):
     (coordinate basis): grad = du / lambda, hess = u_{;ab} / lambda^2.
     Broadcasts over leading axes.  This is the analytic route
     (:func:`covariant_jet`); the grid jet tables of ``convexring.field`` run
-    the same component kernel with lambda and phi kept by their grid.
+    the same component kernel with lambda and phi kept by their grid, and
+    skip it on a flat chart.
     """
     pts = chart.validate_points(x)
     du = np.asarray(coord_grad, dtype=float)
     d2u = np.asarray(coord_hess, dtype=float)
     lam, phi = _log_lambda_derivatives(chart, pts)
     n = range(chart.dim)
-    return _to_frame(lam, [phi[..., c] for c in n], [du[..., c] for c in n],
-                     [[d2u[..., a, b] for b in n] for a in n])
+    lead = np.broadcast_shapes(lam.shape, du.shape[:-1])
+    grad = np.empty(lead + (chart.dim,))
+    hess = np.empty(np.broadcast_shapes(lead, d2u.shape[:-2]) + (chart.dim, chart.dim))
+    _to_frame(lam, [phi[..., c] for c in n], [du[..., c] for c in n],
+              [[d2u[..., a, b] for b in n] for a in n],
+              np.moveaxis(grad, -1, 0), np.moveaxis(hess, (-2, -1), (0, 1)))
+    return grad, hess
 
 
 def covariant_jet(chart: SpaceFormChart, sampler, x) -> PointJet:

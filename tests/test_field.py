@@ -157,6 +157,51 @@ def test_jet_table_matches_the_matmul_reference():
             assert np.all(err <= 1e-13 * scale)
 
 
+def test_flat_jet_table_skips_an_identity_conversion(monkeypatch):
+    # on the flat README ring lambda = 1 and grad log lambda = 0: converting
+    # the table through _to_frame changes no bit, and the table never calls
+    # it; the epsilon = 1 table does, and meets the matmul reference
+    conversions = []
+    to_frame = field._to_frame
+
+    def counting(*args):
+        conversions.append(len(args[0]))
+        return to_frame(*args)
+
+    monkeypatch.setattr(field, "_to_frame", counting)
+    grid = _ellipse_grid(33, 64)
+    table = sample_field(grid, _trig).jet_table()
+    assert conversions == []
+    grad = np.moveaxis(table["grad"], -1, 0)
+    hess = np.moveaxis(table["hess"], (-2, -1), (0, 1))
+    one, zero = np.ones((grid.ns, grid.ntheta)), np.zeros((grid.ns, grid.ntheta))
+    frame_grad, frame_hess = np.empty_like(grad), np.empty_like(hess)
+    to_frame(one, [zero, zero], list(grad), [list(row) for row in hess], frame_grad, frame_hess)
+    assert np.array_equal(frame_grad, grad) and np.array_equal(frame_hess, hess)
+
+    sphere = build_grid(make_ring(SpaceFormChart(epsilon=1.0, dim=2),
+                                  make_curve("ellipse", radii=(1.2, 0.8)),
+                                  make_curve("ellipse", radii=(0.48, 0.32))), 33, 64)
+    table = sample_field(sphere, _trig).jet_table()
+    assert sum(conversions) == sphere.ns
+    for new, ref in zip((table["grad"], table["hess"]), _matmul_jet_table(sphere, table["value"])):
+        assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_jet_table_is_a_view_of_component_arrays():
+    # grad and hess are views of (2, ns, ntheta) and (2, 2, ns, ntheta)
+    # arrays; the rank scan's flattened samples are views of them too
+    grid = _off_centre_sphere_grid(17, 48)
+    table = sample_field(grid, _trig).jet_table()
+    for key, axes in (("grad", 1), ("hess", 2)):
+        base = table[key].base
+        assert base.flags.c_contiguous and base.shape == (2,) * axes + (grid.ns, grid.ntheta)
+        assert np.array_equal(np.moveaxis(base, range(axes), range(-axes, 0)), table[key])
+        samples = table[key][1:-1].reshape((-1,) + (2,) * axes)
+        assert np.shares_memory(samples, base)
+    assert np.array_equal(table["hess"][..., 0, 1], table["hess"][..., 1, 0])
+
+
 def test_jet_table_is_the_same_in_every_block_size(monkeypatch):
     # the flat README ring, an epsilon = 1 ring and the smallest grid, in
     # blocks of one row (asked as a whole row or as one sample) and of 3 and
@@ -169,9 +214,9 @@ def test_jet_table_is_the_same_in_every_block_size(monkeypatch):
     comp = field._comp_derivatives
     windows = []
 
-    def recording(values, hs, ht):
+    def recording(values, *args):
         windows.append(len(values))
-        return comp(values, hs, ht)
+        return comp(values, *args)
 
     monkeypatch.setattr(field, "_comp_derivatives", recording)
     for grid in (_ellipse_grid(17, 48), build_grid(sphere, 17, 48), _ellipse_grid(4, 8)):
@@ -253,6 +298,19 @@ def test_discrete_c2_distance_requires_same_grid():
         discrete_c2_distance(f1, f2)
 
 
+def test_discrete_c2_distance_requires_the_same_chart():
+    # circles 1 / 0.4 in the flat and the epsilon = 1 chart share their
+    # nodes, but their jet tables are in different frames
+    fields = [sample_field(_circle_grid(eps=eps, r_inner=0.4, r_outer=1.0),
+                           lambda x: np.sum(x * x, axis=-1)) for eps in (0.0, 1.0)]
+    assert np.array_equal(fields[0].grid.nodes, fields[1].grid.nodes)
+    with pytest.raises(FieldShapeError, match="same grid"):
+        discrete_c2_distance(*fields)
+    # a second grid on an equal ring is the same grid
+    twin = sample_field(_circle_grid(r_inner=0.4, r_outer=1.0), lambda x: np.sum(x * x, axis=-1))
+    assert discrete_c2_distance(fields[0], twin) == 0.0
+
+
 def test_snapshot_round_trip_is_bit_exact(tmp_path):
     grid = _circle_grid(ns=9, ntheta=16)
     rng = np.random.default_rng(1)
@@ -289,6 +347,22 @@ def test_sample_field_boundary_snapping():
     # without a declaration any shape of data is a valid synthetic field
     g = sample_field(grid, lambda x: x[..., 0])
     assert g.boundary_values is None
+
+
+def test_sample_field_boundary_tolerance_scales_with_the_data():
+    # 1.3 tau (2 - r) on circles 2 / 1 misses the inner value tau by 30%,
+    # at every scale of tau; tau (2 - r) meets it to rounding
+    grid = _circle_grid(ns=9, ntheta=16)
+    for tau in (1.0, 1e-3, 1e-7, 1e-12):
+        with pytest.raises(FieldShapeError):
+            sample_field(grid, lambda x: 1.3 * tau * (2.0 - np.linalg.norm(x, axis=-1)),
+                         boundary_values=(0.0, tau))
+        f = sample_field(grid, lambda x: tau * (2.0 - np.linalg.norm(x, axis=-1)),
+                         boundary_values=(0.0, tau))
+        assert np.all(f.values[-1] == tau)
+    # zero data on both rows: the scale is the largest sampled magnitude
+    with pytest.raises(FieldShapeError):
+        sample_field(grid, lambda x: 1e-9 * x[..., 0], boundary_values=(0.0, 0.0))
 
 
 def test_field_to_dict_is_self_describing():

@@ -27,6 +27,7 @@ from convexring.levelgeom import (
 from convexring.ring import build_grid, make_curve, make_ring
 from convexring.solve import solve_minimal_graph
 from convexring.spaceform import ChartDomainError, PointJet, SpaceFormChart, covariant_jet
+from traced_memory import traced_call
 
 
 def _circle_grid(ns=33, ntheta=64, r_inner=1.0, r_outer=2.0):
@@ -317,28 +318,57 @@ def test_rank_scan_matches_a_per_node_loop(sphere_chart_field):
     assert scan.lambda_min == pytest.approx(min(sigma_k_level(jet, 1) for jet in jets), rel=1e-12)
 
 
-def test_extract_level_matches_a_per_column_loop(sphere_chart_field):
-    f = sphere_chart_field
+def _assert_matches_a_per_column_loop(f, c):
+    """extract_level(f, c) against a loop over the theta columns that takes
+    each column's first edge whose end values, less c, have a product <= 0."""
     grid = f.grid
+    rep = extract_level(f, c)
+    grad_norms = []
+    for j in range(grid.ntheta):
+        col = f.values[:, j] - c
+        i = next(i for i in range(grid.ns - 1) if col[i] * col[i + 1] <= 0)
+        t = col[i] / (col[i] - col[i + 1])
+        below, above = _node_jet(f, i, j), _node_jet(f, i + 1, j)
+        point = grid.map_point(grid.s[i] + t * grid.hs, grid.theta[j])
+        jet = PointJet(point=point, value=c,
+                       grad=(1 - t) * below.grad + t * above.grad,
+                       hess=(1 - t) * below.hess + t * above.hess)
+        assert np.allclose(rep.points[j], point, rtol=0.0, atol=1e-15)
+        assert rep.kappa[j] == pytest.approx(principal_curvatures(jet)[0], rel=1e-12)
+        assert rep.kappa[j] == pytest.approx(sigma_k_level(jet, 1), rel=1e-12)
+        grad_norms.append(np.linalg.norm(jet.grad))
+    assert rep.grad_min == pytest.approx(min(grad_norms), rel=1e-12)
+    assert np.array_equal(rep.points[-1], rep.points[0])
+    assert rep.kappa[-1] == rep.kappa[0]
+
+
+def test_extract_level_matches_a_per_column_loop(sphere_chart_field):
     for c in (0.1, 0.25, 0.4):
-        rep = extract_level(f, c)
-        grad_norms = []
-        for j in range(grid.ntheta):
-            col = f.values[:, j] - c
-            i = next(i for i in range(grid.ns - 1) if col[i] * col[i + 1] <= 0)
-            t = col[i] / (col[i] - col[i + 1])
-            below, above = _node_jet(f, i, j), _node_jet(f, i + 1, j)
-            point = grid.map_point(grid.s[i] + t * grid.hs, grid.theta[j])
-            jet = PointJet(point=point, value=c,
-                           grad=(1 - t) * below.grad + t * above.grad,
-                           hess=(1 - t) * below.hess + t * above.hess)
-            assert np.allclose(rep.points[j], point, rtol=0.0, atol=1e-15)
-            assert rep.kappa[j] == pytest.approx(principal_curvatures(jet)[0], rel=1e-12)
-            assert rep.kappa[j] == pytest.approx(sigma_k_level(jet, 1), rel=1e-12)
-            grad_norms.append(np.linalg.norm(jet.grad))
-        assert rep.grad_min == pytest.approx(min(grad_norms), rel=1e-12)
-        assert np.array_equal(rep.points[-1], rep.points[0])
-        assert rep.kappa[-1] == rep.kappa[0]
+        _assert_matches_a_per_column_loop(sphere_chart_field, c)
+
+
+def test_extract_level_keeps_its_crossing_rule():
+    # u = s on the README ring at 17 x 32: levels on a node row, where a hit
+    # at node i > 0 belongs to edge i-1 alone; a plateau of two rows at c,
+    # whose first node takes the crossing; and decreasing data
+    ring = make_ring(SpaceFormChart(epsilon=0.0, dim=2), make_curve("ellipse", radii=(3.0, 2.0)),
+                     make_curve("ellipse", radii=(1.2, 0.8)))
+    grid = build_grid(ring, 17, 32)
+    s = np.repeat(grid.s[:, None], grid.ntheta, axis=1)
+    rising = ScalarField(grid, s, (0.0, 1.0))
+    for c in (0.5, 0.25, 0.3):
+        _assert_matches_a_per_column_loop(rising, c)
+    plateau = s.copy()
+    plateau[9] = 0.5  # rows 8 and 9 both equal the level
+    _assert_matches_a_per_column_loop(ScalarField(grid, plateau, (0.0, 1.0)), 0.5)
+    falling = ScalarField(grid, 1.0 - s, (1.0, 0.0))
+    for c in (0.5, 0.25, 0.3):
+        _assert_matches_a_per_column_loop(falling, c)
+    plateau = 1.0 - plateau
+    _assert_matches_a_per_column_loop(ScalarField(grid, plateau, (1.0, 0.0)), 0.5)
+    # without Dirichlet data the level may pass through row 0: edge 0 there
+    shifted = s - 0.1 * (np.arange(grid.ntheta) % 2)
+    _assert_matches_a_per_column_loop(ScalarField(grid, shifted), 0.0)
 
 
 def test_batched_geometry_names_the_first_singular_point(sphere_chart_field):
@@ -422,6 +452,23 @@ def test_rank_scan_of_a_3d_stack_larger_than_a_block(monkeypatch):
     for block in blocks:
         monkeypatch.setattr("convexring.ring._BLOCK", block)
         assert _scan_numbers(rank_scan(jets)) == whole
+
+
+def test_geometry_pass_peaks_near_what_it_keeps():
+    # u = s on the README ring at 257 x 512: the jet table is written in
+    # place into its component arrays, and the rank scan reads views of them;
+    # a reader that copied the table would hold another 2 to 4 MiB
+    ring = make_ring(SpaceFormChart(epsilon=0.0, dim=2), make_curve("ellipse", radii=(3.0, 2.0)),
+                     make_curve("ellipse", radii=(1.2, 0.8)))
+    grid = build_grid(ring, 257, 512)
+    grid._node_geometry
+    f = ScalarField(grid, np.repeat(grid.s[:, None], grid.ntheta, axis=1), (0.0, 1.0))
+    table, kept, peak = traced_call(f.jet_table)
+    assert kept >= table["grad"].nbytes + table["hess"].nbytes
+    assert peak <= 1.5 * kept, (peak, kept)
+    scan, _, peak = traced_call(rank_scan, f)
+    assert scan.samples == 255 * 512
+    assert peak <= 3 * 2**20, peak
 
 
 def test_structure_condition_three_examples():

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -25,6 +23,7 @@ from convexring.ring import (
     ring_from_dict,
 )
 from convexring.spaceform import ChartDomainError, SpaceFormChart
+from traced_memory import traced_call
 
 
 def _flat_chart():
@@ -245,12 +244,7 @@ def test_containment_margin_allocates_no_table():
     outer = make_curve("ellipse", radii=(3.0, 2.0))
     inner = make_curve("fourier", center=(0.1, 0.0), r0=1.0, cos_coeffs=(0.05, 0.02))
     containment_margin(outer, inner)
-    tracemalloc.start()
-    try:
-        containment_margin(outer, inner)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced_call(containment_margin, outer, inner)
     assert peak < len(VALIDATION_THETA) ** 2, peak
 
 
@@ -387,13 +381,7 @@ def test_node_geometry_peaks_near_what_it_keeps():
         make_curve("ellipse", radii=(1.2, 0.8)),
     )
     grid = build_grid(ring, ns=257, ntheta=512)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        geometry = grid._node_geometry
-        kept, peak = (b - start for b in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
+    geometry, kept, peak = traced_call(lambda: grid._node_geometry)
     assert geometry.lam.shape == (257, 512)
     assert peak <= 1.5 * kept, (peak, kept)
 
@@ -407,13 +395,7 @@ def test_grid_peaks_near_what_it_keeps():
         make_curve("ellipse", radii=(1.2, 0.8)),
     )
     build_grid(ring, 257, 512)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        grid = build_grid(ring, 257, 512)
-        kept, peak = (b - start for b in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
+    grid, kept, peak = traced_call(build_grid, ring, 257, 512)
     assert not hasattr(grid, "det")
     assert kept >= grid.nodes.nbytes
     assert peak <= 1.5 * kept, (peak, kept)
