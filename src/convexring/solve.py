@@ -37,8 +37,8 @@ cached per grid, so each factorisation only refills the matrix values.
 The factors are float32, half the bytes of float64 ones, while every
 residual, iterate and tolerance stays float64: the chord method's float64
 residual corrects the low-precision step as mixed-precision iterative
-refinement does (Buttari et al. 2007; Carson & Higham 2018), and the
-one-shot harmonic solve reapplies its factors to the same end.
+refinement does (Buttari et al. 2007; Carson & Higham 2018); the harmonic
+field is that chord loop on the linear W = 1 operator, which factors once.
 
 Dirichlet rows (s = 0 outer, s = 1 inner) are never touched by the solvers.
 """
@@ -409,32 +409,26 @@ def _factorize(matrix: sp.csc_matrix) -> _Factors:
 # -- public solvers -----------------------------------------------------------
 
 
+def _read_tau(tau, what: str = "tau") -> float:
+    """tau as a float; ValueError, naming it ``what``, unless a number in (0, 1]."""
+    if not 0.0 < (tau := _real(tau, what)) <= 1.0:
+        raise ValueError(f"{what} must lie in (0, 1], got {tau}")
+    return tau
+
+
 def solve_harmonic(grid: AnnularGrid, tau: float,
                    options: SolveOptions | None = None) -> ScalarField:
     """Solve the conformal Laplace problem with data 0 outside, tau inside.
 
-    One assembly and one factorisation.  The float32 factors are reapplied
-    to the float64 residual (iterative refinement) while its max falls and
-    is above max(newton_tol, HARMONIC_RESIDUAL_TOL); the result satisfies
-    the discrete maximum principle (values in [0, tau])."""
-    options = options or SolveOptions()
-    tau = _real(tau, "tau")
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must lie in (0, 1], got {tau}")
-    tol = max(options.newton_tol, HARMONIC_RESIDUAL_TOL)
-    asm = _assembler(grid)
+    The chord loop on the W = 1 operator, one factorisation, iterated to
+    max(newton_tol, HARMONIC_RESIDUAL_TOL) whatever ``options.max_newton``;
+    a stall raises SolverError with its best iterate's residual.  The result
+    satisfies the discrete maximum principle (values in [0, tau])."""
+    tau = _read_tau(tau)
+    tol = max((options or SolveOptions()).newton_tol, HARMONIC_RESIDUAL_TOL)
     v = np.zeros((grid.ns, grid.ntheta))
     v[-1] = tau
-    lu = _factorize(asm.jacobian(np.zeros_like(v)))
-    r = asm.residual(v, linear=True)
-    rmax = float(np.max(np.abs(r)))
-    while True:
-        v[1:-1] += asm.newton_step(lu, r)
-        r = asm.residual(v, linear=True)
-        previous, rmax = rmax, float(np.max(np.abs(r)))
-        if rmax <= tol or not rmax < previous:
-            break
-
+    v, rmax, *_ = _chord_newton(grid, v, SolveOptions(newton_tol=tol), None, linear=True)
     if rmax > tol:
         raise SolverError(f"harmonic solve left residual max {rmax:.3e}")
     if v.min() < -1e-10 or v.max() > tau + 1e-10:
@@ -488,22 +482,23 @@ def _prolong(coarse: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _chord_newton(grid: AnnularGrid, v: np.ndarray, options: SolveOptions,
-                  source: np.ndarray | None) -> tuple[np.ndarray, float, int, int, int]:
+                  source: np.ndarray | None, linear: bool = False) -> tuple[np.ndarray, float, int, int, int]:
     """Damped chord Newton from the start values ``v``; returns (iterate, max
     residual, steps, L+U nonzeros of the last factorisation, factorisations).
     Each step reuses the last LU factors; they are rebuilt at the current
     iterate after an accepted step that needed backtracking or kept more than
     CHORD_CONTRACTION of the max residual, and after a step on reused factors
-    that the line search rejects.  A rejected step on fresh factors ends it."""
+    that the line search rejects.  A rejected step on fresh factors ends it.
+    ``linear`` solves the harmonic W = 1 operator (see ``_Assembler``)."""
     asm = _assembler(grid)
-    r = asm.residual(v, source)
+    r = asm.residual(v, source, linear)
     rmax = float(np.max(np.abs(r)))
     iterations = factorizations = lu_fill = 0
     lu = None  # None when the next step must refactor
     while not rmax <= options.newton_tol and iterations < options.max_newton:
         fresh = lu is None
         if fresh:
-            lu = _factorize(asm.jacobian(v))
+            lu = _factorize(asm.jacobian(np.zeros_like(v) if linear else v))
             lu_fill = int(lu.nnz)
             factorizations += 1
         delta = asm.newton_step(lu, r)
@@ -512,7 +507,7 @@ def _chord_newton(grid: AnnularGrid, v: np.ndarray, options: SolveOptions,
         while True:
             trial = v.copy()
             trial[1:-1] += alpha * delta
-            r_trial = asm.residual(trial, source)
+            r_trial = asm.residual(trial, source, linear)
             rmax_trial = float(np.max(np.abs(r_trial)))
             if rmax_trial < rmax:
                 break
@@ -551,7 +546,6 @@ def _nested_start(grid: AnnularGrid, tau: float, options: SolveOptions,
 def solve_minimal_graph(grid: AnnularGrid, tau: float,
                         options: SolveOptions | None = None,
                         init: ScalarField | None = None,
-                        source: np.ndarray | None = None,
                         ) -> tuple[ScalarField, SolveReport]:
     """Damped chord Newton for the minimal graph with boundary data (0, tau).
 
@@ -562,20 +556,27 @@ def solve_minimal_graph(grid: AnnularGrid, tau: float,
     only: the requested grid alone gets a field and a report, and
     ``report.converged`` is False when the residual target was not reached.
     """
+    return _solve(grid, tau, options, init, None)
+
+
+def _solve(grid: AnnularGrid, tau: float, options: SolveOptions | None, init: ScalarField | None,
+           source: np.ndarray | None) -> tuple[ScalarField, SolveReport]:
     options = options or SolveOptions()
+    tau = _read_tau(tau)
     t0 = time.perf_counter()
     v, spent = (_nested_start(grid, tau, options, source) if init is None
                 else (init.values.copy(), 0))
-    if not (np.all(v[0] == 0.0) and np.all(v[-1] == tau)):
-        raise SolverError("initializer must carry the Dirichlet data (0, tau)")
+    if v.shape != (grid.ns, grid.ntheta) or not (np.all(v[0] == 0.0) and np.all(v[-1] == tau)):
+        raise SolverError(f"initializer must have the grid's shape {(grid.ns, grid.ntheta)} and carry "
+                          f"the Dirichlet data (0, tau); got shape {v.shape}")
     v, rmax, iterations, lu_fill, factorizations = _chord_newton(grid, v, options, source)
 
-    f = ScalarField(grid=grid, values=v, boundary_values=(0.0, float(tau)))
+    f = ScalarField(grid=grid, values=v, boundary_values=(0.0, tau))
     report = SolveReport(
         converged=bool(rmax <= options.newton_tol),
         newton_iterations=iterations,
         final_residual_max=rmax,
-        tau=float(tau),
+        tau=tau,
         min_gradient_norm=float(np.min(_grad_norms(f, slice(1, -1)))),
         wall_time=time.perf_counter() - t0,
         lu_fill=lu_fill,
@@ -598,7 +599,7 @@ def solve_prescribed_mean_curvature(grid: AnnularGrid, tau: float,
     source = np.asarray(h_fn(pts), dtype=float)
     if source.shape != pts.shape[:-1]:
         raise SolverError("H sampler must return one value per interior node")
-    return solve_minimal_graph(grid, tau, options=options, init=init, source=source)
+    return _solve(grid, tau, options, init, source)
 
 
 def build_supersolution(omega: ScalarField, tau: float) -> ScalarField:

@@ -38,12 +38,13 @@ from .solve import (
     ContinuationError,
     SolveOptions,
     SolverError,
+    _read_tau,
     build_supersolution,
     continuation_solve,
     solve_harmonic,
     solve_minimal_graph,
 )
-from .spaceform import _real, _whole
+from .spaceform import _whole
 
 
 # -- reports -------------------------------------------------------------------
@@ -85,10 +86,7 @@ def _oracle_sizes(grid_sizes: Sequence[int]) -> list[int]:
 
 def suite_inputs(tau: float, oracle_grid_sizes: Sequence[int]) -> tuple[float, list[int]]:
     """run_suite's tau as a float in (0, 1] and its oracle grid sizes as _oracle_sizes gives."""
-    tau = _real(tau, "verify tau")
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("verify tau must lie in (0, 1]")
-    return tau, _oracle_sizes(oracle_grid_sizes)
+    return _read_tau(tau, "verify tau"), _oracle_sizes(oracle_grid_sizes)
 
 
 # -- fields along tau ------------------------------------------------------------

@@ -8,6 +8,7 @@ radial ODE oracle comparison lives with the verification suite.
 """
 
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -613,6 +614,56 @@ def test_harmonic_refinement_meets_its_tolerance_and_the_float64_solve():
     assert np.max(np.abs(f.values - v)) <= 1e-10
 
 
+def _refined_harmonic(grid, tau):
+    """The reference harmonic solve: its own loop reapplies one set of
+    float32 factors to the float64 residual while the max residual falls
+    and is above HARMONIC_RESIDUAL_TOL."""
+    asm = _assembler(grid)
+    v = np.zeros((grid.ns, grid.ntheta))
+    v[-1] = tau
+    lu = solve._Factors(asm.jacobian(np.zeros_like(v)))
+    r = asm.residual(v, linear=True)
+    rmax = float(np.max(np.abs(r)))
+    while True:
+        v[1:-1] += asm.newton_step(lu, r)
+        r = asm.residual(v, linear=True)
+        previous, rmax = rmax, float(np.max(np.abs(r)))
+        if rmax <= solve.HARMONIC_RESIDUAL_TOL or not rmax < previous:
+            return v
+
+
+@pytest.mark.parametrize("ring", [_readme_ring(), _sphere_ellipse_ring()],
+                         ids=["readme", "sphere-ellipse"])
+@pytest.mark.parametrize("ns, ntheta", [(33, 64), (129, 256)])
+def test_harmonic_solve_is_the_refinement_loop_bit_for_bit(monkeypatch, ring, ns, ntheta):
+    # the chord loop on the linear operator takes full steps on factors it
+    # never rebuilds: refinement sweeps contract far below CHORD_CONTRACTION
+    factorisations = _call_count(monkeypatch, solve, "_factorize")
+    grid = build_grid(ring, ns, ntheta)
+    for tau in (1.0, 0.3):
+        assert np.array_equal(solve_harmonic(grid, tau).values, _refined_harmonic(grid, tau))
+    assert factorisations == [2]
+
+
+def test_every_factorisation_runs_in_the_chord_loop(monkeypatch):
+    callers = []
+    factorize = solve._factorize
+
+    def recording(matrix):
+        callers.append(inspect.currentframe().f_back.f_code)
+        return factorize(matrix)
+
+    monkeypatch.setattr(solve, "_factorize", recording)
+    grid = build_grid(_readme_ring(), 33, 64)
+    solve_harmonic(grid, 1.0)
+    _, cold = solve_minimal_graph(grid, 1.0)
+    walk = continuation_solve(grid, [0.5, 1.0])
+    _, prescribed = solve_prescribed_mean_curvature(grid, 0.3, lambda p: 0.1 + 0.0 * p[..., 0])
+    assert len(callers) == 1 + cold.factorizations + prescribed.factorizations + sum(
+        step.report.factorizations for step in walk.steps)
+    assert all(code is solve._chord_newton.__code__ for code in callers)
+
+
 def test_lu_fill_is_zero_without_a_factorisation():
     grid = build_grid(_circle_ring(), 9, 24)
     u, _ = solve_minimal_graph(grid, 0.3)
@@ -636,6 +687,34 @@ def test_options_validation():
     for bad in ([True], [0.5, True], [np.True_], ["0.5"], [0.5, np.nan]):
         with pytest.raises(ValueError):
             continuation_targets(bad)
+
+
+def test_tau_is_read_alike_with_and_without_an_initializer():
+    # an initializer skips the harmonic start, whose tau check once was the
+    # only one: a start carrying tau = 2 converged and reported tau = 2.0,
+    # and True ran as tau = 1.0
+    grid = build_grid(_circle_ring(), 9, 24)
+    omega = solve_harmonic(grid, 1.0)
+    doubled = ScalarField(grid=grid, values=2.0 * omega.values, boundary_values=(0.0, 2.0))
+    for bad in (2.0, 0.0, True, "0.5", np.inf):
+        start = doubled if bad == 2.0 else omega
+        for run in (lambda init: solve_minimal_graph(grid, bad, init=init),
+                    lambda init: solve_prescribed_mean_curvature(
+                        grid, bad, lambda p: 0.0 * p[..., 0], init=init)):
+            with pytest.raises(ValueError, match="tau must") as cold:
+                run(None)
+            with pytest.raises(ValueError) as warm:
+                run(start)
+            assert str(warm.value) == str(cold.value), bad
+
+
+def test_initializer_must_fit_the_grid_and_its_data():
+    grid = build_grid(_readme_ring(), 33, 64)
+    coarse = solve_harmonic(build_grid(_readme_ring(), 17, 32), 1.0)
+    with pytest.raises(SolverError, match=r"shape \(33, 64\).*shape \(17, 32\)"):
+        solve_minimal_graph(grid, 1.0, init=coarse)
+    with pytest.raises(SolverError, match=r"Dirichlet data \(0, tau\)"):
+        solve_minimal_graph(grid, 0.5, init=solve_harmonic(grid, 1.0))
 
 
 def test_oracle_init_converges_fast():
@@ -702,10 +781,9 @@ def test_cubic_start_factors_the_finest_level_once(monkeypatch):
         shapes.append(matrix.shape[0])
         return factorize(matrix)
 
-    def recording_newton(grid, v, options, source):
-        r = _assembler(grid).residual(v, source)
-        starts[(grid.ns, grid.ntheta)] = float(np.max(np.abs(r)))
-        return newton(grid, v, options, source)
+    def recording_newton(grid, v, options, *args, **kwargs):
+        starts[(grid.ns, grid.ntheta)] = float(np.max(np.abs(_assembler(grid).residual(v))))
+        return newton(grid, v, options, *args, **kwargs)
 
     monkeypatch.setattr(solve, "_factorize", recording_factorize)
     monkeypatch.setattr(solve, "_chord_newton", recording_newton)
@@ -733,19 +811,24 @@ def test_prescribed_curvature_nested_start_matches_harmonic_start(monkeypatch):
     def h_fn(p):
         return 0.1 + 0.02 * p[..., 0]
 
-    # each level's Newton loop gets the source at its own interior nodes
-    sources = []
+    # each level's Newton loop gets the source at its own interior nodes;
+    # the coarsest level's harmonic start runs the linear loop without one
+    calls = []
     newton = solve._chord_newton
 
-    def recording(grid, v, options, source):
-        sources.append((grid, source))
-        return newton(grid, v, options, source)
+    def recording(*args, **kwargs):
+        call = inspect.signature(newton).bind(*args, **kwargs)
+        call.apply_defaults()
+        calls.append(call.arguments)
+        return newton(*args, **kwargs)
 
     monkeypatch.setattr(solve, "_chord_newton", recording)
     nested, report = solve_prescribed_mean_curvature(grid, 0.3, h_fn)
-    assert [(g.ns, g.ntheta) for g, _ in sources] == [(17, 32), (33, 64)]
-    for g, source in sources:
-        assert np.allclose(source, h_fn(g.nodes[1:-1]), rtol=0.0, atol=1e-14)
+    assert [(c["grid"].ns, c["grid"].ntheta, c["linear"]) for c in calls] == [
+        (17, 32, True), (17, 32, False), (33, 64, False)]
+    assert calls[0]["source"] is None
+    for c in calls[1:]:
+        assert np.allclose(c["source"], h_fn(c["grid"].nodes[1:-1]), rtol=0.0, atol=1e-14)
 
     harmonic, reference = solve_prescribed_mean_curvature(
         grid, 0.3, h_fn, init=solve_harmonic(grid, 0.3))
