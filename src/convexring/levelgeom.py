@@ -255,35 +255,55 @@ def _check_level(f: ScalarField, c: float) -> float:
     return c
 
 
-def extract_level(f: ScalarField, c: float) -> LevelSetReport:
-    """Trace the level set {u = c} through the grid.
+def _crossings(v: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """(i, t): in each column j of ``v`` the edge i, between rows i and i+1,
+    where the values cross c, and its fraction t in [0, 1]; TopologyError
+    unless every column crosses exactly once.
 
-    Finds in every theta column the unique radial edge where u crosses c
-    (linear interpolation in s), and evaluates curvature from the
-    linearly interpolated covariant jet.  The returned polyline is ordered by
-    theta and closed.
-    """
-    c = _check_level(f, c)
-    grid = f.grid
-    v = f.values
-    above, below = v > c, v < c
+    Reads only the band of rows the level can cross: edge i crosses in no
+    column unless c lies between the least and the greatest value of rows i
+    and i+1, so the masks cover the edges from the first such edge to the
+    last, not the grid."""
+    lo, hi = v.min(axis=1), v.max(axis=1)
+    # some edge is a candidate: c lies between a value of one row and a
+    # value of another (the boundary values, or the field's extremes)
+    edges = np.flatnonzero((np.minimum(lo[:-1], lo[1:]) <= c) & (c <= np.maximum(hi[:-1], hi[1:])))
+    a, b = edges[0], edges[-1] + 1
+    above, below = v[a:b + 1] > c, v[a:b + 1] < c
     # edge i crosses when node i lies strictly on one side of c and node i+1
     # does not: an exact hit at node i > 0 belongs to edge i-1 alone, and one
     # at node 0 to edge 0
     crosses = (above[:-1] & ~above[1:]) | (below[:-1] & ~below[1:])
-    crosses[0] |= ~(above[0] | below[0])
+    if a == 0:
+        crosses[0] |= ~(above[0] | below[0])
     counts = crosses.sum(axis=0)
     bad = np.flatnonzero(counts != 1)
     if bad.size:
         raise TopologyError(f"level {c} crosses theta column {bad[0]} {counts[bad[0]]} times")
 
-    cols = np.arange(grid.ntheta)
-    i = np.argmax(crosses, axis=0)
+    # one crossing per column, so the largest marked band row is that one
+    i = a + (crosses * np.arange(b - a)[:, None]).max(axis=0)
+    cols = np.arange(v.shape[1])
     d_lo, d_hi = v[i, cols] - c, v[i + 1, cols] - c
     denom = d_lo - d_hi
-    t = np.divide(d_lo, denom, out=np.zeros(grid.ntheta), where=denom != 0)
+    return i, np.divide(d_lo, denom, out=np.zeros(len(cols)), where=denom != 0)
+
+
+def extract_level(f: ScalarField, c: float) -> LevelSetReport:
+    """Trace the level set {u = c} through the grid.
+
+    Finds in every theta column the unique radial edge where u crosses c
+    (linear interpolation in s), searching only the band of rows whose
+    values bracket c, and evaluates curvature from the linearly
+    interpolated covariant jet.  The returned polyline is ordered by theta
+    and closed.
+    """
+    c = _check_level(f, c)
+    grid = f.grid
+    i, t = _crossings(f.values, c)
     pts = grid.map_point(grid.s[i] + t * grid.hs, grid.theta)
     table = f.jet_table()
+    cols = np.arange(grid.ntheta)
     tg, th = t[:, None], t[:, None, None]
     grad = (1 - tg) * table["grad"][i, cols] + tg * table["grad"][i + 1, cols]
     hess = (1 - th) * table["hess"][i, cols] + th * table["hess"][i + 1, cols]

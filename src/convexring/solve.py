@@ -489,7 +489,9 @@ def _chord_newton(grid: AnnularGrid, v: np.ndarray, options: SolveOptions,
     iterate after an accepted step that needed backtracking or kept more than
     CHORD_CONTRACTION of the max residual, and after a step on reused factors
     that the line search rejects.  A rejected step on fresh factors ends it.
-    ``linear`` solves the harmonic W = 1 operator (see ``_Assembler``)."""
+    ``linear`` solves the harmonic W = 1 operator (see ``_Assembler``), whose
+    matrix never changes: its one set of factors is kept, and any rejected
+    step ends the loop."""
     asm = _assembler(grid)
     r = asm.residual(v, source, linear)
     rmax = float(np.max(np.abs(r)))
@@ -515,11 +517,11 @@ def _chord_newton(grid: AnnularGrid, v: np.ndarray, options: SolveOptions,
             if alpha < options.min_step:
                 break
         if alpha < options.min_step:
-            if fresh:
+            if fresh or linear:
                 break
             lu = None
             continue
-        if alpha < 1.0 or rmax_trial > CHORD_CONTRACTION * rmax:
+        if not linear and (alpha < 1.0 or rmax_trial > CHORD_CONTRACTION * rmax):
             lu = None  # freed before the next factors are built
         v, r, rmax = trial, r_trial, rmax_trial
         iterations += 1

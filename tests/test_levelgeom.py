@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import convexring.ring
+from convexring import levelgeom
 from convexring.field import ScalarField, sample_field
 from convexring.levelgeom import (
     LevelRangeError,
@@ -25,7 +26,7 @@ from convexring.levelgeom import (
     structure_condition_check,
 )
 from convexring.ring import build_grid, make_curve, make_ring
-from convexring.solve import solve_minimal_graph
+from convexring.solve import solve_harmonic, solve_minimal_graph
 from convexring.spaceform import ChartDomainError, PointJet, SpaceFormChart, covariant_jet
 from traced_memory import traced_call
 
@@ -371,6 +372,88 @@ def test_extract_level_keeps_its_crossing_rule():
     _assert_matches_a_per_column_loop(ScalarField(grid, shifted), 0.0)
 
 
+def _full_grid_crossings(v, c):
+    """The reference crossing search: boolean masks of every edge of the
+    grid, each column's crossing taken by argmax along the rows."""
+    above, below = v > c, v < c
+    crosses = (above[:-1] & ~above[1:]) | (below[:-1] & ~below[1:])
+    crosses[0] |= ~(above[0] | below[0])
+    counts = crosses.sum(axis=0)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        raise TopologyError(f"level {c} crosses theta column {bad[0]} {counts[bad[0]]} times")
+    cols = np.arange(v.shape[1])
+    i = np.argmax(crosses, axis=0)
+    d_lo, d_hi = v[i, cols] - c, v[i + 1, cols] - c
+    denom = d_lo - d_hi
+    return i, np.divide(d_lo, denom, out=np.zeros(v.shape[1]), where=denom != 0)
+
+
+def _level_or_message(f, c):
+    try:
+        rep = extract_level(f, c)
+    except TopologyError as exc:
+        return str(exc)
+    return rep.points, rep.kappa, rep.kappa_min, rep.grad_min
+
+
+def _assert_band_matches_full_grid(monkeypatch, f, c):
+    band = _level_or_message(f, c)
+    with monkeypatch.context() as patch:
+        patch.setattr(levelgeom, "_crossings", _full_grid_crossings)
+        reference = _level_or_message(f, c)
+    if isinstance(reference, str):
+        assert band == reference
+        return
+    assert np.array_equal(band[0], reference[0]) and np.array_equal(band[1], reference[1])
+    assert band[2:] == reference[2:]
+
+
+_README_RING = make_ring(SpaceFormChart(epsilon=0.0, dim=2), make_curve("ellipse", radii=(3.0, 2.0)),
+                         make_curve("ellipse", radii=(1.2, 0.8)))
+_FOURIER_RING = make_ring(
+    SpaceFormChart(epsilon=1.0, dim=2), make_curve("ellipse", radii=(1.2, 0.8)),
+    make_curve("fourier", r0=0.4, center=(0.05, -0.03), cos_coeffs=(0.0, 0.03),
+               sin_coeffs=(0.02, 0.0, 0.01)))
+
+
+@pytest.mark.parametrize("ring", [_README_RING, _FOURIER_RING], ids=["readme", "fourier"])
+@pytest.mark.parametrize("ns, ntheta", [(33, 64), (257, 512)])
+def test_band_search_matches_the_full_grid_search(monkeypatch, ring, ns, ntheta):
+    grid = build_grid(ring, ns, ntheta)
+    s = np.repeat(grid.s[:, None], ntheta, axis=1)
+    cos = np.cos(grid.theta)
+    # u = s^(1 + cos(theta)/2): each level's band spans many rows
+    fields = [ScalarField(grid, s ** (1.0 + 0.5 * cos), (0.0, 1.0))]
+    if ns == 33:
+        fields.append(solve_harmonic(grid, 1.0))
+    for f in fields:
+        for c in (0.05, 0.25, 0.5, 0.9):
+            _assert_band_matches_full_grid(monkeypatch, f, c)
+    # exact hits on an interior row and on row ns-2, of rising and falling data
+    for c in (grid.s[ns // 3], grid.s[-2]):
+        _assert_band_matches_full_grid(monkeypatch, ScalarField(grid, s, (0.0, 1.0)), c)
+        _assert_band_matches_full_grid(monkeypatch, ScalarField(grid, 1.0 - s, (1.0, 0.0)), 1.0 - c)
+    # no Dirichlet data: exact hits on row 0 in every other column
+    shifted = s - 0.1 * (np.arange(ntheta) % 2)
+    _assert_band_matches_full_grid(monkeypatch, ScalarField(grid, shifted), 0.0)
+    # u = s + cos(theta)/2 hits c = 1/2 at node 0 of column 0 and at node
+    # ns-1 of column ntheta/2, so its band spans every row; c = 1.2 misses
+    # the columns near theta = pi
+    tilted = ScalarField(grid, s + 0.5 * cos)
+    assert tilted.boundary_values is None
+    for c in (0.5, 0.45, 1.2):
+        _assert_band_matches_full_grid(monkeypatch, tilted, c)
+    # a column that dips to 0.1 halfway out crosses c = 0.2 and 0.3 three times
+    folded = s.copy()
+    folded[ns // 2:ns // 2 + 3, ntheta // 3] = 0.1
+    folded = ScalarField(grid, folded, (0.0, 1.0))
+    for c in (0.2, 0.3):
+        with pytest.raises(TopologyError, match=f"column {ntheta // 3} 3 times"):
+            extract_level(folded, c)
+        _assert_band_matches_full_grid(monkeypatch, folded, c)
+
+
 def test_batched_geometry_names_the_first_singular_point(sphere_chart_field):
     f = sphere_chart_field
     # scaling by a power of two is exact: the same crossings, |grad u| ~ 1e-12
@@ -457,15 +540,18 @@ def test_rank_scan_of_a_3d_stack_larger_than_a_block(monkeypatch):
 def test_geometry_pass_peaks_near_what_it_keeps():
     # u = s on the README ring at 257 x 512: the jet table is written in
     # place into its component arrays, and the rank scan reads views of them;
-    # a reader that copied the table would hold another 2 to 4 MiB
-    ring = make_ring(SpaceFormChart(epsilon=0.0, dim=2), make_curve("ellipse", radii=(3.0, 2.0)),
-                     make_curve("ellipse", radii=(1.2, 0.8)))
-    grid = build_grid(ring, 257, 512)
+    # a reader that copied the table would hold another 2 to 4 MiB.  Level
+    # extraction masks only the band of rows its level crosses, so it holds
+    # nothing the size of ns * ntheta booleans
+    grid = build_grid(_README_RING, 257, 512)
     grid._node_geometry
     f = ScalarField(grid, np.repeat(grid.s[:, None], grid.ntheta, axis=1), (0.0, 1.0))
     table, kept, peak = traced_call(f.jet_table)
     assert kept >= table["grad"].nbytes + table["hess"].nbytes
     assert peak <= 1.5 * kept, (peak, kept)
+    for c in (1 / 9, 0.5, grid.s[100]):
+        _, _, peak = traced_call(extract_level, f, c)
+        assert peak < grid.ns * grid.ntheta, (c, peak)
     scan, _, peak = traced_call(rank_scan, f)
     assert scan.samples == 255 * 512
     assert peak <= 3 * 2**20, peak

@@ -645,6 +645,17 @@ def test_harmonic_solve_is_the_refinement_loop_bit_for_bit(monkeypatch, ring, ns
     assert factorisations == [2]
 
 
+@pytest.mark.parametrize("ns, ntheta", [(33, 64), (65, 128), (129, 256)])
+def test_stalled_harmonic_solve_factors_once(monkeypatch, ns, ntheta):
+    # a bar of 1e-17 lies below the residual's round-off, so the loop stalls;
+    # the W = 1 matrix cannot change, so a rejected step ends it unrefactored
+    monkeypatch.setattr(solve, "HARMONIC_RESIDUAL_TOL", 1e-17)
+    factorisations = _call_count(monkeypatch, solve, "_factorize")
+    with pytest.raises(SolverError, match="harmonic solve left residual max"):
+        solve_harmonic(build_grid(_readme_ring(), ns, ntheta), 1.0, SolveOptions(newton_tol=1e-17))
+    assert factorisations == [1]
+
+
 def test_every_factorisation_runs_in_the_chord_loop(monkeypatch):
     callers = []
     factorize = solve._factorize
