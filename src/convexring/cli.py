@@ -361,7 +361,7 @@ def cmd_verify(cfg: dict, raw: str, out_dir: Path) -> int:
         tau, oracle_sizes = suite_inputs(**section)
     options = _solve_options(cfg, raw)
 
-    with _errors_at(raw, "checks", ValueError):  # unknown names, before any check runs
+    with _errors_at(raw, "checks", ValueError):  # unknown or repeated names, before any check runs
         reports = run_suite(grid, tau=tau, checks=selected,
                             oracle_grid_sizes=oracle_sizes, options=options)
     if not reports:

@@ -301,7 +301,8 @@ def extract_level(f: ScalarField, c: float) -> LevelSetReport:
     c = _check_level(f, c)
     grid = f.grid
     i, t = _crossings(f.values, c)
-    pts = grid.map_point(grid.s[i] + t * grid.hs, grid.theta)
+    # rows 0 and ns - 1 are the boundary curves' points at grid.theta
+    pts = ring._blend(grid.s[i] + t * grid.hs, grid.nodes[0], grid.nodes[-1])
     table = f.jet_table()
     cols = np.arange(grid.ntheta)
     tg, th = t[:, None], t[:, None, None]

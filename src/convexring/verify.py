@@ -91,18 +91,6 @@ def suite_inputs(tau: float, oracle_grid_sizes: Sequence[int]) -> tuple[float, l
 
 # -- fields along tau ------------------------------------------------------------
 
-# The heights each ring check reads from a continuation walk; the checks that
-# read u, the field at the suite's tau, read it from the same walk.  The suite
-# walks the union of the heights its selected checks need, once.
-_HEIGHTS: dict[str, tuple[float, ...]] = {
-    "tau-estimates": (0.1, 0.2, 0.4, 0.8),
-    "small-tau-regime": (0.01, 0.02, 0.04),
-    "hopf-boundary-bound": (0.05, 0.25, 0.5, 0.75, 1.0),
-}
-_U_CHECKS = ("gradient-max-principle", "supersolution", "convexity-and-rank",
-             "gradient-monotonicity")
-
-
 def _tau(f: ScalarField, name: str) -> float:
     """The tau of a field with Dirichlet data (0, tau > 0); ValueError otherwise."""
     data = f.boundary_values
@@ -117,6 +105,13 @@ def _taus(fields: Sequence[ScalarField], least: int, name: str) -> list[float]:
         count = {2: "two", 4: "four"}[least]
         raise ValueError(f"{name} needs {count} or more fields, got {len(fields)}")
     return [_tau(f, name) for f in fields]
+
+
+def _by_tau(fields: Sequence[ScalarField], least: int,
+            name: str) -> tuple[list[float], list[ScalarField]]:
+    """The fields' taus (see _taus) and the fields, both sorted by tau."""
+    pairs = sorted(zip(_taus(fields, least, name), fields), key=lambda p: p[0])
+    return [t for t, _ in pairs], [f for _, f in pairs]
 
 
 def _scaled(omega_1: ScalarField, tau: float) -> ScalarField:
@@ -240,8 +235,7 @@ def check_tau_estimates(fields: Sequence[ScalarField]) -> VerificationReport:
             distance_constants.append(max(partnered))
 
     band_grad = max(grad_constants) / min(grad_constants)
-    band_dist = (max(distance_constants) / min(distance_constants)
-                 if distance_constants else 1.0)
+    band_dist = max(distance_constants) / min(distance_constants)
     margin = min(2.0 - band_grad, 2.0 - band_dist)
     extras = {"tau_list": taus, "gradient_constants": grad_constants,
               "distance_constants": distance_constants,
@@ -262,11 +256,10 @@ def check_small_tau_regime(fields: Sequence[ScalarField],
     over the fields sorted by tau: shrinking tau must not grow q by more
     than the 1.5 band (the correction is higher order, so q typically falls)."""
     t0 = time.perf_counter()
-    taus = sorted(_taus(fields, 2, "small-tau-regime"))
+    taus, fields = _by_tau(fields, 2, "small-tau-regime")
     if omega_1.boundary_values != (0.0, 1.0):
         raise ValueError("small-tau-regime needs the harmonic field with data (0, 1), "
                          f"got {omega_1.boundary_values}")
-    fields = sorted(fields, key=lambda f: f.boundary_values[1])
     qs = [discrete_c2_distance(f, _scaled(omega_1, t)) / t**2 for t, f in zip(taus, fields)]
     # ascending tau pairs: q at the smaller tau vs 1.5x q at the larger
     margin = min(1.5 * qs[i + 1] - qs[i] for i in range(len(qs) - 1))
@@ -336,8 +329,7 @@ def check_hopf_boundary_bound(fields: Sequence[ScalarField]) -> VerificationRepo
     t0 = time.perf_counter()
     name = "hopf-boundary-bound"
     claim = "the outer-boundary gradient stays bounded away from zero, increasing in tau"
-    taus = sorted(_taus(fields, 2, name))
-    fields = sorted(fields, key=lambda f: f.boundary_values[1])
+    taus, fields = _by_tau(fields, 2, name)
     mins = [float(np.min(_grad_norms(f, 0))) for f in fields]
     tol = _noise_floor(fields[0].grid)
     monotone = min(mins[i + 1] - mins[i] + tol for i in range(len(mins) - 1))
@@ -360,37 +352,33 @@ class _SuiteRun:
     options: SolveOptions | None
     checks: Sequence[str]
 
+    def _heights(self, check: str) -> list[float]:
+        """The walk heights the named check reads, _AT_TAU read as the suite's tau."""
+        return [self.tau if t is _AT_TAU else t for t in _SUITE[check][0]]
+
     @cached_property
     def walk(self) -> tuple[dict[float, ScalarField], ContinuationError | None]:
         """One continuation_solve over the sorted distinct heights the selected
-        checks read, tau among them when a check reads u: the fields it
-        reached, by tau, and the error that stopped it."""
-        heights = {t for name in self.checks for t in _HEIGHTS.get(name, ())}
-        if any(name in _U_CHECKS for name in self.checks):
-            heights.add(self.tau)
+        checks read: the fields it reached, by tau, and the error that stopped it."""
+        heights = sorted({t for name in self.checks for t in self._heights(name)})
         try:
-            steps, stop = continuation_solve(self.grid, sorted(heights),
+            steps, stop = continuation_solve(self.grid, heights,
                                              options=self.options).steps, None
         except ContinuationError as exc:
             steps, stop = exc.trace.steps, exc
         return {s.tau: s.field for s in steps}, stop
 
-    def _reached(self, heights: Sequence[float]) -> list[ScalarField]:
-        """The walk's fields at ``heights``; the walk's error if it stopped
+    def fields(self, check: str) -> list[ScalarField]:
+        """The walk's fields at the heights the named check reads, walking
+        only for a check that reads some; the walk's error if it stopped
         below one of them."""
+        heights = self._heights(check)
+        if not heights:
+            return []
         reached, stop = self.walk
         if any(t not in reached for t in heights):
             raise ContinuationError(str(stop), stop.trace)
         return [reached[t] for t in heights]
-
-    def fields(self, check: str) -> list[ScalarField]:
-        """The walk's fields at the heights the named check reads."""
-        return self._reached(_HEIGHTS[check])
-
-    @property
-    def u(self) -> ScalarField:
-        """The walk's field at the suite's tau."""
-        return self._reached((self.tau,))[0]
 
     @cached_property
     def omega_1(self) -> ScalarField:
@@ -401,16 +389,19 @@ class _SuiteRun:
         return _scaled(self.omega_1, self.tau)
 
 
-_SUITE: dict[str, Callable[[_SuiteRun], VerificationReport]] = {
-    "solver-vs-oracle": lambda r: check_solver_vs_oracle(r.oracle_sizes, options=r.options),
-    "gradient-max-principle": lambda r: check_gradient_max_principle(r.u),
-    "supersolution": lambda r: check_supersolution(r.u, r.omega),
-    "tau-estimates": lambda r: check_tau_estimates(r.fields("tau-estimates")),
-    "small-tau-regime": lambda r: check_small_tau_regime(
-        r.fields("small-tau-regime"), r.omega_1),
-    "convexity-and-rank": lambda r: check_convexity_and_rank(r.u),
-    "gradient-monotonicity": lambda r: check_gradient_monotonicity(r.u),
-    "hopf-boundary-bound": lambda r: check_hopf_boundary_bound(r.fields("hopf-boundary-bound")),
+# Each check of the suite: the walk heights whose fields it reads (_AT_TAU
+# marks the suite's tau), and its call on the run and those fields.  The
+# suite walks the union of its selected checks' heights, once.
+_AT_TAU = object()
+_SUITE: dict[str, tuple[tuple[Any, ...], Callable[..., VerificationReport]]] = {
+    "solver-vs-oracle": ((), lambda r, fs: check_solver_vs_oracle(r.oracle_sizes, r.options)),
+    "gradient-max-principle": ((_AT_TAU,), lambda r, fs: check_gradient_max_principle(*fs)),
+    "supersolution": ((_AT_TAU,), lambda r, fs: check_supersolution(*fs, r.omega)),
+    "tau-estimates": ((0.1, 0.2, 0.4, 0.8), lambda r, fs: check_tau_estimates(fs)),
+    "small-tau-regime": ((0.01, 0.02, 0.04), lambda r, fs: check_small_tau_regime(fs, r.omega_1)),
+    "convexity-and-rank": ((_AT_TAU,), lambda r, fs: check_convexity_and_rank(*fs)),
+    "gradient-monotonicity": ((_AT_TAU,), lambda r, fs: check_gradient_monotonicity(*fs)),
+    "hopf-boundary-bound": ((0.05, 0.25, 0.5, 0.75, 1.0), lambda r, fs: check_hopf_boundary_bound(fs)),
 }
 SUITE_CHECKS = tuple(_SUITE)
 
@@ -423,18 +414,20 @@ def run_suite(grid: AnnularGrid, tau: float = 0.5,
 
     The checks share one harmonic solve, at tau = 1: the harmonic field at
     any tau is that field scaled.  They share one continuation walk over the
-    union of the heights they read (the values of _HEIGHTS, and ``tau`` for
-    the checks that read u); a walk that stops keeps its steps, and a check
-    that needs a height above the stop reports the walk's error.  runtime_s
-    includes the solves a check triggered.  A check that raises gets a
-    failed report carrying ``error``, and the rest still run.  The
-    solver-vs-oracle check always runs on the canonical flat circle ring,
-    where the oracle lives.  Unknown check names and inputs suite_inputs
-    rejects raise before any check runs."""
+    union of the heights they read, as _SUITE states them; a walk that stops
+    keeps its steps, and a check that needs a height above the stop reports
+    the walk's error.  runtime_s includes the solves a check triggered.  A
+    check that raises gets a failed report carrying ``error``, and the rest
+    still run.  The solver-vs-oracle check always runs on the canonical flat
+    circle ring, where the oracle lives.  Unknown or repeated check names and
+    inputs suite_inputs rejects raise before any check runs."""
     selected = SUITE_CHECKS if checks is None else tuple(checks)
     unknown = [c for c in selected if c not in SUITE_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {list(SUITE_CHECKS)}")
+    repeated = [c for c in SUITE_CHECKS if selected.count(c) > 1]
+    if repeated:
+        raise ValueError(f"repeated checks: {repeated}")
     tau, oracle_grid_sizes = suite_inputs(tau, oracle_grid_sizes)
 
     run = _SuiteRun(grid, tau, oracle_grid_sizes, options, selected)
@@ -442,7 +435,7 @@ def run_suite(grid: AnnularGrid, tau: float = 0.5,
     for name in selected:
         t0 = time.perf_counter()
         try:
-            report = _SUITE[name](run)
+            report = _SUITE[name][1](run, run.fields(name))
         except Exception as exc:
             report = VerificationReport(name=name, passed=False, margin=float("nan"),
                                         tolerance=float("nan"), claim="",

@@ -645,6 +645,19 @@ def test_verify_unknown_check_exits_1(tmp_path, capsys):
     assert "no-such-check" in capsys.readouterr().err
 
 
+def test_verify_repeated_check_exits_1_at_the_checks_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, checks=["gradient-max-principle", "gradient-max-principle"])
+    out = tmp_path / "v"
+    rc = main(["verify", "--config", cfg, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    line = next(i for i, text in enumerate(Path(cfg).read_text().splitlines(), start=1)
+                if text.startswith(' "checks"'))
+    assert err.startswith(f"error: config line {line}: ")
+    assert "repeated checks: ['gradient-max-principle']" in err
+    assert not (out / "verification.json").exists()
+
+
 # the config the README shows, read from its json block so the two cannot drift
 (README_CONFIG,) = (json.loads(block) for block in readme_blocks("json"))
 

@@ -454,6 +454,21 @@ def test_band_search_matches_the_full_grid_search(monkeypatch, ring, ns, ntheta)
         _assert_band_matches_full_grid(monkeypatch, folded, c)
 
 
+@pytest.mark.parametrize("ring", [_README_RING, _FOURIER_RING], ids=["readme", "fourier"])
+@pytest.mark.parametrize("ns, ntheta", [(33, 64), (257, 512)])
+def test_level_points_are_the_blend_map_at_the_crossings(ring, ns, ntheta):
+    # the points blend the grid's boundary rows, which are the curves at
+    # grid.theta: they are map_point's at the crossings, bit for bit
+    grid = build_grid(ring, ns, ntheta)
+    s = np.repeat(grid.s[:, None], ntheta, axis=1)
+    f = ScalarField(grid, s ** (1.0 + 0.5 * np.cos(grid.theta)), (0.0, 1.0))
+    for c in (0.05, 0.25, 0.5, 0.9):
+        i, t = levelgeom._crossings(f.values, c)
+        expected = grid.map_point(grid.s[i] + t * grid.hs, grid.theta)
+        points = extract_level(f, c).points
+        assert points.tobytes() == np.vstack([expected, expected[:1]]).tobytes()
+
+
 def test_batched_geometry_names_the_first_singular_point(sphere_chart_field):
     f = sphere_chart_field
     # scaling by a power of two is exact: the same crossings, |grad u| ~ 1e-12

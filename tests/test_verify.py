@@ -523,11 +523,33 @@ def test_run_suite_subset_and_validation():
         run_suite(grid, checks=["no-such-check"])
 
 
+@pytest.mark.parametrize("name", SUITE_CHECKS)
+def test_run_suite_check_alone_walks_exactly_its_heights(name, monkeypatch):
+    # the walk's solves run through the solve module; the oracle check's
+    # solves, on grids of its own, through verify's
+    solved = []
+    real = solve.solve_minimal_graph
+
+    def recording(grid, tau, *args, **kwargs):
+        solved.append(tau)
+        return real(grid, tau, *args, **kwargs)
+
+    monkeypatch.setattr(solve, "solve_minimal_graph", recording)
+    report, = run_suite(build_grid(_circle_ring(), 17, 32), tau=0.3, checks=[name],
+                        oracle_grid_sizes=(16, 32))
+    assert report.name == name
+    assert report.error is None
+    declared = [0.3 if t is verify._AT_TAU else t for t in verify._SUITE[name][0]]
+    assert solved == sorted(set(declared))
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [16]}, "oracle_grid_sizes"),
     ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [16, 16]}, "oracle_grid_sizes"),
     ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [4, 16]}, "oracle_grid_sizes"),
     ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": []}, "oracle_grid_sizes"),
+    ({"checks": ["supersolution", "tau-estimates", "supersolution", "supersolution"]},
+     r"repeated checks: \['supersolution'\]"),
     ({"checks": ["solver-vs-oracle", "small-tau-regime"], "tau": 3.0}, "verify tau"),
     ({"tau": 0.0}, "verify tau"),
     ({"tau": float("nan")}, "verify tau"),
@@ -540,7 +562,7 @@ def test_run_suite_subset_and_validation():
      "oracle_grid_sizes entry too large"),
     ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [10**6, 16]},
      "oracle_grid_sizes entry too large"),
-], ids=["one-size", "repeated-size", "size-below-8", "no-size", "tau-above-1",
+], ids=["one-size", "repeated-size", "size-below-8", "no-size", "repeated-check", "tau-above-1",
         "tau-zero", "tau-nan", "tau-bool", "tau-string", "size-fraction", "size-inf",
         "size-huge", "size-million"])
 def test_run_suite_rejects_bad_inputs_before_any_solve(kwargs, message, monkeypatch):
@@ -629,11 +651,12 @@ def test_run_suite_ring_checks_agree_with_the_standalone_checks():
     # same heights and one harmonic solve
     grid = build_grid(_circle_ring(), 17, 32)
     suite = {r.name: r for r in run_suite(grid, checks=_RING_CHECKS)}
-    trace = continuation_solve(grid, sorted({t for ts in verify._HEIGHTS.values() for t in ts}))
+    heights = {name: verify._SUITE[name][0] for name in _RING_CHECKS}
+    trace = continuation_solve(grid, sorted({t for ts in heights.values() for t in ts}))
     by_tau = {s.tau: s.field for s in trace.steps}
 
     def fields(name):
-        return [by_tau[t] for t in verify._HEIGHTS[name]]
+        return [by_tau[t] for t in heights[name]]
 
     alone = {
         "tau-estimates": check_tau_estimates(fields("tau-estimates")),
