@@ -23,7 +23,12 @@ Every section (chart, ring, grid, solve, verify, oracle) takes only its own
 keys, listed with their defaults in _SECTIONS (solve: the fields of
 SolveOptions); an unknown key or a bad value is a config error at that
 key's line.  Curve specs are {"kind": circle|ellipse|fourier,
-...parameters} as accepted by make_curve.
+...parameters} as accepted by make_curve.  ``levels`` checks every level
+against the snapshot's boundary values before it extracts any, so a level
+out of range is a config error even when another level would fail.
+
+Each command imports only the modules it runs: ``levels`` never imports
+scipy, and ``oracle`` no sparse solver.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import ring
 from .ring import AnnularGrid, build_grid, ring_from_dict
-from .spaceform import _to_frame
+from .spaceform import _to_frame, _whole
 
 SNAPSHOT_FORMAT = "convexring-field"
 
@@ -189,18 +189,24 @@ def _build_jet_table(grid: AnnularGrid, values: np.ndarray) -> dict:
             "hess": np.moveaxis(hess, (0, 1), (-2, -1))}
 
 
-def discrete_c2_distance(f: ScalarField, g: ScalarField) -> float:
-    """max over interior nodes of |dvalue| + |dgrad|_sup + |dhess|_sup.
+def _check_same_grid(fields) -> None:
+    """FieldShapeError unless the fields share a grid: the same size on the
+    same ring, chart and curves included.  Equal nodes are not enough, since
+    the jets of two charts are in different frames."""
+    grid = fields[0].grid
+    for f in fields[1:]:
+        if f.grid is not grid and not (
+            f.grid.ns == grid.ns
+            and f.grid.ntheta == grid.ntheta
+            and f.grid.ring == grid.ring
+        ):
+            raise FieldShapeError("fields must live on the same grid")
 
-    The fields must share a grid: the same size on the same ring, chart and
-    curves included.  Equal nodes are not enough, since the jets of two
-    charts are in different frames."""
-    if f.grid is not g.grid and not (
-        f.grid.ns == g.grid.ns
-        and f.grid.ntheta == g.grid.ntheta
-        and f.grid.ring == g.grid.ring
-    ):
-        raise FieldShapeError("fields must live on the same grid")
+
+def discrete_c2_distance(f: ScalarField, g: ScalarField) -> float:
+    """max over interior nodes of |dvalue| + |dgrad|_sup + |dhess|_sup, on
+    fields that share a grid (see _check_same_grid)."""
+    _check_same_grid((f, g))
     tf, tg = f.jet_table(), g.jet_table()
     sl = slice(1, -1)
     dv = np.abs(tf["value"][sl] - tg["value"][sl])
@@ -265,15 +271,23 @@ def save_field(f: ScalarField, path: str) -> None:
 
 
 def field_from_dict(d: dict[str, Any]) -> ScalarField:
+    """The field of a snapshot.  Values of another shape than the declared
+    grid, and boundary values that are neither null nor a pair, are a
+    FieldShapeError, raised before the grid is built."""
     fmt = d.get("format") if isinstance(d, dict) else None
     if fmt != SNAPSHOT_FORMAT:
         raise FieldShapeError(f"not a field snapshot: format={fmt!r}")
-    grid = build_grid(ring_from_dict(d["ring"]), d["grid"]["ns"], d["grid"]["ntheta"])
+    shape = _whole(d["grid"]["ns"], "ns"), _whole(d["grid"]["ntheta"], "ntheta")
     values = np.asarray(d["values"], dtype=float)
+    if values.shape != shape:
+        raise FieldShapeError(f"values shape {values.shape} != grid shape {shape}")
     bv = d.get("boundary_values")
     if bv is not None:
-        bv = (bv[0], bv[1])
-    return ScalarField(grid=grid, values=values, boundary_values=bv)
+        if not (isinstance(bv, (list, tuple)) and len(bv) == 2):
+            raise FieldShapeError(f"boundary_values must be null or a pair, got {bv!r}")
+        bv = tuple(bv)
+    return ScalarField(grid=build_grid(ring_from_dict(d["ring"]), *shape), values=values,
+                       boundary_values=bv)
 
 
 def load_field(path: str) -> ScalarField:

@@ -108,7 +108,7 @@ class SolveOptions:
 @dataclass
 class SolveReport:
     converged: bool
-    newton_iterations: int
+    newton_iterations: int  # Newton steps on the requested grid, coarse levels not counted
     final_residual_max: float
     tau: float
     min_gradient_norm: float
@@ -551,12 +551,14 @@ def solve_minimal_graph(grid: AnnularGrid, tau: float,
                         ) -> tuple[ScalarField, SolveReport]:
     """Damped chord Newton for the minimal graph with boundary data (0, tau).
 
-    Starts from ``init``.  Without one, a grid that coarsens starts from
-    the prolonged Newton iterate on every other node, converged or not
-    (recursively, down to about COARSEST_GRID); otherwise from the harmonic
-    field with the same data.  Coarse levels run the Newton loop
-    only: the requested grid alone gets a field and a report, and
-    ``report.converged`` is False when the residual target was not reached.
+    tau is one number in (0, 1].  Starts from ``init``, which must have the
+    grid's shape and carry the data (0, tau), else SolverError.  Without
+    one, a grid that coarsens starts from the prolonged Newton iterate on
+    every other node, converged or not (recursively, down to about
+    COARSEST_GRID); otherwise from the harmonic field with the same data.
+    Coarse levels run the Newton loop only: the requested grid alone gets a
+    field and a report, and ``report.converged`` is False when the residual
+    target was not reached.
     """
     return _solve(grid, tau, options, init, None)
 

@@ -23,7 +23,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .field import ScalarField, _grad_norms, discrete_c2_distance
+from .field import ScalarField, _check_same_grid, _grad_norms, discrete_c2_distance
 from .levelgeom import (
     LevelRangeError,
     SingularGradientError,
@@ -324,12 +324,13 @@ def check_gradient_monotonicity(f: ScalarField) -> VerificationReport:
 
 def check_hopf_boundary_bound(fields: Sequence[ScalarField]) -> VerificationReport:
     """min over the outer boundary of |grad u^tau| is positive and does not
-    decrease in tau, on two or more fields u^tau sorted by tau (ValueError
-    for fewer)."""
+    decrease in tau, on two or more fields u^tau sorted by tau that share a
+    grid (ValueError for fewer, or for fields on different grids)."""
     t0 = time.perf_counter()
     name = "hopf-boundary-bound"
     claim = "the outer-boundary gradient stays bounded away from zero, increasing in tau"
     taus, fields = _by_tau(fields, 2, name)
+    _check_same_grid(fields)
     mins = [float(np.min(_grad_norms(f, 0))) for f in fields]
     tol = _noise_floor(fields[0].grid)
     monotone = min(mins[i + 1] - mins[i] + tol for i in range(len(mins) - 1))

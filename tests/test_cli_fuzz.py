@@ -1,6 +1,7 @@
-"""The exit-code contract under random configs: cli.main on mutations of the
-README config returns 0, 1, 2 or 3, prints at most one stderr line (exactly
-one on exits 1 and 2), and never raises or warns."""
+"""The exit-code contract under random inputs: cli.main on mutations of the
+README config, and ``levels`` on mutations of a snapshot's contents, returns
+0, 1, 2 or 3, prints at most one stderr line (exactly one on exits 1 and 2),
+and never raises or warns."""
 
 import contextlib
 import copy
@@ -58,15 +59,15 @@ DICT_PATHS = [()] + [p for p in PATHS if isinstance(_at(BASE, p), dict)]
 
 
 @st.composite
-def mutation(draw):
-    """One of: delete a key, add an unknown key, replace a value."""
+def mutation(draw, paths=PATHS, dict_paths=DICT_PATHS):
+    """One of: delete a key or a list item, add an unknown key, replace a value."""
     kind = draw(st.sampled_from(["delete", "add", "set"]))
     if kind == "add":
-        where = draw(st.sampled_from(DICT_PATHS))
+        where = draw(st.sampled_from(dict_paths))
         key = draw(st.text(max_size=6))
         return kind, where, key, draw(st.sampled_from(SMALL))
-    path = draw(st.sampled_from(PATHS))
-    if kind == "delete" and not isinstance(path[-1], int) and path[-1] not in KEEP:
+    path = draw(st.sampled_from(paths))
+    if kind == "delete" and path[-1] not in KEEP:
         return kind, path, None, None
     values = SMALL if path[-1] in SIZES else SMALL + HUGE
     value = draw(st.sampled_from([v for v in values if not (path[-1] in KEEP and v == {})]))
@@ -99,6 +100,20 @@ def snapshot(tmp_path_factory):
     return str(out / "field_tau_1.json")
 
 
+def _assert_exit_code_contract(argv, mutated):
+    """cli.main(argv) exits 0 to 3 with at most one stderr line (one on exits
+    1 and 2), raising and warning nothing; ``mutated`` names the input."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3), (code, mutated)
+    assert len(lines) <= 1 and (code not in (1, 2) or len(lines) == 1), (lines, mutated)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], mutated
+
+
 @settings(derandomize=True, max_examples=120, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(command=st.sampled_from(["solve", "levels", "verify", "oracle"]),
@@ -113,12 +128,26 @@ def test_mutated_readme_config_keeps_the_exit_code_contract(snapshot, command, o
         argv = [command, "--config", str(path), "--out", str(Path(tmp) / "out")]
         if command == "levels":
             argv += ["--snapshot", snapshot]
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            warnings.simplefilter("always")
-            code = main(argv)
-    lines = err.getvalue().splitlines()
-    assert code in (0, 1, 2, 3), (code, cfg)
-    assert len(lines) <= 1 and (code not in (1, 2) or len(lines) == 1), (lines, cfg)
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], cfg
+        _assert_exit_code_contract(argv, cfg)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_snapshot_keeps_the_exit_code_contract(snapshot, data):
+    # the same mutations on one top-level entry of the snapshot's JSON, so
+    # that each entry is mutated about as often, however many leaves it has
+    # (the ring has most, and configs fuzz its reader too); the values array
+    # is one leaf
+    snap = json.loads(Path(snapshot).read_text())
+    entry = data.draw(st.sampled_from(sorted(snap)))
+    paths = [p for p in _paths(snap) if p[0] == entry and (entry != "values" or len(p) == 1)]
+    dict_paths = [()] + [p for p in paths if isinstance(_at(snap, p), dict)]
+    for op in data.draw(st.lists(mutation(paths, dict_paths), min_size=1, max_size=3)):
+        _apply(snap, op)
+    with tempfile.TemporaryDirectory() as tmp:
+        config, mutated = Path(tmp) / "config.json", Path(tmp) / "field.json"
+        config.write_text(json.dumps(BASE, indent=1))
+        mutated.write_text(json.dumps(snap, indent=1))
+        _assert_exit_code_contract(["levels", "--config", str(config), "--snapshot", str(mutated),
+                                    "--out", str(Path(tmp) / "out")], snap)

@@ -335,6 +335,28 @@ def test_snapshot_rejects_foreign_format():
         field_from_dict({"format": "something-else"})
 
 
+def test_snapshot_rejects_a_malformed_field_before_building_its_grid(monkeypatch):
+    # values of another shape than the declared grid and boundary values that
+    # are not a pair are FieldShapeErrors, raised before any grid is built, so
+    # a snapshot that declares a huge grid allocates none of its nodes
+    grid = _circle_grid(ns=9, ntheta=16)
+    values = np.repeat(0.3 * grid.s[:, None], 16, axis=1)
+    snapshot = field_to_dict(ScalarField(grid, values, (0.0, 0.3)))
+    built, build = [], AnnularGrid.__init__
+    monkeypatch.setattr(AnnularGrid, "__init__",
+                        lambda self, *args: built.append(args) or build(self, *args))
+    for declared in ({"ns": 9, "ntheta": 17}, {"ns": 8, "ntheta": 16},
+                     {"ns": 257, "ntheta": 512}):
+        with pytest.raises(FieldShapeError, match="values shape"):
+            field_from_dict({**snapshot, "grid": declared})
+    for pair in ([], [0.0], [0.0, 0.3, 1.0], 0.3, "ab", {"0": 0.0, "1": 0.3}):
+        with pytest.raises(FieldShapeError, match="boundary_values"):
+            field_from_dict({**snapshot, "boundary_values": pair})
+    assert built == []
+    assert field_from_dict(snapshot).boundary_values == (0.0, 0.3)
+    assert len(built) == 1
+
+
 def test_sample_field_boundary_snapping():
     grid = _circle_grid(ns=9, ntheta=16)
     # requested Dirichlet values must match what the sampler produces

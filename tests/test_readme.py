@@ -1,13 +1,15 @@
 """The README's library and command-line quick starts run as written."""
 
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import convexring
-from readme_blocks import readme_blocks
+from convexring import SUITE_CHECKS
+from readme_blocks import README, readme_blocks
 
 
 def test_readme_quick_start_runs(capsys):
@@ -41,3 +43,21 @@ def test_readme_cli_solve_then_levels_runs(tmp_path):
     assert svg.endswith("</svg>\n")
     paths = [el for el in ET.fromstring(svg).iter() if el.tag.endswith("path")]
     assert len(paths) >= 5  # two boundaries plus at least one run per level
+
+
+def test_readme_states_one_claim_per_suite_check():
+    # one paragraph per check, opening with its name, in SUITE_CHECKS order
+    section = re.search(r"^## What the checks claim\n(.*?)(?=^## )", README.read_text(),
+                        flags=re.M | re.S)
+    assert section is not None
+    named = [m.group(1) for paragraph in section.group(1).split("\n\n")
+             if (m := re.match(r"`([a-z-]+)` ", paragraph))]
+    assert named == list(SUITE_CHECKS)
+
+
+def test_readme_holds_no_measured_figures():
+    # timings and memory live in CHANGES.md and the BENCH_*.json files, which
+    # one line of the README points to
+    text = README.read_text()
+    assert re.findall(r"\d\s*(?:ms|µs|kB|MB|MiB|GB)\b", text) == []
+    assert len([line for line in text.splitlines() if "BENCH_" in line]) == 1

@@ -338,6 +338,11 @@ def test_small_tau_and_hopf_validate_their_fields():
             check_small_tau_regime([omegas[0], bad], omega_1)
         with pytest.raises(ValueError, match=r"Dirichlet data \(0, tau > 0\)"):
             check_hopf_boundary_bound([omegas[0], bad])
+    # hopf's fields share one grid: a finer grid of the same ring has another
+    # noise floor, and its boundary minima are not the same quantity
+    finer = solve_harmonic(grid.refine(), 0.02)
+    with pytest.raises(ValueError, match="same grid"):
+        check_hopf_boundary_bound([omegas[0], finer])
     # omega_1 must carry the data (0, 1)
     for not_omega_1 in (omegas[1], ScalarField(grid=grid, values=omega_1.values)):
         with pytest.raises(ValueError, match=r"data \(0, 1\)"):
