@@ -1,10 +1,17 @@
 """Scalar fields on an annular grid: covariant jets and snapshots.
 
 Fields store a read-only copy of their nodal values plus the Dirichlet pair
-(outer_value, inner_value).  Finite-difference jets are second order:
-centered stencils at interior nodes, one-sided stencils on the two boundary
-rows.  The chain rule runs through the analytic blend map x(s, theta) as
-elementwise 2x2 arithmetic on (ns, ntheta) component arrays:
+(outer_value, inner_value), and take each row's least and greatest value
+once, on construction: the finiteness check reads them (a NaN or an infinity
+always reaches a row's extremes), and so does the band search of
+:func:`convexring.levelgeom.extract_level` at every level.
+
+Finite-difference jets are second order: centered stencils at interior
+nodes, one-sided stencils on the two boundary rows.  The periodic theta
+neighbours are views of one window of the values wrapped by a column on
+each side.  The chain rule runs through the analytic
+blend map x(s, theta) as elementwise 2x2 arithmetic on (ns, ntheta)
+component arrays:
 Du = J^{-T} (u_s, u_t) and D^2u = J^{-T} (H - C) J^{-1}, with H the
 computational Hessian and C the map's curvature term (C_st = x_st . Du,
 C_tt = x_tt . Du, C_ss = 0).  J^{-1}, x_st, x_tt, lambda and grad log lambda
@@ -18,7 +25,9 @@ A jet table keeps its gradient as one (2, ns, ntheta) array and its Hessian
 as one (2, 2, ns, ntheta) array, component axes first, and every block is
 written into them in place, with no stacked copy.  The table's "grad" (ns,
 ntheta, 2) and "hess" (ns, ntheta, 2, 2) are ``np.moveaxis`` views of them,
-so a reader that flattens the node axes still gets a view.
+so a reader that flattens the node axes still gets a view, and one that
+moves the component axes back to the front and flattens the rest (as level
+extraction does, to gather by flat node index) gets the arrays themselves.
 
 A jet table is filled in blocks of whole rows, about ``ring._BLOCK`` samples
 each; :func:`convexring.levelgeom.rank_scan` runs its samples in blocks of the
@@ -61,12 +70,14 @@ class ScalarField:
     Synthetic fields without Dirichlet structure may pass ``None``.  The field
     keeps a read-only copy of the values, so a caller that later writes its
     array changes neither the field, its Dirichlet rows nor its cached jets.
+    It also keeps the least and the greatest value of each row, read-only.
     """
 
     grid: AnnularGrid
     values: np.ndarray
     boundary_values: tuple[float, float] | None = None
     _jets: dict | None = dc_field(default=None, init=False, repr=False, compare=False)
+    _row_extremes: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
@@ -74,7 +85,9 @@ class ScalarField:
             raise FieldShapeError(
                 f"values shape {v.shape} != grid shape {(self.grid.ns, self.grid.ntheta)}"
             )
-        if not np.all(np.isfinite(v)):
+        # a NaN reaches both extremes of its row, an infinity one of them
+        lo, hi = v.min(axis=1), v.max(axis=1)
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise FieldShapeError("values must be finite")
         if self.boundary_values is not None:
             outer, inner = self.boundary_values
@@ -83,8 +96,9 @@ class ScalarField:
                     "boundary rows must equal the declared Dirichlet values"
                 )
             self.boundary_values = (float(outer), float(inner))
-        v.setflags(write=False)
-        self.values = v
+        for a in (v, lo, hi):
+            a.setflags(write=False)
+        self.values, self._row_extremes = v, (lo, hi)
 
     # cached full-grid jet table
     def jet_table(self) -> dict:
@@ -106,7 +120,9 @@ def _comp_derivatives(values: np.ndarray, hs: float, ht: float,
     order s-stencils; otherwise that row is only a halo for the centered
     stencils of its neighbour, and its s-derivatives are left unset."""
     u = values
-    u_next, u_prev = np.roll(u, -1, axis=1), np.roll(u, 1, axis=1)
+    # the theta neighbours are views of one window wrapped by a column each side
+    window = np.concatenate((u[:, -1:], u, u[:, :1]), axis=1)
+    u_next, u_prev = window[:, 2:], window[:, :-2]
     u_t = (u_next - u_prev) / (2 * ht)
     u_tt = (u_next - 2 * u + u_prev) / ht**2
 
@@ -271,12 +287,17 @@ def save_field(f: ScalarField, path: str) -> None:
 
 
 def field_from_dict(d: dict[str, Any]) -> ScalarField:
-    """The field of a snapshot.  Values of another shape than the declared
-    grid, and boundary values that are neither null nor a pair, are a
-    FieldShapeError, raised before the grid is built."""
+    """The field of a snapshot.  A version other than the integer 1, values of
+    another shape than the declared grid, and boundary values that are
+    neither null nor a pair, are a FieldShapeError, raised before the grid is
+    built."""
     fmt = d.get("format") if isinstance(d, dict) else None
     if fmt != SNAPSHOT_FORMAT:
         raise FieldShapeError(f"not a field snapshot: format={fmt!r}")
+    version = d.get("version")
+    if type(version) is not int or version != 1:  # neither true nor 1.0 is 1
+        named = f"version {version!r}" if "version" in d else "no version"
+        raise FieldShapeError(f"snapshot has {named}; this reader takes version 1")
     shape = _whole(d["grid"]["ns"], "ns"), _whole(d["grid"]["ntheta"], "ntheta")
     values = np.asarray(d["values"], dtype=float)
     if values.shape != shape:

@@ -9,9 +9,13 @@ the level-set principal curvatures are kept deliberately separate:
   This frame route evaluates stacked jets over leading axes as elementwise
   arithmetic on the component arrays of grad u, D2u and the tangent vectors,
   for every dimension alike, so :func:`extract_level` makes one call and
-  :func:`rank_scan` one per block of ``ring._BLOCK`` samples.  A 1x1 form's
-  entry is its eigenvalue; only 2x2 forms (dimension 3) go through
-  ``eigvalsh``.
+  :func:`rank_scan` one per block of ``ring._BLOCK`` samples.  In dimension 2
+  the one tangent is the unit normal turned by a right angle; from dimension
+  3 up the frame is Gram-Schmidt from coordinate axes ranked by |nu_a|.  A
+  1x1 form's entry is its eigenvalue; only 2x2 forms (dimension 3) go
+  through ``eigvalsh``.  :func:`extract_level` gathers the jets at the two
+  ends of each crossing edge by flat node index from the jet table's
+  component arrays, and bounds its search by the field's row extremes.
 * :func:`sigma_k_level` never touches the tangent frame: it contracts the
   gradient with the Newton transformation of the full covariant Hessian,
 
@@ -75,15 +79,22 @@ def _inner(a: list, b: list) -> np.ndarray:
 
 
 def _tangent_frame(nu: list) -> list[list]:
-    """Gram-Schmidt tangent bases seeded from coordinate axes, as components.
+    """Orthonormal tangent bases of unit normals, as components.
 
-    ``nu`` holds the n component arrays of the unit normals.  Axes are taken
-    in order of increasing |nu_a|, ties to the lowest index, which makes the
-    frame deterministic: the rank of axis a counts the axes b before it, those
-    with |nu_b| < |nu_a|, or |nu_b| == |nu_a| and b < a.
-    Returns n-1 orthonormal tangent vectors, each a list of n component arrays.
+    ``nu`` holds the n component arrays of the unit normals.  Returns n-1
+    orthonormal tangent vectors, each a list of n component arrays.
+
+    In dimension 2 the tangent is the normal turned by a right angle,
+    (-nu_1, nu_0).  From dimension 3 up the frame is Gram-Schmidt seeded from
+    coordinate axes, taken in order of increasing |nu_a|, ties to the lowest
+    index, which makes the frame deterministic: the rank of axis a counts the
+    axes b before it, those with |nu_b| < |nu_a|, or |nu_b| == |nu_a| and
+    b < a.  Level forms are quadratic in each tangent, so a tangent's sign
+    changes none of them.
     """
     n = len(nu)
+    if n == 2:
+        return [[-nu[1], nu[0]]]
     mag = [np.abs(c) for c in nu]
     rank = [sum((mag[b] <= mag[a]) if b < a else (mag[b] < mag[a]) for b in range(n) if b != a)
             for a in range(n)]
@@ -249,22 +260,23 @@ def _check_level(f: ScalarField, c: float) -> float:
     if f.boundary_values is not None:
         lo, hi = sorted(f.boundary_values)
     else:
-        lo, hi = float(f.values.min()), float(f.values.max())
+        lo, hi = float(f._row_extremes[0].min()), float(f._row_extremes[1].max())
     if not lo < c < hi:
         raise LevelRangeError(f"level {c} outside the open range ({lo}, {hi})")
     return c
 
 
-def _crossings(v: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+def _crossings(v: np.ndarray, c: float, lo: np.ndarray,
+               hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(i, t): in each column j of ``v`` the edge i, between rows i and i+1,
     where the values cross c, and its fraction t in [0, 1]; TopologyError
     unless every column crosses exactly once.
 
-    Reads only the band of rows the level can cross: edge i crosses in no
-    column unless c lies between the least and the greatest value of rows i
-    and i+1, so the masks cover the edges from the first such edge to the
+    ``lo`` and ``hi`` are the least and the greatest value of each row of
+    ``v``.  Reads only the band of rows the level can cross: edge i crosses in
+    no column unless c lies between the least and the greatest value of rows
+    i and i+1, so the masks cover the edges from the first such edge to the
     last, not the grid."""
-    lo, hi = v.min(axis=1), v.max(axis=1)
     # some edge is a candidate: c lies between a value of one row and a
     # value of another (the boundary values, or the field's extremes)
     edges = np.flatnonzero((np.minimum(lo[:-1], lo[1:]) <= c) & (c <= np.maximum(hi[:-1], hi[1:])))
@@ -294,21 +306,26 @@ def extract_level(f: ScalarField, c: float) -> LevelSetReport:
 
     Finds in every theta column the unique radial edge where u crosses c
     (linear interpolation in s), searching only the band of rows whose
-    values bracket c, and evaluates curvature from the linearly
-    interpolated covariant jet.  The returned polyline is ordered by theta
-    and closed.
+    values bracket c (the field's row extremes bound it), and evaluates
+    curvature from the linearly interpolated covariant jet.  The jet is
+    gathered by flat node index k = i * ntheta + j from the table's component
+    arrays, grad (2, ns * ntheta) and hess (4, ns * ntheta), and interpolated
+    component by component.  The returned polyline is ordered by theta and
+    closed.
     """
     c = _check_level(f, c)
     grid = f.grid
-    i, t = _crossings(f.values, c)
+    i, t = _crossings(f.values, c, *f._row_extremes)
     # rows 0 and ns - 1 are the boundary curves' points at grid.theta
     pts = ring._blend(grid.s[i] + t * grid.hs, grid.nodes[0], grid.nodes[-1])
     table = f.jet_table()
-    cols = np.arange(grid.ntheta)
-    tg, th = t[:, None], t[:, None, None]
-    grad = (1 - tg) * table["grad"][i, cols] + tg * table["grad"][i + 1, cols]
-    hess = (1 - th) * table["hess"][i, cols] + th * table["hess"][i + 1, cols]
-    h, norm = _level_forms(pts, grad, hess)
+    # the component arrays under the table's views, node axes flattened
+    grad_c = np.moveaxis(table["grad"], -1, 0).reshape(2, -1)
+    hess_c = np.moveaxis(table["hess"], (-2, -1), (0, 1)).reshape(4, -1)
+    k = i * grid.ntheta + np.arange(grid.ntheta)
+    grad = (1 - t) * grad_c[:, k] + t * grad_c[:, k + grid.ntheta]
+    hess = (1 - t) * hess_c[:, k] + t * hess_c[:, k + grid.ntheta]
+    h, norm = _level_forms(pts, grad.T, np.moveaxis(hess.reshape(2, 2, -1), -1, 0))
     kap = h[:, 0, 0]
     pts = np.vstack([pts, pts[:1]])
     kap = np.append(kap, kap[0])

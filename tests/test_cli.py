@@ -353,6 +353,24 @@ def test_negative_curvature_exits_1(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_levels_reads_only_snapshot_version_1(solved_run, tmp_path, capsys):
+    doc = json.loads((solved_run[1] / "field_tau_0.3.json").read_text())
+    cfg = write_config(tmp_path, levels=[0.1])
+    unversioned = {k: v for k, v in doc.items() if k != "version"}
+    for name, snapshot, named in (("v99", {**doc, "version": 99}, "version 99"),
+                                  ("string", {**doc, "version": "1"}, "version '1'"),
+                                  ("bool", {**doc, "version": True}, "version True"),
+                                  ("missing", unversioned, "no version")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(snapshot))
+        out = tmp_path / name
+        assert main(["levels", "--config", cfg, "--snapshot", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot read snapshot {path}: snapshot has {named}; "
+                       "this reader takes version 1\n"), err
+        assert not list(out.glob("level_*.csv"))
+
+
 @pytest.mark.parametrize("argv, message", [
     (["solve", "--config", "run.json", "--bogus"], "unrecognized arguments: --bogus"),
     (["verify"], "the following arguments are required: --config"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import re
 import weakref
 from functools import partial
 
@@ -57,6 +58,14 @@ def _trig_jet(x):
     return _trig(x), grad, hess.reshape(x.shape[:-1] + (2, 2))
 
 
+_README_RING = make_ring(SpaceFormChart(epsilon=0.0, dim=2), make_curve("ellipse", radii=(3.0, 2.0)),
+                         make_curve("ellipse", radii=(1.2, 0.8)))
+_FOURIER_RING = make_ring(
+    SpaceFormChart(epsilon=1.0, dim=2), make_curve("ellipse", radii=(1.2, 0.8)),
+    make_curve("fourier", r0=0.4, center=(0.05, -0.03), cos_coeffs=(0.0, 0.03),
+               sin_coeffs=(0.02, 0.0, 0.01)))
+
+
 def _fit_order(hs, errs):
     return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
 
@@ -72,6 +81,30 @@ def test_field_shape_and_boundary_validation():
         ScalarField(grid, vals2, (0.0, 0.0))
     with pytest.raises(FieldShapeError):
         ScalarField(grid, np.zeros((3, 3)), (0.0, 0.0))
+
+
+def test_values_must_be_finite():
+    # one NaN or infinity at an interior node or on either boundary row is
+    # rejected, with or without declared Dirichlet data
+    grid = _circle_grid()
+    u = np.repeat(grid.s[:, None], grid.ntheta, axis=1)
+    for bad in (np.nan, np.inf, -np.inf):
+        for node in ((grid.ns // 2, 5), (0, 3), (grid.ns - 1, grid.ntheta - 1)):
+            values = u.copy()
+            values[node] = bad
+            for declared in (None, (0.0, 1.0)):
+                with pytest.raises(FieldShapeError, match="values must be finite"):
+                    ScalarField(grid, values, declared)
+
+
+def test_row_extremes_are_kept_read_only():
+    # the extremes the finiteness guard and the level search read
+    grid = _circle_grid()
+    f = ScalarField(grid, np.repeat(grid.s[:, None] ** 2, grid.ntheta, axis=1), (0.0, 1.0))
+    lo, hi = f._row_extremes
+    assert np.array_equal(lo, f.values.min(axis=1)) and np.array_equal(hi, f.values.max(axis=1))
+    with pytest.raises(ValueError, match="read-only"):
+        lo[0] = 1.0
 
 
 def test_jets_converge_at_second_order_flat():
@@ -155,6 +188,45 @@ def test_jet_table_matches_the_matmul_reference():
             err = np.max(np.abs(new - ref).reshape(grid.ns, -1), axis=1)
             scale = np.max(np.abs(ref).reshape(grid.ns, -1), axis=1)
             assert np.all(err <= 1e-13 * scale)
+
+
+def _rolled_comp_derivatives(values, hs, ht, first=True, last=True):
+    # field._comp_derivatives with its theta neighbours taken by np.roll
+    u = values
+    u_next, u_prev = np.roll(u, -1, axis=1), np.roll(u, 1, axis=1)
+    u_t = (u_next - u_prev) / (2 * ht)
+    u_tt = (u_next - 2 * u + u_prev) / ht**2
+
+    def d_s(a):
+        out = np.empty_like(a)
+        out[1:-1] = (a[2:] - a[:-2]) / (2 * hs)
+        if first:
+            out[0] = (-3 * a[0] + 4 * a[1] - a[2]) / (2 * hs)
+        if last:
+            out[-1] = (3 * a[-1] - 4 * a[-2] + a[-3]) / (2 * hs)
+        return out
+
+    u_ss = np.empty_like(u)
+    u_ss[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / hs**2
+    if first:
+        u_ss[0] = (2 * u[0] - 5 * u[1] + 4 * u[2] - u[3]) / hs**2
+    if last:
+        u_ss[-1] = (2 * u[-1] - 5 * u[-2] + 4 * u[-3] - u[-4]) / hs**2
+    return d_s(u), u_t, u_ss, d_s(u_t), u_tt
+
+
+@pytest.mark.parametrize("ring", [_README_RING, _FOURIER_RING], ids=["readme", "fourier"])
+@pytest.mark.parametrize("ns, ntheta", [(33, 64), (257, 512)])
+def test_wrapped_window_matches_rolled_neighbours(monkeypatch, ring, ns, ntheta):
+    # the theta neighbours as views of one wrapped window give the table
+    # that np.roll copies give, bit for bit
+    grid = build_grid(ring, ns, ntheta)
+    values = np.random.default_rng(ns).standard_normal((ns, ntheta))
+    table = field._build_jet_table(grid, values)
+    monkeypatch.setattr(field, "_comp_derivatives", _rolled_comp_derivatives)
+    rolled = field._build_jet_table(grid, values)
+    assert np.array_equal(table["grad"], rolled["grad"])
+    assert np.array_equal(table["hess"], rolled["hess"])
 
 
 def test_flat_jet_table_skips_an_identity_conversion(monkeypatch):
@@ -333,6 +405,20 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path):
 def test_snapshot_rejects_foreign_format():
     with pytest.raises(FieldShapeError):
         field_from_dict({"format": "something-else"})
+
+
+def test_snapshot_reads_only_version_1():
+    grid = _circle_grid(ns=9, ntheta=16)
+    snapshot = field_to_dict(ScalarField(grid, np.repeat(0.3 * grid.s[:, None], 16, axis=1),
+                                         (0.0, 0.3)))
+    assert snapshot["version"] == 1
+    for version in (99, 2, 0, "1", 1.0, True, None, [1]):
+        with pytest.raises(FieldShapeError, match=f"snapshot has version {re.escape(repr(version))};"):
+            field_from_dict({**snapshot, "version": version})
+    unversioned = {k: v for k, v in snapshot.items() if k != "version"}
+    with pytest.raises(FieldShapeError, match="snapshot has no version"):
+        field_from_dict(unversioned)
+    assert field_from_dict(snapshot).boundary_values == (0.0, 0.3)
 
 
 def test_snapshot_rejects_a_malformed_field_before_building_its_grid(monkeypatch):

@@ -151,9 +151,27 @@ def _reference_form(grad, hess):
     return 0.5 * (h + h.T)
 
 
+def test_planar_tangent_is_the_turned_normal():
+    # axis-aligned, tied (|nu_0| = |nu_1|) and random unit normals: one
+    # tangent, a unit vector orthogonal to nu
+    rng = np.random.default_rng(3)
+    half = np.sqrt(0.5)
+    angles = rng.uniform(-np.pi, np.pi, 1000)
+    nu = np.concatenate([[(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)],
+                         [(half, half), (-half, half), (-half, -half), (half, -half)],
+                         np.column_stack([np.cos(angles), np.sin(angles)])]).T
+    frame = levelgeom._tangent_frame(list(nu))
+    assert len(frame) == 1 and len(frame[0]) == 2
+    t = frame[0]
+    assert np.all(t[0] * nu[0] + t[1] * nu[1] == 0.0)
+    assert np.allclose(np.hypot(*t), 1.0, rtol=0.0, atol=1e-15)
+
+
 def test_batched_frame_follows_the_stable_axis_rule():
-    # one stacked call per dimension against a per-jet reference; the tied
-    # |nu| of the constructed gradients pin ties to the lowest axis (in 3-D a
+    # one stacked call per dimension against a per-jet reference.  In 2-D the
+    # tangent is the turned normal, the reference's up to sign, and h is
+    # quadratic in it; from 3-D up the axis rule sets the frame, and the tied
+    # |nu| of the constructed gradients pin ties to the lowest axis (a
     # different seed axis rotates the frame and so changes h entrywise)
     rng = np.random.default_rng(7)
     ties = {2: [(1.0, 1.0), (-1.0, 1.0)], 3: [(1.0, 1.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, -1.0)]}
@@ -372,9 +390,10 @@ def test_extract_level_keeps_its_crossing_rule():
     _assert_matches_a_per_column_loop(ScalarField(grid, shifted), 0.0)
 
 
-def _full_grid_crossings(v, c):
+def _full_grid_crossings(v, c, lo, hi):
     """The reference crossing search: boolean masks of every edge of the
-    grid, each column's crossing taken by argmax along the rows."""
+    grid, each column's crossing taken by argmax along the rows; the row
+    extremes that bound the band are not read."""
     above, below = v > c, v < c
     crosses = (above[:-1] & ~above[1:]) | (below[:-1] & ~below[1:])
     crosses[0] |= ~(above[0] | below[0])
@@ -463,10 +482,28 @@ def test_level_points_are_the_blend_map_at_the_crossings(ring, ns, ntheta):
     s = np.repeat(grid.s[:, None], ntheta, axis=1)
     f = ScalarField(grid, s ** (1.0 + 0.5 * np.cos(grid.theta)), (0.0, 1.0))
     for c in (0.05, 0.25, 0.5, 0.9):
-        i, t = levelgeom._crossings(f.values, c)
+        i, t = levelgeom._crossings(f.values, c, *f._row_extremes)
         expected = grid.map_point(grid.s[i] + t * grid.hs, grid.theta)
         points = extract_level(f, c).points
         assert points.tobytes() == np.vstack([expected, expected[:1]]).tobytes()
+
+
+@pytest.mark.parametrize("ring", [_README_RING, _FOURIER_RING], ids=["readme", "fourier"])
+def test_flat_gathers_match_indexing_the_table_views(ring):
+    # the jets extract_level gathers by flat node index from the component
+    # arrays are those indexed from the table's (ns, ntheta, ...) views
+    grid = build_grid(ring, 33, 64)
+    f = solve_harmonic(grid, 1.0)
+    table, cols = f.jet_table(), np.arange(grid.ntheta)
+    for c in (0.05, 0.25, 0.5, 0.9, grid.s[11]):
+        rep = extract_level(f, c)
+        i, t = levelgeom._crossings(f.values, c, *f._row_extremes)
+        tg, th = t[:, None], t[:, None, None]
+        grad = (1 - tg) * table["grad"][i, cols] + tg * table["grad"][i + 1, cols]
+        hess = (1 - th) * table["hess"][i, cols] + th * table["hess"][i + 1, cols]
+        h, norm = levelgeom._level_forms(rep.points[:-1], grad, hess)
+        assert np.array_equal(rep.kappa[:-1], h[:, 0, 0])
+        assert rep.grad_min == float(np.min(norm))
 
 
 def test_batched_geometry_names_the_first_singular_point(sphere_chart_field):
