@@ -2,8 +2,9 @@
 
 One JSON config document drives every command.  Exit codes are scriptable,
 each failure printing one line on stderr: 0 success, 1 config problem,
-command-line usage error or unreadable snapshot (naming the line of the
-offending key, if any), 2 solver
+command-line usage error, unreadable snapshot (naming the line of the
+offending key, if any) or running out of memory (``error: out of memory``,
+with numpy's account of the allocation that failed), 2 solver
 or continuation failure, level diagnostics included (partial outputs are
 kept), 3 verification failure or check error.  ``verify`` makes one ``run_suite``
 call, the library's driver, so its checks share their solves and each
@@ -460,6 +461,12 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_oracle(cfg, raw, out_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # a config whose arrays do not fit the host's memory, such as a
+        # sample count or a grid far beyond it
+        detail = " ".join(str(exc).split())
+        print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         # SolverError and ContinuationError; solve is imported only if it ran

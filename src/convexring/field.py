@@ -14,29 +14,35 @@ blend map x(s, theta) as elementwise 2x2 arithmetic on (ns, ntheta)
 component arrays:
 Du = J^{-T} (u_s, u_t) and D^2u = J^{-T} (H - C) J^{-1}, with H the
 computational Hessian and C the map's curvature term (C_st = x_st . Du,
-C_tt = x_tt . Du, C_ss = 0).  J^{-1}, x_st, x_tt, lambda and grad log lambda
-at the nodes depend on the grid alone; the grid builds them on its first jet
-table and keeps them.  The Christoffel correction and frame rescaling are the
-kernel behind :func:`convexring.spaceform.frame_components`.  On a flat chart
-(epsilon = 0) lambda is 1 and grad log lambda is 0, so that conversion is the
-identity and the table skips it: every entry is equal to the converted one.
+C_tt = x_tt . Du, C_ss = 0).  J^{-1}, x_st and x_tt at the nodes depend on
+the grid's blend map alone; the grid builds them on its first jet table and
+keeps them, and keeps nothing of the chart.  The Christoffel correction and
+frame rescaling are the kernel behind
+:func:`convexring.spaceform.frame_components`; a curved table takes lambda
+and grad log lambda of each block's nodes as it converts that block.  On a
+flat chart (epsilon = 0) lambda is 1 and grad log lambda is 0, so that
+conversion is the identity and the table skips it, never computing either:
+every entry is equal to the converted one.
 
-A jet table keeps its gradient as one (2, ns, ntheta) array and its Hessian
-as one (2, 2, ns, ntheta) array, component axes first, and every block is
-written into them in place, with no stacked copy.  The table's "grad" (ns,
-ntheta, 2) and "hess" (ns, ntheta, 2, 2) are ``np.moveaxis`` views of them,
-so a reader that flattens the node axes still gets a view, and one that
-moves the component axes back to the front and flattens the rest (as level
-extraction does, to gather by flat node index) gets the arrays themselves.
+A jet table keeps its components in one (6, ns, ntheta) array: rows 0-1 are
+the gradient (2, ns, ntheta) and rows 2-5 the Hessian, reshaped to (2, 2,
+ns, ntheta) as a view.  Every block is written into them in place, with no
+stacked copy.  One allocation holds the whole table: a pass that builds a
+fresh table each time then does not page-fault on each build, as it can when
+the allocator maps two arrays afresh.  The table's "grad" (ns, ntheta, 2)
+and "hess" (ns, ntheta, 2, 2) are ``np.moveaxis`` views of them, so a reader
+that flattens the node axes still gets a view, and one that moves the
+component axes back to the front and flattens the rest (as level extraction
+does, to gather by flat node index) gets a view of the block.
 
 A jet table is filled in blocks of whole rows, about ``ring._BLOCK`` samples
 each; :func:`convexring.levelgeom.rank_scan` runs its samples in blocks of the
-same constant, and the grid builds its nodes in such blocks of rows.  The
-constant has that one home and is read at call time.  Only a block whose
-window of values reaches row 0 or ns-1 runs the one-sided stencils.  A
-block's temporaries stay in cache and none is the size of the grid, so the
-peak memory of a table is its output plus a few blocks, however many
-temporaries the arithmetic needs.  Every sample's arithmetic is the same in
+same constant, and the grid builds its nodes and its node geometry in such
+blocks of rows.  The constant has that one home and is read at call time.
+Only a block whose window of values reaches row 0 or ns-1 runs the one-sided
+stencils.  A block's temporaries stay in cache and none is the size of the
+grid, so the peak memory of a table is its output plus a few blocks, however
+many temporaries the arithmetic needs.  Every sample's arithmetic is the same in
 any block, so the values do not depend on the block size.
 """
 
@@ -51,7 +57,7 @@ import numpy as np
 
 from . import ring
 from .ring import AnnularGrid, build_grid, ring_from_dict
-from .spaceform import _to_frame, _whole
+from .spaceform import _log_lambda_derivatives, _to_frame, _whole
 
 SNAPSHOT_FORMAT = "convexring-field"
 
@@ -171,18 +177,21 @@ def _coordinate_derivatives(geo, rows: slice, comp, du, d2u) -> None:
 
 def _build_jet_table(grid: AnnularGrid, values: np.ndarray) -> dict:
     """The jet table of ``values``, evaluated in blocks of max(1, ring._BLOCK
-    // ntheta) rows straight into the component arrays grad (2, ns, ntheta)
-    and hess (2, 2, ns, ntheta); the table's "grad" (ns, ntheta, 2) and
-    "hess" (ns, ntheta, 2, 2) are views of them.  Every block's temporaries
-    stay near ring._BLOCK samples, so they stay in cache and none is the size
-    of the grid; each sample's arithmetic is the same in any block, so the
-    table does not depend on the block size.  On a flat chart lambda is 1 and
-    grad log lambda 0, the frame conversion changes no value, and it is
-    skipped."""
+    // ntheta) rows straight into one (6, ns, ntheta) array: rows 0-1 are the
+    gradient's components and rows 2-5 the Hessian's, (2, 2, ns, ntheta) as a
+    view.  The table's "grad" (ns, ntheta, 2) and "hess" (ns, ntheta, 2, 2)
+    are views of them.  Every block's temporaries stay near ring._BLOCK
+    samples, so they stay in cache and none is the size of the grid; each
+    sample's arithmetic is the same in any block, so the table does not
+    depend on the block size.  A curved chart takes lambda and grad log
+    lambda of each block's nodes for its frame conversion; on a flat chart
+    lambda is 1 and grad log lambda 0, the conversion changes no value, and
+    it is skipped."""
     ns, ntheta = values.shape
     geo = grid._node_geometry
-    flat = grid.ring.chart.epsilon == 0.0
-    grad, hess = np.empty((2, ns, ntheta)), np.empty((2, 2, ns, ntheta))
+    chart = grid.ring.chart
+    jets = np.empty((6, ns, ntheta))
+    grad, hess = jets[:2], jets[2:].reshape(2, 2, ns, ntheta)
     step = max(1, ring._BLOCK // ntheta)
     for r0 in range(0, ns, step):
         r1 = min(ns, r0 + step)
@@ -194,13 +203,14 @@ def _build_jet_table(grid: AnnularGrid, values: np.ndarray) -> dict:
         rows = slice(r0, r1)
         du, d2u = grad[:, rows], hess[:, :, rows]
         _coordinate_derivatives(geo, rows, [d[r0 - w0:r1 - w0] for d in comp], du, d2u)
-        if flat:
+        if chart.epsilon == 0.0:
             d2u[1, 0] = d2u[0, 1]
         else:
             # converted in place; the entry below the diagonal is a copy
+            lam, dlog = _log_lambda_derivatives(chart, grid.nodes[rows])
             d_xy = d2u[0, 1]
             symmetric = ((d2u[0, 0], d_xy), (d_xy, d2u[1, 1]))
-            _to_frame(geo.lam[rows], [c[rows] for c in geo.dlog], du, symmetric, du, d2u)
+            _to_frame(lam, [dlog[..., 0], dlog[..., 1]], du, symmetric, du, d2u)
     return {"value": values, "grad": np.moveaxis(grad, 0, -1),
             "hess": np.moveaxis(hess, (0, 1), (-2, -1))}
 

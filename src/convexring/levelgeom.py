@@ -367,9 +367,12 @@ def rank_scan(source: ScalarField | PointJet) -> RankScan:
     threshold 10 h^2 with h the grid's largest spacing) or a stacked analytic
     :class:`PointJet` (samples every point of the stack, threshold 1e-8).
     Samples are taken in C order, in blocks of ``ring._BLOCK`` samples that
-    keep the level forms' temporaries in cache; ``location`` is the first
-    sample where the smallest curvature is lowest, and a SingularGradientError
-    names the first sample below the gradient floor.
+    keep the level forms' temporaries in cache, and each block is reduced as
+    it is done: the scan keeps the least and greatest rank and the least of
+    the smallest curvatures, never an array over every sample.
+    ``location`` is the first sample where the smallest curvature is lowest
+    (a NaN counts as lowest, as ``np.argmin`` takes it), and a
+    SingularGradientError names the first sample below the gradient floor.
     """
     if isinstance(source, ScalarField):
         threshold = _noise_floor(source.grid)
@@ -384,15 +387,21 @@ def rank_scan(source: ScalarField | PointJet) -> RankScan:
     if len(points) == 0:
         raise ValueError("rank scan has no sample points")
 
-    eigs = np.empty((len(points), n - 1))
+    min_rank, max_rank, least, k = n, 0, None, 0
     for b in range(0, len(points), ring._BLOCK):
         block = slice(b, b + ring._BLOCK)
-        eigs[block] = _curvatures(_level_forms(points[block], grad[block], hess[block])[0])
-    ranks = np.sum(eigs > threshold, axis=-1)
-    k = int(np.argmin(eigs[:, 0]))
+        eigs = _curvatures(_level_forms(points[block], grad[block], hess[block])[0])
+        ranks = np.sum(eigs > threshold, axis=-1)
+        min_rank, max_rank = min(min_rank, int(ranks.min())), max(max_rank, int(ranks.max()))
+        # the first sample where the smallest curvature is lowest, a NaN
+        # before any number, as np.argmin over every sample would take it
+        j = int(np.argmin(eigs[:, 0]))
+        low = eigs[j, 0]
+        if least is None or low < least or (np.isnan(low) and not np.isnan(least)):
+            least, k = low, b + j
     return RankScan(
-        samples=len(eigs), min_rank=int(ranks.min()), max_rank=int(ranks.max()),
-        lambda_min=float(eigs[k, 0]), location=points[k].copy(), threshold=float(threshold),
+        samples=len(points), min_rank=min_rank, max_rank=max_rank,
+        lambda_min=float(least), location=points[k].copy(), threshold=float(threshold),
     )
 
 

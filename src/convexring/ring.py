@@ -37,9 +37,9 @@ VALIDATION_THETA = np.linspace(0.0, TWO_PI, VALIDATION_SAMPLES, endpoint=False)
 VALIDATION_THETA.flags.writeable = False
 # the smallest and largest length a curve may have
 _LENGTH_SCALES = (1e-100, 1e100)
-# samples per block of the grid's nodes, of the grid jet table and of
-# levelgeom.rank_scan: about 8192 keeps every temporary of a block in cache
-# (the block-size sweep of BENCH_blocked_geometry.json)
+# samples per block of the grid's nodes and node geometry, of the grid jet
+# table and of levelgeom.rank_scan: about 8192 keeps every temporary of a
+# block in cache (the block-size sweep of BENCH_blocked_geometry.json)
 _BLOCK = 8192
 
 
@@ -323,18 +323,17 @@ def boundary_convexity_report(ring: ConvexRing) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class _NodeGeometry:
-    """The grid's blend map and chart at its nodes, one array per component.
+    """The grid's blend map at its nodes, one array per component.
 
-    ``jinv[k][a]`` is d(s, theta)_k / dx_a, ``x_tt``, ``lam`` and ``dlog`` (the
-    coordinate gradient of log lambda) are (ns, ntheta), and ``x_st`` depends
-    on theta alone, (ntheta,).
+    ``jinv[k][a]`` is d(s, theta)_k / dx_a and ``x_tt`` is (ns, ntheta);
+    ``x_st`` depends on theta alone, (ntheta,).  It holds nothing of the
+    chart: a curved jet table takes lambda and grad log lambda of each block
+    of nodes as it converts that block, and a flat one needs neither.
     """
 
     jinv: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     x_st: tuple[np.ndarray, np.ndarray]
     x_tt: tuple[np.ndarray, np.ndarray]
-    lam: np.ndarray
-    dlog: tuple[np.ndarray, np.ndarray]
 
 
 def _check_grid_size(ns: int, ntheta: int, what: str) -> None:
@@ -453,21 +452,34 @@ class AnnularGrid:
 
     @cached_property
     def _node_geometry(self) -> _NodeGeometry:
-        """J^{-1}, x_st, x_tt, lambda and grad log lambda at the nodes: built
-        by the first jet table on this grid and kept for the grid's life.
-        x_ss vanishes (the blend is linear in s) and x_st depends on theta
-        alone."""
-        s, theta = self.s[:, None], self.theta
-        jinv, _ = self._jacobian_inverse(s, theta)
+        """J^{-1}, x_st and x_tt at the nodes: built by the first jet table
+        on this grid and kept for the grid's life.  x_ss vanishes (the blend
+        is linear in s) and x_st depends on theta alone.
+
+        Every node passes ``chart.validate_points``, and J^{-1} and x_tt are
+        written into their component arrays in blocks of
+        max(1, _BLOCK // ntheta) rows, J^{-1} by :meth:`_jacobian_inverse`
+        on the block's rows, so no temporary is the size of the grid.  Each
+        entry's arithmetic is the same in any block.
+        """
+        ns, ntheta, theta = self.ns, self.ntheta, self.theta
         outer, inner = self.ring.outer, self.ring.inner
         d1_out, d1_in = outer.d1(theta), inner.d1(theta)
         d2_out, d2_in = outer.d2(theta), inner.d2(theta)
         x_st = tuple(d1_in[..., k] - d1_out[..., k] for k in range(2))
-        x_tt = tuple((1.0 - s) * d2_out[..., k] + s * d2_in[..., k] for k in range(2))
-        chart = self.ring.chart
-        lam, dlog = _log_lambda_derivatives(chart, chart.validate_points(self.nodes))
-        return _NodeGeometry(jinv=jinv, x_st=x_st, x_tt=x_tt, lam=lam,
-                             dlog=(dlog[..., 0], dlog[..., 1]))
+        jinv = tuple(tuple(np.empty((ns, ntheta)) for _ in range(2)) for _ in range(2))
+        x_tt = tuple(np.empty((ns, ntheta)) for _ in range(2))
+        step = max(1, _BLOCK // ntheta)
+        for r0 in range(0, ns, step):
+            rows = slice(r0, r0 + step)
+            self.ring.chart.validate_points(self.nodes[rows])
+            s = self.s[rows, None]
+            for out, block in zip(jinv, self._jacobian_inverse(s, theta)[0]):
+                for a in range(2):
+                    out[a][rows] = block[a]
+            for k in range(2):
+                np.add((1.0 - s) * d2_out[..., k], s * d2_in[..., k], out=x_tt[k][rows])
+        return _NodeGeometry(jinv=jinv, x_st=x_st, x_tt=x_tt)
 
     def refine(self) -> "AnnularGrid":
         """Halve both spacings; existing nodes are a subset of the new ones."""

@@ -759,6 +759,40 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert result.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("command, target", [
+    ("solve", "convexring.solve.continuation_solve"),
+    ("levels", "convexring.cli.extract_level"),
+    ("oracle", "convexring.oracle.radial_oracle"),
+])
+def test_running_out_of_memory_exits_1_with_one_line(command, target, solved_run, tmp_path,
+                                                     capsys, monkeypatch):
+    # a huge "samples" or grid reaches numpy's allocator as a MemoryError;
+    # it is injected here, so that nothing is allocated for real
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(10000000000,) and data type float64")
+
+    monkeypatch.setattr(target, exhausted)
+    cfg = write_config(tmp_path, levels=[0.1], oracle={"samples": 10_000_000_000})
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    if command == "levels":
+        argv += ["--snapshot", str(solved_run[1] / "field_tau_0.3.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: out of memory: Unable to allocate 74.5 GiB for an array with "
+                   "shape (10000000000,) and data type float64\n")
+
+
+def test_memory_error_without_a_message_still_prints_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("convexring.oracle.radial_oracle", exhausted)
+    cfg = write_config(tmp_path, oracle={"samples": 9})
+    assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_unrelated_runtime_error_is_not_a_solver_failure(solved_run, tmp_path, monkeypatch):
     # exit 2 is for SolverError and ContinuationError only: any other
     # RuntimeError is a bug and keeps its traceback

@@ -260,17 +260,45 @@ def test_flat_jet_table_skips_an_identity_conversion(monkeypatch):
         assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+_SPHERE_RING = make_ring(SpaceFormChart(epsilon=1.0, dim=2), make_curve("ellipse", radii=(1.2, 0.8)),
+                         make_curve("ellipse", radii=(0.48, 0.32)))
+
+
+@pytest.mark.parametrize("ring", [_README_RING, _SPHERE_RING], ids=["readme", "sphere"])
+@pytest.mark.parametrize("ns, ntheta", [(33, 64), (257, 512)])
+def test_jet_table_is_frame_components_of_the_coordinate_jets(ring, ns, ntheta):
+    # the coordinate derivatives of the whole grid in one block, converted by
+    # spaceform.frame_components at every node: a curved table's blocks take
+    # lambda and grad log lambda of their own nodes and equal it bit for bit,
+    # and a flat table, which skips the conversion, equals it too
+    grid = build_grid(ring, ns, ntheta)
+    values = sample_field(grid, _trig).values
+    du, d2u = np.empty((2, ns, ntheta)), np.empty((2, 2, ns, ntheta))
+    comp = field._comp_derivatives(values, grid.hs, grid.htheta)
+    field._coordinate_derivatives(grid._node_geometry, slice(None), comp, du, d2u)
+    d2u[1, 0] = d2u[0, 1]
+    grad, hess = frame_components(ring.chart, grid.nodes, np.moveaxis(du, 0, -1),
+                                  np.moveaxis(d2u, (0, 1), (-2, -1)))
+    table = field._build_jet_table(grid, values)
+    assert np.array_equal(table["grad"], grad) and np.array_equal(table["hess"], hess)
+
+
 def test_jet_table_is_a_view_of_component_arrays():
-    # grad and hess are views of (2, ns, ntheta) and (2, 2, ns, ntheta)
-    # arrays; the rank scan's flattened samples are views of them too
+    # grad and hess are views of one (6, ns, ntheta) array, rows 0-1 the
+    # gradient and rows 2-5 the Hessian; the rank scan's flattened samples
+    # and level extraction's flat component arrays are views of it too
     grid = _off_centre_sphere_grid(17, 48)
     table = sample_field(grid, _trig).jet_table()
+    base = table["grad"].base
+    assert base.flags.c_contiguous and base.shape == (6, grid.ns, grid.ntheta)
+    assert table["hess"].base is base
+    components = {"grad": base[:2], "hess": base[2:].reshape(2, 2, grid.ns, grid.ntheta)}
     for key, axes in (("grad", 1), ("hess", 2)):
-        base = table[key].base
-        assert base.flags.c_contiguous and base.shape == (2,) * axes + (grid.ns, grid.ntheta)
-        assert np.array_equal(np.moveaxis(base, range(axes), range(-axes, 0)), table[key])
+        assert np.array_equal(np.moveaxis(components[key], range(axes), range(-axes, 0)), table[key])
         samples = table[key][1:-1].reshape((-1,) + (2,) * axes)
         assert np.shares_memory(samples, base)
+        flat = np.moveaxis(table[key], range(-axes, 0), range(axes)).reshape(2**axes, -1)
+        assert flat.base is not None and np.shares_memory(flat, base)
     assert np.array_equal(table["hess"][..., 0, 1], table["hess"][..., 1, 0])
 
 

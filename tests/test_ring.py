@@ -10,6 +10,7 @@ from convexring.ring import (
     VALIDATION_THETA,
     AnnularGrid,
     ContainmentError,
+    ConvexRing,
     ConvexityError,
     GridFoldError,
     _check_grid_size,
@@ -372,18 +373,55 @@ def test_grid_jacobian_matches_fd():
         assert np.allclose([c[i, j] for c in geo.x_tt], fd_tt, atol=1e-3)
 
 
+_README_RING = make_ring(_flat_chart(), make_curve("ellipse", radii=(3.0, 2.0)),
+                         make_curve("ellipse", radii=(1.2, 0.8)))
+_SPHERE_RING = make_ring(SpaceFormChart(epsilon=1.0, dim=2), make_curve("ellipse", radii=(1.2, 0.8)),
+                         make_curve("ellipse", radii=(0.48, 0.32)))
+
+
+@pytest.mark.parametrize("ring", [_README_RING, _SPHERE_RING], ids=["readme", "sphere"])
+@pytest.mark.parametrize("ns, ntheta", [(33, 64), (257, 512)])
+def test_node_geometry_is_the_whole_grid_evaluation(ring, ns, ntheta):
+    # J^{-1} and x_tt written block by block equal J^{-1} and the x_tt blend
+    # taken over the whole grid at once, bit for bit
+    grid = build_grid(ring, ns, ntheta)
+    geo = grid._node_geometry
+    s, theta = grid.s[:, None], grid.theta
+    jinv, _ = grid._jacobian_inverse(s, theta)
+    outer, inner = ring.outer, ring.inner
+    x_tt = [(1.0 - s) * outer.d2(theta)[..., k] + s * inner.d2(theta)[..., k] for k in range(2)]
+    x_st = [inner.d1(theta)[..., k] - outer.d1(theta)[..., k] for k in range(2)]
+    for row, ref in zip(geo.jinv, jinv):
+        assert all(np.array_equal(a, b) for a, b in zip(row, ref))
+    assert all(np.array_equal(a, b) for a, b in zip(geo.x_tt, x_tt))
+    assert all(np.array_equal(a, b) for a, b in zip(geo.x_st, x_st))
+    assert not hasattr(geo, "lam") and not hasattr(geo, "dlog")
+
+
+@pytest.mark.parametrize("outer, inner", [(2.5, 1.0), (1.0, 2.5)], ids=["first-block", "last-block"])
+def test_node_geometry_rejects_a_node_beyond_the_equator(outer, inner):
+    # a ring built without make_ring's checks on the unit sphere, whose
+    # equator has radius 2: the nodes past it lie on the first rows, or
+    # (a reversed blend, which does not fold) on the last rows, blocks away
+    ring = ConvexRing(SpaceFormChart(epsilon=1.0, dim=2), make_curve("circle", radius=outer),
+                      make_curve("circle", radius=inner))
+    grid = build_grid(ring, 257, 512)
+    with pytest.raises(ChartDomainError, match="reaches the equator"):
+        grid._node_geometry
+
+
 def test_node_geometry_peaks_near_what_it_keeps():
-    # the README ring at 257 x 512: the node geometry keeps its component
-    # arrays as they are computed, with no stacked Jacobian split into copies
-    ring = make_ring(
-        _flat_chart(),
-        make_curve("ellipse", radii=(3.0, 2.0)),
-        make_curve("ellipse", radii=(1.2, 0.8)),
-    )
-    grid = build_grid(ring, ns=257, ntheta=512)
+    # the README ring at 257 x 512: the node geometry keeps six arrays of the
+    # grid's size, J^{-1} and x_tt, plus x_st (8 kB at 512 angles), and no
+    # lambda or grad log lambda.  It fills them in blocks of rows, so its
+    # peak lies within a MiB of what it keeps (0.67 MiB measured; full-grid
+    # x_t, det J, lambda and its gradient would take another 3.1 MiB)
+    grid = build_grid(_README_RING, ns=257, ntheta=512)
     geometry, kept, peak = traced_call(lambda: grid._node_geometry)
-    assert geometry.lam.shape == (257, 512)
-    assert peak <= 1.5 * kept, (peak, kept)
+    grid_bytes = grid.ns * grid.ntheta * 8
+    assert geometry.x_tt[0].nbytes == grid_bytes
+    assert 6 * grid_bytes <= kept <= 6 * grid_bytes + 2**15, kept
+    assert peak <= kept + 2**20, (peak, kept)
 
 
 def test_grid_peaks_near_what_it_keeps():
