@@ -16,8 +16,7 @@ Config keys by command:
 
     solve    chart, ring, grid, tau (continuation targets), solve (options)
     levels   levels (values to extract; snapshot comes from --snapshot)
-    verify   chart, ring, grid, checks (default: all), verify (tau,
-             oracle_grid_sizes)
+    verify   chart, ring, grid, checks (default: all), verify (tau)
     oracle   oracle (r_inner, r_outer, tau, n, samples)
 
 Every section (chart, ring, grid, solve, verify, oracle) takes only its own
@@ -72,7 +71,7 @@ _SECTIONS: dict[str, dict[str, Any]] = {
     "chart": {"epsilon": 0.0, "dim": 2},
     "ring": {"outer": None, "inner": None},
     "grid": {"ns": 33, "ntheta": 64},
-    "verify": {"tau": 0.5, "oracle_grid_sizes": (64, 128, 256)},
+    "verify": {"tau": 0.5},
     "oracle": {"r_inner": 1.0, "r_outer": 2.0, "tau": 0.3, "n": 2, "samples": 33},
 }
 
@@ -355,7 +354,8 @@ def cmd_levels(cfg: dict, raw: str, snapshot: str, out_dir: Path) -> int:
 
 
 def cmd_verify(cfg: dict, raw: str, out_dir: Path) -> int:
-    from .verify import VerificationReport, run_suite, suite_inputs
+    from .solve import _read_tau
+    from .verify import VerificationReport, run_suite
 
     chart = _build_chart(cfg, raw)
     grid = _build_grid(cfg, raw, _build_ring(cfg, raw, chart))
@@ -364,12 +364,11 @@ def cmd_verify(cfg: dict, raw: str, out_dir: Path) -> int:
         _fail(raw, "checks", '"checks" must be a list of check names')
     section = _section(cfg, raw, "verify", required=False)
     with _errors_at(raw, "verify", named=section):
-        tau, oracle_sizes = suite_inputs(**section)
+        tau = _read_tau(section["tau"], "verify tau")
     options = _solve_options(cfg, raw)
 
     with _errors_at(raw, "checks", ValueError):  # unknown or repeated names, before any check runs
-        reports = run_suite(grid, tau=tau, checks=selected,
-                            oracle_grid_sizes=oracle_sizes, options=options)
+        reports = run_suite(grid, tau=tau, checks=selected, options=options)
     if not reports:
         print("warning: empty check list, nothing verified", file=sys.stderr)
 

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import ring
 from .ring import AnnularGrid, build_grid, ring_from_dict
-from .spaceform import _log_lambda_derivatives, _to_frame, _whole
+from .spaceform import _log_lambda_derivatives, _real, _to_frame, _whole
 
 SNAPSHOT_FORMAT = "convexring-field"
 
@@ -299,8 +299,8 @@ def save_field(f: ScalarField, path: str) -> None:
 def field_from_dict(d: dict[str, Any]) -> ScalarField:
     """The field of a snapshot.  A version other than the integer 1, values of
     another shape than the declared grid, and boundary values that are
-    neither null nor a pair, are a FieldShapeError, raised before the grid is
-    built."""
+    neither null nor a pair of finite numbers, are a FieldShapeError, raised
+    before the grid is built."""
     fmt = d.get("format") if isinstance(d, dict) else None
     if fmt != SNAPSHOT_FORMAT:
         raise FieldShapeError(f"not a field snapshot: format={fmt!r}")
@@ -316,7 +316,10 @@ def field_from_dict(d: dict[str, Any]) -> ScalarField:
     if bv is not None:
         if not (isinstance(bv, (list, tuple)) and len(bv) == 2):
             raise FieldShapeError(f"boundary_values must be null or a pair, got {bv!r}")
-        bv = tuple(bv)
+        try:
+            bv = tuple(_real(v, "boundary_values entry") for v in bv)
+        except ValueError as exc:
+            raise FieldShapeError(str(exc)) from None
     return ScalarField(grid=build_grid(ring_from_dict(d["ring"]), *shape), values=values,
                        boundary_values=bv)
 

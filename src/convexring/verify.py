@@ -11,7 +11,8 @@ solves nothing.  ``run_suite`` makes the solves its checks share: one
 harmonic solve and one continuation walk, whose steps are every minimal
 graph field its checks read.
 ``check_solver_vs_oracle`` solves on its own canonical ring, where the
-exact-solution oracle of ``oracle`` lives.
+exact-solution oracle of ``oracle`` lives, on n x 8 strips: it measures the
+s-discretisation only.
 """
 
 from __future__ import annotations
@@ -73,22 +74,6 @@ def _finish(name: str, margin: float, tolerance: float, claim: str,
         runtime_s=time.perf_counter() - t0, extras=extras)
 
 
-def _oracle_sizes(grid_sizes: Sequence[int]) -> list[int]:
-    """The oracle grid sizes sorted; ValueError unless two or more distinct
-    whole numbers >= 8 whose n x n grids the solver can index."""
-    sizes = sorted(_whole(s, "oracle_grid_sizes entry") for s in grid_sizes)
-    # the oracle grids are n x n (ntheta >= 8); an order needs two distinct sizes
-    if len(set(sizes)) < max(len(sizes), 2) or sizes[0] < 8:
-        raise ValueError("oracle_grid_sizes must be two or more distinct sizes >= 8")
-    _check_grid_size(sizes[-1], sizes[-1], "oracle_grid_sizes entry")
-    return sizes
-
-
-def suite_inputs(tau: float, oracle_grid_sizes: Sequence[int]) -> tuple[float, list[int]]:
-    """run_suite's tau as a float in (0, 1] and its oracle grid sizes as _oracle_sizes gives."""
-    return _read_tau(tau, "verify tau"), _oracle_sizes(oracle_grid_sizes)
-
-
 # -- fields along tau ------------------------------------------------------------
 
 def _tau(f: ScalarField, name: str) -> float:
@@ -124,22 +109,33 @@ def _scaled(omega_1: ScalarField, tau: float) -> ScalarField:
 # -- checks --------------------------------------------------------------------
 
 
+_STRIP = 8  # the oracle grids' ntheta, AnnularGrid's least
+
+
 def check_solver_vs_oracle(grid_sizes: Sequence[int] = (64, 128, 256),
                            options: SolveOptions | None = None) -> VerificationReport:
     """Nodal solver-vs-oracle error of the radial graph of height tau = 0.3 on
-    the circles of radius 1 and 2, with the observed convergence order.  The
-    5e-4 error budget applies once a grid reaches 256."""
+    the circles of radius 1 and 2, with the observed convergence order, on one
+    n x 8 strip per size n: the discrete solution there does not depend on
+    theta, so the check measures the s-discretisation only.  The 5e-4 error
+    budget applies once a grid reaches 256.  ValueError, before any solve,
+    unless the sizes are two or more distinct whole numbers >= 8 whose strips
+    the solver can index."""
     t0 = time.perf_counter()
-    sizes = _oracle_sizes(grid_sizes)
+    sizes = sorted(_whole(s, "grid_sizes entry") for s in grid_sizes)
+    # an order needs two distinct sizes
+    if len(set(sizes)) < max(len(sizes), 2) or sizes[0] < 8:
+        raise ValueError("grid_sizes must be two or more distinct sizes >= 8")
+    _check_grid_size(sizes[-1], _STRIP, "grid_sizes entry n (an n x 8 strip)")
     oracle = radial_oracle(1.0, 2.0, 0.3)
     ring = make_ring(oracle.chart, make_curve("circle", radius=2.0),
                      make_curve("circle", radius=1.0))
     errors, iterations = [], []
     for size in sizes:
-        grid = build_grid(ring, size, size)
+        grid = build_grid(ring, size, _STRIP)
         u, report = solve_minimal_graph(grid, oracle.tau, options=options)
         if not report.converged:
-            raise SolverError(f"solve at {size}x{size} did not converge")
+            raise SolverError(f"solve at {size}x{_STRIP} did not converge")
         radii = np.linalg.norm(grid.nodes, axis=-1)
         errors.append(float(np.max(np.abs(u.values - oracle.u(radii)))))
         iterations.append(report.newton_iterations)
@@ -349,7 +345,6 @@ class _SuiteRun:
 
     grid: AnnularGrid
     tau: float
-    oracle_sizes: Sequence[int]
     options: SolveOptions | None
     checks: Sequence[str]
 
@@ -395,7 +390,7 @@ class _SuiteRun:
 # suite walks the union of its selected checks' heights, once.
 _AT_TAU = object()
 _SUITE: dict[str, tuple[tuple[Any, ...], Callable[..., VerificationReport]]] = {
-    "solver-vs-oracle": ((), lambda r, fs: check_solver_vs_oracle(r.oracle_sizes, r.options)),
+    "solver-vs-oracle": ((), lambda r, fs: check_solver_vs_oracle(options=r.options)),
     "gradient-max-principle": ((_AT_TAU,), lambda r, fs: check_gradient_max_principle(*fs)),
     "supersolution": ((_AT_TAU,), lambda r, fs: check_supersolution(*fs, r.omega)),
     "tau-estimates": ((0.1, 0.2, 0.4, 0.8), lambda r, fs: check_tau_estimates(fs)),
@@ -409,7 +404,6 @@ SUITE_CHECKS = tuple(_SUITE)
 
 def run_suite(grid: AnnularGrid, tau: float = 0.5,
               checks: Sequence[str] | None = None,
-              oracle_grid_sizes: Sequence[int] = (64, 128, 256),
               options: SolveOptions | None = None) -> list[VerificationReport]:
     """Run the named checks (default: all) on one grid and return the reports.
 
@@ -420,8 +414,9 @@ def run_suite(grid: AnnularGrid, tau: float = 0.5,
     the walk's error.  runtime_s includes the solves a check triggered.  A
     check that raises gets a failed report carrying ``error``, and the rest
     still run.  The solver-vs-oracle check always runs on the canonical flat
-    circle ring, where the oracle lives.  Unknown or repeated check names and
-    inputs suite_inputs rejects raise before any check runs."""
+    circle ring, where the oracle lives, at its default sizes.  Unknown or
+    repeated check names and a tau outside (0, 1] raise before any check
+    runs."""
     selected = SUITE_CHECKS if checks is None else tuple(checks)
     unknown = [c for c in selected if c not in SUITE_CHECKS]
     if unknown:
@@ -429,9 +424,9 @@ def run_suite(grid: AnnularGrid, tau: float = 0.5,
     repeated = [c for c in SUITE_CHECKS if selected.count(c) > 1]
     if repeated:
         raise ValueError(f"repeated checks: {repeated}")
-    tau, oracle_grid_sizes = suite_inputs(tau, oracle_grid_sizes)
+    tau = _read_tau(tau, "verify tau")
 
-    run = _SuiteRun(grid, tau, oracle_grid_sizes, options, selected)
+    run = _SuiteRun(grid, tau, options, selected)
     reports = []
     for name in selected:
         t0 = time.perf_counter()

@@ -91,7 +91,7 @@ def test_criterion_01_solver_matches_radial_oracle():
           and errors[-1] <= 5e-4
           and min(orders) >= 1.8
           and report.runtime_s <= 180.0)  # 60 s budget for each of the 3 solves
-    _criterion(1, ok, f"max error {errors[-1]:.3e} at 256x256, "
+    _criterion(1, ok, f"max error {errors[-1]:.3e} at 256x8, "
                       f"orders {[f'{o:.2f}' for o in orders]}, "
                       f"runtime {report.runtime_s:.1f}s")
 

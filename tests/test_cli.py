@@ -272,15 +272,11 @@ def test_semantic_error_names_the_offending_line(tmp_path, capsys):
              "samples must be >= 0, got -3"),
             ("oracle", base_config(oracle={"r_inner": 1.0, "tau": 100.0}), '  "tau"',
              "tau 100.0 is not reachable"),
-            ("verify", base_config(verify={"oracle_grid_sizes": [16, 32], "tau": "0.5"}),
-             '  "tau"', "verify tau must be a number"),
-            ("verify", base_config(verify={"tau": 0.5, "oracle_grid_sizes": [16, 32.5]}),
-             '  "oracle_grid_sizes"', "whole number"),
-            # sizes past the solver's int32 sparse indices, at read time
-            ("verify", base_config(verify={"tau": 0.5, "oracle_grid_sizes": [16, 10**400]}),
-             '  "oracle_grid_sizes"', "oracle_grid_sizes entry too large"),
-            ("verify", base_config(verify={"tau": 0.5, "oracle_grid_sizes": [10**6, 16]}),
-             '  "oracle_grid_sizes"', "oracle_grid_sizes entry too large"),
+            ("verify", base_config(verify={"tau": "0.5"}), '  "tau"',
+             "verify tau must be a number"),
+            # the oracle check solves at its own sizes, which no config sets
+            ("verify", base_config(verify={"tau": 0.5, "oracle_grid_sizes": [16, 32]}),
+             '  "oracle_grid_sizes"', "unknown verify key 'oracle_grid_sizes'"),
             ("solve", base_config(grid={"ntheta": 48, "ns": 10**400}), '  "ns"',
              "ns too large"),
             ("verify", base_config(grid={"ns": 17, "ntheta": 10**8}, checks=[]), '  "ntheta"',
@@ -371,6 +367,21 @@ def test_levels_reads_only_snapshot_version_1(solved_run, tmp_path, capsys):
         assert not list(out.glob("level_*.csv"))
 
 
+def test_levels_reads_boundary_values_as_numbers(solved_run, tmp_path, capsys):
+    doc = json.loads((solved_run[1] / "field_tau_0.3.json").read_text())
+    cfg = write_config(tmp_path, levels=[0.1])
+    for name, pair, named in (("bool", [0.0, True], "True"), ("false", [False, 0.3], "False"),
+                              ("string", [0.0, "0.3"], "'0.3'")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**doc, "boundary_values": pair}))
+        out = tmp_path / name
+        assert main(["levels", "--config", cfg, "--snapshot", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot read snapshot {path}: boundary_values entry "
+                       f"must be a number, got {named}\n"), err
+        assert not list(out.glob("level_*.csv"))
+
+
 @pytest.mark.parametrize("argv, message", [
     (["solve", "--config", "run.json", "--bogus"], "unrecognized arguments: --bogus"),
     (["verify"], "the following arguments are required: --config"),
@@ -423,6 +434,8 @@ def test_linear_solver_option_exits_1(tmp_path, capsys):
     ("solve", {"chart": {"epsilon": "x"}}, None),
     ("verify", {"grid": {"ns": "x"}, "checks": ["gradient-max-principle"]}, None),
     ("verify", {"verify": {"tau": "x"}, "checks": ["gradient-max-principle"]}, None),
+    # a config written for an older program: oracle_grid_sizes is no verify
+    # key, whatever its value, so each of these is an unknown-key error
     ("verify", {"verify": {"oracle_grid_sizes": 5}, "checks": ["solver-vs-oracle"]}, None),
     ("verify", {"verify": {"tau": 3.0}, "checks": ["gradient-max-principle"]}, None),
     ("verify", {"verify": {"tau": 0}, "checks": ["gradient-max-principle"]}, None),
@@ -459,6 +472,7 @@ def test_linear_solver_option_exits_1(tmp_path, capsys):
     ("solve", {"chart": {"epsilon": 0.0, "dim": float("inf")}}, None),
     ("oracle", {"oracle": {"n": 2.5}}, None),
     ("oracle", {"oracle": {"samples": float("inf")}}, None),
+    # no verify key, as above
     ("verify", {"verify": {"oracle_grid_sizes": [16, 32.5]}, "checks": ["solver-vs-oracle"]},
      None),
     ("verify", {"verify": {"oracle_grid_sizes": [16, float("inf")]},
@@ -704,8 +718,6 @@ def test_verify_shares_one_grid_and_one_solve(all_checks, tmp_path, monkeypatch)
     cfg = dict(README_CONFIG)
     if all_checks:
         del cfg["checks"]
-        # the counts do not depend on the oracle grid sizes; small ones keep it quick
-        cfg["verify"] = {"oracle_grid_sizes": [17, 33, 65]}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg, indent=1) + "\n")
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "v")]) == 0

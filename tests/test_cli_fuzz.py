@@ -25,12 +25,10 @@ from readme_blocks import readme_blocks  # noqa: E402
 # small, and no mutation below can bring in a larger default
 (BASE,) = (json.loads(block) for block in readme_blocks("json"))
 BASE["grid"] = {"ns": 9, "ntheta": 24}
-BASE["verify"] = {"oracle_grid_sizes": [8, 16]}
 BASE["oracle"]["samples"] = 9
 
-# deleting these, or setting them to {}, would bring in a default grid of
-# 33x64 or oracle grids up to 256x256
-KEEP = {"grid", "ns", "ntheta", "verify", "oracle_grid_sizes"}
+# deleting these, or setting them to {}, would bring in a default grid of 33x64
+KEEP = {"grid", "ns", "ntheta"}
 # a huge number here would be a huge valid size or count
 SIZES = KEEP | {"samples", "n", "dim", "max_newton"}
 

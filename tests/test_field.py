@@ -466,6 +466,11 @@ def test_snapshot_rejects_a_malformed_field_before_building_its_grid(monkeypatch
     for pair in ([], [0.0], [0.0, 0.3, 1.0], 0.3, "ab", {"0": 0.0, "1": 0.3}):
         with pytest.raises(FieldShapeError, match="boundary_values"):
             field_from_dict({**snapshot, "boundary_values": pair})
+    # each boundary value is a number: true/false and strings are not read as one
+    for pair, named in (([0.0, True], "True"), ([False, 0.3], "False"),
+                        ([0.0, "0.3"], "'0.3'"), ([0.0, float("nan")], "nan")):
+        with pytest.raises(FieldShapeError, match=f"^boundary_values entry must be .*{named}$"):
+            field_from_dict({**snapshot, "boundary_values": pair})
     assert built == []
     assert field_from_dict(snapshot).boundary_values == (0.0, 0.3)
     assert len(built) == 1

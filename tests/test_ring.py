@@ -546,8 +546,8 @@ def test_grid_maximum_size_fits_int32_jacobian_indices():
             AnnularGrid(ring, ns, ntheta)
     # the bound itself: 9 * 238609294 = 2**31 - 2 entries pass, one row more fails
     _check_grid_size(2 + 238609294, 1, "ns")
-    with pytest.raises(ValueError, match="^oracle_grid_sizes entry too large"):
-        _check_grid_size(3 + 238609294, 1, "oracle_grid_sizes entry")
+    with pytest.raises(ValueError, match="^grid_sizes entry too large"):
+        _check_grid_size(3 + 238609294, 1, "grid_sizes entry")
 
 
 def test_grid_sizes_are_whole_numbers():

@@ -203,6 +203,24 @@ def test_solver_vs_oracle_check_passes_on_small_grids():
     assert all(o > 1.8 for o in report.extras["orders"])
 
 
+def test_solver_vs_oracle_strips_match_square_grids(monkeypatch):
+    # on concentric circles the discrete solution does not depend on theta,
+    # so the check's n x 8 strips give the nodal errors of n x n grids
+    shapes, build = [], verify.build_grid
+    monkeypatch.setattr(verify, "build_grid",
+                        lambda ring, ns, nt: shapes.append((ns, nt)) or build(ring, ns, nt))
+    sizes = (17, 33)
+    report = check_solver_vs_oracle(sizes)
+    assert shapes == [(17, 8), (33, 8)]
+    oracle = radial_oracle(1.0, 2.0, 0.3)
+    for n, strip_error in zip(sizes, report.extras["max_errors"]):
+        u, _ = solve_minimal_graph(build_grid(_circle_ring(), n, n), oracle.tau)
+        assert np.max(np.ptp(u.values, axis=1)) <= 1e-14
+        radii = np.linalg.norm(u.grid.nodes, axis=-1)
+        error = float(np.max(np.abs(u.values - oracle.u(radii))))
+        assert strip_error == pytest.approx(error, rel=1e-8)
+
+
 def test_max_principle_passes_on_solved_and_oracle_fields():
     grid = build_grid(_circle_ring(), 33, 64)
     u, _ = solve_minimal_graph(grid, 0.5)
@@ -509,7 +527,7 @@ def test_adapted_frame_identity_on_solved_graph():
 
 
 def test_run_suite_default_checks_pass():
-    reports = run_suite(build_grid(_circle_ring(), 33, 64), oracle_grid_sizes=(17, 33))
+    reports = run_suite(build_grid(_circle_ring(), 33, 64))
     assert [r.name for r in reports] == list(SUITE_CHECKS)
     for report in reports:
         assert report.passed, f"{report.name}: margin {report.margin}"
@@ -540,19 +558,19 @@ def test_run_suite_check_alone_walks_exactly_its_heights(name, monkeypatch):
         return real(grid, tau, *args, **kwargs)
 
     monkeypatch.setattr(solve, "solve_minimal_graph", recording)
-    report, = run_suite(build_grid(_circle_ring(), 17, 32), tau=0.3, checks=[name],
-                        oracle_grid_sizes=(16, 32))
+    report, = run_suite(build_grid(_circle_ring(), 17, 32), tau=0.3, checks=[name])
     assert report.name == name
     assert report.error is None
     declared = [0.3 if t is verify._AT_TAU else t for t in verify._SUITE[name][0]]
     assert solved == sorted(set(declared))
 
 
+# the oracle's sizes are check_solver_vs_oracle's own; run_suite takes none
 @pytest.mark.parametrize("kwargs, message", [
-    ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [16]}, "oracle_grid_sizes"),
-    ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [16, 16]}, "oracle_grid_sizes"),
-    ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [4, 16]}, "oracle_grid_sizes"),
-    ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": []}, "oracle_grid_sizes"),
+    ({"grid_sizes": [16]}, "grid_sizes"),
+    ({"grid_sizes": [16, 16]}, "grid_sizes"),
+    ({"grid_sizes": [4, 16]}, "grid_sizes"),
+    ({"grid_sizes": []}, "grid_sizes"),
     ({"checks": ["supersolution", "tau-estimates", "supersolution", "supersolution"]},
      r"repeated checks: \['supersolution'\]"),
     ({"checks": ["solver-vs-oracle", "small-tau-regime"], "tau": 3.0}, "verify tau"),
@@ -560,13 +578,12 @@ def test_run_suite_check_alone_walks_exactly_its_heights(name, monkeypatch):
     ({"tau": float("nan")}, "verify tau"),
     ({"tau": True}, "verify tau"),
     ({"tau": "0.5"}, "verify tau"),
-    ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [16.7, 32.9]}, "whole number"),
-    ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [16, float("inf")]}, "whole number"),
-    # n x n Jacobians past the solver's int32 sparse indices
-    ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [16, 10**400]},
-     "oracle_grid_sizes entry too large"),
-    ({"checks": ["solver-vs-oracle"], "oracle_grid_sizes": [10**6, 16]},
-     "oracle_grid_sizes entry too large"),
+    ({"grid_sizes": [16.7, 32.9]}, "whole number"),
+    ({"grid_sizes": [16, float("inf")]}, "whole number"),
+    # n x 8 Jacobians past the solver's int32 sparse indices: 9 (n - 2) 8 entries
+    # exceed 2**31 - 1 from n = 29826164 on
+    ({"grid_sizes": [16, 10**400]}, r"grid_sizes entry n \(an n x 8 strip\) too large"),
+    ({"grid_sizes": [10**8, 16]}, r"grid_sizes entry n \(an n x 8 strip\) too large"),
 ], ids=["one-size", "repeated-size", "size-below-8", "no-size", "repeated-check", "tau-above-1",
         "tau-zero", "tau-nan", "tau-bool", "tau-string", "size-fraction", "size-inf",
         "size-huge", "size-million"])
@@ -577,10 +594,10 @@ def test_run_suite_rejects_bad_inputs_before_any_solve(kwargs, message, monkeypa
     for name in ("solve_minimal_graph", "solve_harmonic", "continuation_solve"):
         monkeypatch.setattr(verify, name, no_solve)
     with pytest.raises(ValueError, match=message):
-        run_suite(grid=build_grid(_circle_ring(), 9, 24), **kwargs)
-    if "oracle_grid_sizes" in kwargs:
-        with pytest.raises(ValueError, match=message):
-            check_solver_vs_oracle(kwargs["oracle_grid_sizes"])
+        if "grid_sizes" in kwargs:
+            check_solver_vs_oracle(**kwargs)
+        else:
+            run_suite(grid=build_grid(_circle_ring(), 9, 24), **kwargs)
 
 
 def test_run_suite_reports_a_raising_check_and_runs_the_rest(monkeypatch):
