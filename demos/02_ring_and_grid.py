@@ -30,9 +30,9 @@ print(f"  outer chart curvature in [{report['outer']['chart_kappa_min']:.4f}, "
 print(f"  containment margin {report['containment_margin']:.4f}")
 
 grid = build_grid(ring, 17, 48)
-print(f"  grid 17 x 48, max spacing {grid.max_spacing:.4f}")
+print(f"  grid 17 x 48, steps hs {grid.hs:.4f}, htheta {grid.htheta:.4f}")
 fine = grid.refine()
-print(f"  refined to {fine.ns} x {fine.ntheta}, max spacing {fine.max_spacing:.4f}")
+print(f"  refined to {fine.ns} x {fine.ntheta}, steps hs {fine.hs:.4f}, htheta {fine.htheta:.4f}")
 
 print("\na wavy curve with a dent is rejected:")
 try:

@@ -4,8 +4,10 @@ exit 1 unless every check passes.
 Each check certifies one qualitative property of the solved minimal graph
 (oracle agreement, gradient bounds, supersolution domination, tau scaling,
 convexity and rank, monotonicity, boundary gradient growth).  A check passes
-when its margin is nonnegative; tolerances already include the 10 h^2 slack
-that discretization is entitled to.  On the grid passed in, the checks share
+when its margin is nonnegative.  A check whose claim is a strict inequality
+has tolerance 0, so its margin is the inequality's own slack; the oracle
+check and the two tau-band checks fold their budget or band into the
+margin and report it as the tolerance.  On the grid passed in, the checks share
 one harmonic solve (scaled to each height) and one continuation walk over
 every height they read, the suite's tau among them; each time includes the
 solves its check triggered, so the first check on the walk carries it.  The

@@ -47,7 +47,6 @@ import numpy as np
 
 from . import ring
 from .field import ScalarField
-from .ring import AnnularGrid
 from .spaceform import PointJet, SpaceFormChart, _real, covariant_jet
 
 GRAD_FLOOR = 1e-8
@@ -338,12 +337,6 @@ def extract_level(f: ScalarField, c: float) -> LevelSetReport:
 # -- rank scans ---------------------------------------------------------------
 
 
-def _noise_floor(grid: AnnularGrid) -> float:
-    """10 h^2, h the grid's largest spacing: the discretisation noise floor of
-    second-order stencils on ``grid``."""
-    return 10.0 * grid.max_spacing**2
-
-
 @dataclass
 class RankScan:
     """Curvature-rank census over a set of sample jets."""
@@ -364,8 +357,10 @@ def rank_scan(source: ScalarField | PointJet) -> RankScan:
     """Count principal curvatures above a threshold across many samples.
 
     ``source`` is either a :class:`ScalarField` (samples every interior node,
-    threshold 10 h^2 with h the grid's largest spacing) or a stacked analytic
-    :class:`PointJet` (samples every point of the stack, threshold 1e-8).
+    threshold 0: in dimension 2 rank 1 is the strict claim kappa > 0 itself)
+    or a stacked analytic :class:`PointJet` (samples every point of the
+    stack, threshold 1e-8, above the roundoff of exact jets whose curvature
+    vanishes).
     Samples are taken in C order, in blocks of ``ring._BLOCK`` samples that
     keep the level forms' temporaries in cache, and each block is reduced as
     it is done: the scan keeps the least and greatest rank and the least of
@@ -375,7 +370,7 @@ def rank_scan(source: ScalarField | PointJet) -> RankScan:
     SingularGradientError names the first sample below the gradient floor.
     """
     if isinstance(source, ScalarField):
-        threshold = _noise_floor(source.grid)
+        threshold = 0.0
         table = source.jet_table()
         points, grad, hess = (a[1:-1] for a in (source.grid.nodes, table["grad"], table["hess"]))
     else:

@@ -351,11 +351,6 @@ def _blend(s, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     return (1.0 - s) * outer + s * inner
 
 
-def _max_square(d: np.ndarray) -> float:
-    """The largest dx*dx + dy*dy of an array of differences (..., 2)."""
-    return float(np.max(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))
-
-
 class AnnularGrid:
     """Structured grid blending the two boundary curves of a ring.
 
@@ -396,24 +391,13 @@ class AnnularGrid:
             self._validate_determinants(self._jacobian(self.s[:, None], self.theta)[2])
             raise
 
-        # the nodes and the s-edges in blocks of rows, so that no temporary is
-        # the size of the grid; each curve is evaluated at ntheta angles
+        # the nodes in blocks of rows, so that no temporary is the size of
+        # the grid; each curve is evaluated at ntheta angles
         step = max(1, _BLOCK // ntheta)
         p_out, p_in = ring.outer.point(self.theta), ring.inner.point(self.theta)
         self.nodes = np.empty((ns, ntheta, 2))
         for r0 in range(0, ns, step):
             self.nodes[r0:r0 + step] = _blend(self.s[r0:r0 + step, None], p_out, p_in)
-
-        # the longest node edge: the sqrt of the largest dx*dx + dy*dy is the
-        # largest np.linalg.norm of the pairs, bit for bit.  A theta-edge's
-        # length |(1 - s) dp_out + s dp_in| is convex in s, so the longest
-        # lies on row 0 or ns - 1, where the nodes are the curve points
-        ends = self.nodes[[0, -1]]
-        longest = _max_square(np.roll(ends, -1, axis=1) - ends)
-        for r0 in range(1, ns, step):
-            r1 = min(ns, r0 + step)
-            longest = max(longest, _max_square(self.nodes[r0:r1] - self.nodes[r0 - 1:r1 - 1]))
-        self.max_spacing = float(np.sqrt(longest))
 
     @staticmethod
     def _validate_determinants(det: np.ndarray) -> None:

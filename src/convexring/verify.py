@@ -2,8 +2,9 @@
 
 Every check returns a VerificationReport whose ``margin`` is the distance to
 its acceptance boundary with the stated tolerance already folded in, so
-``passed`` is equivalent to ``margin >= 0``.  Margins are reported raw; a
-failing check shows how badly it failed.
+``passed`` is equivalent to ``margin >= 0``.  A check whose claim is a strict
+inequality takes tolerance 0: its margin is the inequality's own slack.
+Margins are reported raw; a failing check shows how badly it failed.
 
 Every check but ``check_solver_vs_oracle`` is a function of the fields it
 certifies and reads each field's tau from its Dirichlet data (0, tau); it
@@ -29,7 +30,6 @@ from .levelgeom import (
     LevelRangeError,
     SingularGradientError,
     TopologyError,
-    _noise_floor,
     extract_level,
     rank_scan,
 )
@@ -158,9 +158,8 @@ def check_gradient_max_principle(f: ScalarField) -> VerificationReport:
     norms = _grad_norms(f)
     interior = float(np.max(norms[1:-1]))
     boundary = float(np.max(np.maximum(norms[0], norms[-1])))
-    tol = _noise_floor(f.grid)
     extras = {"interior_max": interior, "boundary_max": boundary}
-    return _finish("gradient-max-principle", boundary + tol - interior, tol,
+    return _finish("gradient-max-principle", boundary - interior, 0.0,
                    "sup of |grad u| over the ring is attained on the boundary",
                    t0, extras)
 
@@ -181,10 +180,10 @@ def _nondivergence_defect(v: ScalarField, omega: ScalarField, tau: float) -> np.
 def check_supersolution(u: ScalarField, omega: ScalarField,
                         supersolution: ScalarField | None = None) -> VerificationReport:
     """The concave reparametrization of the harmonic field omega is a strict
-    supersolution and dominates u.  tau is omega's inner Dirichlet value; u
-    must share omega's grid and Dirichlet data (0, tau), else ValueError.
-    Passing an explicit ``supersolution`` replaces the built one (negative
-    controls)."""
+    supersolution and dominates u, both read at the interior nodes: on the
+    Dirichlet rows u = v.  tau is omega's inner Dirichlet value; u must share
+    omega's grid and Dirichlet data (0, tau), else ValueError.  Passing an
+    explicit ``supersolution`` replaces the built one (negative controls)."""
     t0 = time.perf_counter()
     if u.grid is not omega.grid:
         raise ValueError("fields must share one grid")
@@ -193,12 +192,10 @@ def check_supersolution(u: ScalarField, omega: ScalarField,
         raise ValueError(f"u has Dirichlet data {u.boundary_values}, "
                          f"omega {omega.boundary_values}")
     v = supersolution if supersolution is not None else build_supersolution(omega, tau)
-    tol = _noise_floor(u.grid)
     defect = float(np.max(_nondivergence_defect(v, omega, tau)))
-    excess = float(np.max(u.values - v.values))
-    margin = min(tol - defect, tol - excess)
+    excess = float(np.max(u.values[1:-1] - v.values[1:-1]))
     extras = {"max_operator_defect": defect, "max_comparison_excess": excess}
-    return _finish("supersolution", margin, tol,
+    return _finish("supersolution", -max(defect, excess), 0.0,
                    "L v <= -|grad omega|^2/(2 tau) and u <= v on the ring",
                    t0, extras)
 
@@ -267,8 +264,8 @@ def check_small_tau_regime(fields: Sequence[ScalarField],
 
 def check_convexity_and_rank(f: ScalarField,
                              levels: Sequence[float] | None = None) -> VerificationReport:
-    """Every extracted level curve is strictly convex with margin above the
-    noise floor, and the level-Hessian rank is constant over the interior.
+    """Every extracted level curve is strictly convex, and the level-Hessian
+    rank is constant over the interior: every nodal curvature is positive.
 
     Without ``levels`` the levels are tau k / 9, k = 1..8, with tau from the
     field's Dirichlet data (0, tau > 0), and other data is a ValueError;
@@ -279,7 +276,6 @@ def check_convexity_and_rank(f: ScalarField,
     if levels is None:
         tau = _tau(f, name)
         levels = [tau * k / 9.0 for k in range(1, 9)]
-    tol = _noise_floor(f.grid)
 
     kappa_mins = {}
     try:
@@ -287,33 +283,32 @@ def check_convexity_and_rank(f: ScalarField,
             kappa_mins[float(c)] = extract_level(f, float(c)).kappa_min
         scan = rank_scan(f)
     except (SingularGradientError, TopologyError, LevelRangeError) as exc:
-        return _finish(name, -1.0, tol, claim, t0,
+        return _finish(name, -1.0, 0.0, claim, t0,
                        {"error": str(exc), "kappa_min_by_level": kappa_mins})
 
     kappa_min = min(kappa_mins.values())
     rank_target = f.grid.ring.chart.dim - 1
     rank_ok = scan.constant_rank and scan.min_rank == rank_target
-    margin = kappa_min - tol if rank_ok else -1.0
+    margin = kappa_min if rank_ok else -1.0
     extras = {"kappa_min_by_level": kappa_mins, "kappa_min": kappa_min,
               "rank_min": scan.min_rank, "rank_max": scan.max_rank,
               "lambda_min": scan.lambda_min, "rank_threshold": scan.threshold}
-    return _finish(name, margin, tol, claim, t0, extras)
+    return _finish(name, margin, 0.0, claim, t0, extras)
 
 
 def check_gradient_monotonicity(f: ScalarField) -> VerificationReport:
     """u grows strictly along its own gradient: 2 grad.hess.grad > 0 at 99%
-    of interior nodes and above the negative noise floor everywhere."""
+    of interior nodes and >= 0 at every one."""
     t0 = time.perf_counter()
     table = f.jet_table()
     g, h = table["grad"][1:-1], table["hess"][1:-1]
     q = 2.0 * np.einsum("...i,...ij,...j->...", g, h, g)
-    tol = _noise_floor(f.grid)
     fraction = float(np.mean(q > 0.0))
     strict = fraction >= 0.99
-    margin = min(float(np.min(q)) + tol, fraction - 0.99)
+    margin = min(float(np.min(q)), fraction - 0.99)
     extras = {"min_q": float(np.min(q)), "positive_fraction": fraction,
               "strict": strict}
-    return _finish("gradient-monotonicity", margin, tol,
+    return _finish("gradient-monotonicity", margin, 0.0,
                    "|grad u|^2 increases along the gradient direction",
                    t0, extras)
 
@@ -328,11 +323,10 @@ def check_hopf_boundary_bound(fields: Sequence[ScalarField]) -> VerificationRepo
     taus, fields = _by_tau(fields, 2, name)
     _check_same_grid(fields)
     mins = [float(np.min(_grad_norms(f, 0))) for f in fields]
-    tol = _noise_floor(fields[0].grid)
-    monotone = min(mins[i + 1] - mins[i] + tol for i in range(len(mins) - 1))
+    monotone = min(mins[i + 1] - mins[i] for i in range(len(mins) - 1))
     margin = min(min(mins), monotone)
     extras = {"tau_schedule": taus, "boundary_minima": mins}
-    return _finish(name, margin, tol, claim, t0, extras)
+    return _finish(name, margin, 0.0, claim, t0, extras)
 
 
 # -- default suite -------------------------------------------------------------

@@ -633,14 +633,20 @@ def test_verify_reports_identical_modulo_timestamp(tmp_path):
 
 
 def test_verify_failing_check_exits_3(tmp_path, capsys):
-    # 10 h^2 at this coarse grid exceeds the true curvature scale, so the
-    # convexity check cannot certify a constant rank
-    cfg = write_config(tmp_path, checks=["convexity-and-rank"])
+    # tau-estimates reads tau = 0.8, above the height these epsilon = 1
+    # ellipses carry: that field is unresolved, and its gradient constant
+    # leaves the band of the lower heights' by far
+    cfg = write_config(
+        tmp_path, chart={"epsilon": 1.0, "dim": 2},
+        ring={"outer": {"kind": "ellipse", "radii": [1.2, 0.96]},
+              "inner": {"kind": "ellipse", "radii": [0.48, 0.384]}},
+        grid={"ns": 33, "ntheta": 64}, verify={"tau": 0.25}, checks=["tau-estimates"])
     out = tmp_path / "v"
     rc = main(["verify", "--config", cfg, "--out", str(out)])
     assert rc == 3
     report = json.loads((out / "verification.json").read_text())
     assert report["reports"][0]["passed"] is False
+    assert report["reports"][0]["margin"] == pytest.approx(-5.938, abs=1e-3)
     assert "FAIL" in capsys.readouterr().out
 
 

@@ -70,6 +70,13 @@ def _fit_order(hs, errs):
     return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
 
 
+def _spacing(grid):
+    """h: the longest node edge, along s or, with the wrap, along theta."""
+    ds = np.linalg.norm(np.diff(grid.nodes, axis=0), axis=-1)
+    dt = np.linalg.norm(np.roll(grid.nodes, -1, axis=1) - grid.nodes, axis=-1)
+    return float(max(ds.max(), dt.max()))
+
+
 def test_field_shape_and_boundary_validation():
     grid = _circle_grid()
     vals = np.zeros((grid.ns, grid.ntheta))
@@ -124,7 +131,7 @@ def test_jets_converge_at_second_order_flat():
                     float(np.max(np.abs(table["hess"][i, j] - h))),
                 )
         errs.append(worst)
-        hs.append(grid.max_spacing)
+        hs.append(_spacing(grid))
     assert _fit_order(hs, errs) >= 1.9
 
 
@@ -150,7 +157,7 @@ def test_jets_match_covariant_jet_on_sphere():
             ref = covariant_jet(grid.ring.chart, _trig_jet, grid.nodes[1:-1])
             errs.append(max(float(np.max(np.abs(table["grad"][1:-1] - ref.grad))),
                             float(np.max(np.abs(table["hess"][1:-1] - ref.hess)))))
-            hs.append(grid.max_spacing)
+            hs.append(_spacing(grid))
         assert all(b < a * 0.35 for a, b in zip(errs, errs[1:]))  # better than first order
         assert _fit_order(hs, errs) >= min_order, sizes
 
@@ -307,7 +314,7 @@ def test_jet_table_is_the_same_in_every_block_size(monkeypatch):
     # blocks of one row (asked as a whole row or as one sample) and of 3 and
     # 5 rows with a ragged last block (a size short of 6 rows rounds down to
     # 5); every block's window must hold 4 rows.  The grid builds its nodes
-    # in blocks of the same constant: its nodes and spacing are the same too
+    # in blocks of the same constant: its nodes are the same too
     sphere = make_ring(
         SpaceFormChart(epsilon=1.0, dim=2), make_curve("ellipse", radii=(1.2, 0.8)),
         make_curve("ellipse", radii=(0.48, 0.32), center=(0.05, -0.03)))
@@ -329,7 +336,6 @@ def test_jet_table_is_the_same_in_every_block_size(monkeypatch):
             monkeypatch.setattr("convexring.ring._BLOCK", block)
             blocked = AnnularGrid(grid.ring, grid.ns, grid.ntheta)
             assert np.array_equal(blocked.nodes, whole_grid.nodes)
-            assert blocked.max_spacing == whole_grid.max_spacing
             table = field._build_jet_table(grid, values)
             assert len(windows) == -(-grid.ns // rows) and min(windows) >= 4
             assert np.array_equal(table["grad"], whole["grad"])
@@ -386,7 +392,7 @@ def test_discrete_c2_distance_linear_offset():
     # |dvalue| + |dgrad| exactly; the hessian term is pure O(h^2) mapping error
     expected = c * float(np.max(interior_x)) + c
     assert d >= expected - 1e-12
-    assert d == pytest.approx(expected, abs=10 * grid.max_spacing**2)
+    assert d == pytest.approx(expected, abs=10 * _spacing(grid)**2)
 
 
 def test_discrete_c2_distance_requires_same_grid():

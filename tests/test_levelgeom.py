@@ -578,7 +578,7 @@ def _full_array_scan(source):
     curvatures and one rank array: the reference that rank_scan's blockwise
     reduction equals."""
     if isinstance(source, ScalarField):
-        threshold = levelgeom._noise_floor(source.grid)
+        threshold = 0.0
         table = source.jet_table()
         points, grad, hess = (a[1:-1] for a in (source.grid.nodes, table["grad"], table["hess"]))
     else:

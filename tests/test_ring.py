@@ -324,24 +324,6 @@ def test_grid_determinant_single_signed():
     assert np.all(det < 0) or np.all(det > 0)
 
 
-def test_max_spacing_is_the_norm_of_the_longest_node_edge():
-    # bit for bit the largest np.linalg.norm of the node differences along s
-    # and, with the wrap from the last column to the first, along theta, over
-    # every node; at 5 x 512 the s-edges are the longest
-    readme = make_ring(_flat_chart(), make_curve("ellipse", radii=(3.0, 2.0)),
-                       make_curve("ellipse", radii=(1.2, 0.8)))
-    curved = make_ring(SpaceFormChart(epsilon=1.0, dim=2), make_curve("circle", radius=1.5),
-                       make_curve("ellipse", center=(0.2, 0.1), radii=(0.6, 0.4)))
-    for ring in (readme, curved):
-        for ns, ntheta in ((17, 32), (65, 128), (257, 512), (5, 512)):
-            grid = build_grid(ring, ns, ntheta)
-            ds = np.linalg.norm(np.diff(grid.nodes, axis=0), axis=-1)
-            dt = np.linalg.norm(np.roll(grid.nodes, -1, axis=1) - grid.nodes, axis=-1)
-            assert grid.max_spacing == float(max(ds.max(), dt.max()))
-            if (ns, ntheta) == (5, 512):
-                assert ds.max() > dt.max()
-
-
 def test_grid_jacobian_matches_fd():
     ring = make_ring(
         _flat_chart(),

@@ -9,6 +9,8 @@ where level radii and curvatures have closed forms.
 """
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +53,18 @@ def _ellipse_ring():
     chart = SpaceFormChart(epsilon=0.0)
     return make_ring(chart, make_curve("ellipse", radii=(2.0, 1.4)),
                      make_curve("circle", radius=0.5))
+
+
+def _readme_ring():
+    return make_ring(SpaceFormChart(epsilon=0.0), make_curve("ellipse", radii=(3.0, 2.0)),
+                     make_curve("ellipse", radii=(1.2, 0.8)))
+
+
+def _spacing(grid):
+    """h: the longest node edge, along s or, with the wrap, along theta."""
+    ds = np.linalg.norm(np.diff(grid.nodes, axis=0), axis=-1)
+    dt = np.linalg.norm(np.roll(grid.nodes, -1, axis=1) - grid.nodes, axis=-1)
+    return float(max(ds.max(), dt.max()))
 
 
 # -- oracle --------------------------------------------------------------------
@@ -229,7 +243,9 @@ def test_max_principle_passes_on_solved_and_oracle_fields():
     assert check_gradient_max_principle(oracle.field(grid)).passed
     flat = ScalarField(grid=grid, values=np.full((33, 64), 0.2))
     report = check_gradient_max_principle(flat)
-    assert report.passed  # 0 <= 0 with slack
+    # |grad u| is 0 inside, and roundoff of the one-sided stencils on the
+    # boundary rows
+    assert report.passed and report.extras["interior_max"] == 0.0
 
 
 def test_max_principle_negative_control():
@@ -251,7 +267,7 @@ def test_supersolution_check_passes():
         report = check_supersolution(u, omega)
         assert report.passed
         assert report.extras["max_operator_defect"] < 0.0
-        assert report.extras["max_comparison_excess"] <= 0.0
+        assert report.extras["max_comparison_excess"] < 0.0
 
 
 def test_supersolution_negative_control_fails():
@@ -356,8 +372,8 @@ def test_small_tau_and_hopf_validate_their_fields():
             check_small_tau_regime([omegas[0], bad], omega_1)
         with pytest.raises(ValueError, match=r"Dirichlet data \(0, tau > 0\)"):
             check_hopf_boundary_bound([omegas[0], bad])
-    # hopf's fields share one grid: a finer grid of the same ring has another
-    # noise floor, and its boundary minima are not the same quantity
+    # hopf's fields share one grid: on a finer grid of the same ring the
+    # boundary minima are not the same quantity
     finer = solve_harmonic(grid.refine(), 0.02)
     with pytest.raises(ValueError, match="same grid"):
         check_hopf_boundary_bound([omegas[0], finer])
@@ -476,14 +492,42 @@ def test_gradient_monotonicity_on_solved_field():
 
 
 def test_gradient_monotonicity_flags_planar_field():
-    # a tilted plane has |grad u| constant: the weak bound holds but nothing
-    # is strictly increasing, so the check fails and flags non-strictness
+    # a tilted plane has |grad u| constant: q = 0 in the continuum, so
+    # nothing is strictly increasing and the sampled q takes either sign;
+    # both halves fail
     grid = build_grid(_circle_ring(), 33, 64)
     f = sample_field(grid, lambda p: p[..., 0])
     report = check_gradient_monotonicity(f)
-    assert not report.passed
+    assert not report.passed and report.tolerance == 0.0
     assert not report.extras["strict"]
-    assert report.extras["min_q"] > -report.tolerance
+    assert report.extras["positive_fraction"] < 0.99
+    assert report.extras["min_q"] < 0.0
+
+
+def test_gradient_monotonicity_negative_control():
+    # a solved field with one interior node raised so that q = -0.1 there:
+    # the strict fraction still holds, the pointwise bound does not
+    grid = build_grid(_circle_ring(), 33, 64)
+    u, _ = solve_minimal_graph(grid, 0.5)
+    i, j = 16, 0
+
+    def raised(delta):
+        values = u.values.copy()
+        values[i, j] += delta
+        f = ScalarField(grid=grid, values=values, boundary_values=u.boundary_values)
+        table = f.jet_table()
+        g, h = table["grad"][i, j], table["hess"][i, j]
+        return f, 2.0 * g @ h @ g
+
+    # the node's own gradient stencil skips it, so its q is linear in delta
+    q0, q1 = raised(0.0)[1], raised(1e-3)[1]
+    f, q = raised(1e-3 * (-0.1 - q0) / (q1 - q0))
+    assert q == pytest.approx(-0.1, abs=1e-12)
+    report = check_gradient_monotonicity(f)
+    assert report.extras["positive_fraction"] >= 0.99 and report.extras["strict"]
+    assert report.extras["min_q"] == pytest.approx(-0.1, abs=1e-12)
+    assert not report.passed
+    assert report.margin == pytest.approx(-0.1, abs=1e-12)
 
 
 def test_hopf_bound_along_continuation():
@@ -494,6 +538,20 @@ def test_hopf_bound_along_continuation():
     minima = report.extras["boundary_minima"]
     assert all(b > a for a, b in zip(minima, minima[1:]))
     assert minima[0] > 0.0
+
+
+def test_hopf_bound_negative_control():
+    # u = a s + b s^2 with s = 2 - r on circles 2 / 1: data (0, a + b), and
+    # |grad u| = a on the outer boundary, exactly for the one-sided stencil.
+    # The minimum drops from 0.5 at tau = 0.25 to 0.4 at tau = 0.5
+    grid = build_grid(_circle_ring(), 33, 64)
+    s = grid.s[:, None] * np.ones((1, grid.ntheta))
+    fields = [ScalarField(grid=grid, values=a * s + b * s**2, boundary_values=(0.0, a + b))
+              for a, b in ((0.5, -0.25), (0.4, 0.1))]
+    report = check_hopf_boundary_bound(fields)
+    assert report.extras["boundary_minima"] == pytest.approx([0.5, 0.4], abs=1e-12)
+    assert not report.passed
+    assert report.margin == pytest.approx(-0.1, abs=1e-12)
 
 
 def test_hopf_bound_single_step_is_vacuous():
@@ -520,7 +578,7 @@ def test_adapted_frame_identity_on_solved_graph():
     assert np.min(u_nn) > 0.0
     assert np.max(u_tt) < 0.0
     defect = u_nn + (1.0 + gn**2) * u_tt
-    assert np.max(np.abs(defect)) < 10.0 * grid.max_spacing**2
+    assert np.max(np.abs(defect)) < 10.0 * _spacing(grid)**2
 
 
 # -- suite ---------------------------------------------------------------------
@@ -533,6 +591,39 @@ def test_run_suite_default_checks_pass():
         assert report.passed, f"{report.name}: margin {report.margin}"
         assert report.runtime_s >= 0.0
         assert report.claim
+
+
+@pytest.mark.parametrize("ns, ntheta", [(17, 32), (33, 64), (65, 128)])
+def test_run_suite_passes_every_check_on_the_readme_ring(ns, ntheta):
+    reports = run_suite(build_grid(_readme_ring(), ns, ntheta))
+    assert [r.name for r in reports] == list(SUITE_CHECKS)
+    for report in reports:
+        assert report.passed, f"{report.name}: margin {report.margin}"
+
+
+_WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+_FIELD_CHECKS = [c for c in SUITE_CHECKS if c != "solver-vs-oracle"]
+
+
+def test_field_checks_pass_on_the_benchmark_rings():
+    # the README ring with each seed's perturbed semi-axes and inner centre
+    # (workloads.ring_spec), built as the benchmark builds it
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in range(1, 11):
+        grid = build_grid(workloads.build_ring(seed), 33, 64)
+        for report in run_suite(grid, checks=_FIELD_CHECKS):
+            assert report.passed, f"seed {seed}, {report.name}: margin {report.margin}"
+
+
+@pytest.mark.parametrize("ns, ntheta", [(17, 32), (33, 64), (65, 128)])
+def test_single_field_checks_pass_on_the_exact_radial_graph(ns, ntheta):
+    f = radial_oracle(1.0, 2.0, 0.5).field(build_grid(_circle_ring(), ns, ntheta))
+    for check in (check_gradient_max_principle, check_convexity_and_rank,
+                  check_gradient_monotonicity):
+        report = check(f)
+        assert report.passed, f"{report.name}: margin {report.margin}"
 
 
 def test_run_suite_subset_and_validation():
