@@ -22,6 +22,8 @@ initializer, a grid that coarsens (odd ns, even ntheta, every other node
 still a grid of at least ``COARSEST_GRID``) starts from the prolonged Newton
 iterate of that coarse grid (nested iteration, Brandt 1977); coarse levels get
 no field or report, and only the coarsest starts from the harmonic field.
+No start or coarse level carries a post-condition: only a stalled linear
+solve raises there, and the requested grid's report is what is judged.
 The prolongation takes 4-point cubic midpoints, an interpolation of higher
 order than the second-order scheme as full multigrid asks: linear midpoints
 leave an O(h^2) value error that the h^-2-scaled residual turns into an O(1)
@@ -416,21 +418,36 @@ def _read_tau(tau, what: str = "tau") -> float:
     return tau
 
 
+def _harmonic(grid: AnnularGrid, tau: float, options: SolveOptions) -> tuple[np.ndarray, int]:
+    """(values, factorisations) of the conformal Laplace problem with data 0
+    outside, tau inside: the chord loop on the W = 1 operator, one
+    factorisation, iterated to max(newton_tol, HARMONIC_RESIDUAL_TOL)
+    whatever ``options.max_newton``.  A stall, which is a failed linear
+    solve, raises SolverError with its best iterate's residual; nothing
+    else is checked, as the nested start reads these values only as a
+    start."""
+    tol = max(options.newton_tol, HARMONIC_RESIDUAL_TOL)
+    v = np.zeros((grid.ns, grid.ntheta))
+    v[-1] = tau
+    v, rmax, _, _, factorizations = _chord_newton(grid, v, SolveOptions(newton_tol=tol), None,
+                                                  linear=True)
+    if rmax > tol:
+        raise SolverError(f"harmonic solve left residual max {rmax:.3e}")
+    return v, factorizations
+
+
 def solve_harmonic(grid: AnnularGrid, tau: float,
                    options: SolveOptions | None = None) -> ScalarField:
     """Solve the conformal Laplace problem with data 0 outside, tau inside.
 
-    The chord loop on the W = 1 operator, one factorisation, iterated to
-    max(newton_tol, HARMONIC_RESIDUAL_TOL) whatever ``options.max_newton``;
-    a stall raises SolverError with its best iterate's residual.  The result
-    satisfies the discrete maximum principle (values in [0, tau])."""
+    The chord loop of ``_harmonic``; a stall raises SolverError.  The
+    returned field is omega, which the supersolution and small-tau checks
+    read, so it must satisfy the discrete maximum principle (values in
+    [0, tau]), else SolverError: the 9-point stencil is not monotone where
+    the grid lines are far from orthogonal, and coarse skewed grids can
+    undershoot."""
     tau = _read_tau(tau)
-    tol = max((options or SolveOptions()).newton_tol, HARMONIC_RESIDUAL_TOL)
-    v = np.zeros((grid.ns, grid.ntheta))
-    v[-1] = tau
-    v, rmax, *_ = _chord_newton(grid, v, SolveOptions(newton_tol=tol), None, linear=True)
-    if rmax > tol:
-        raise SolverError(f"harmonic solve left residual max {rmax:.3e}")
+    v, _ = _harmonic(grid, tau, options or SolveOptions())
     if v.min() < -1e-10 or v.max() > tau + 1e-10:
         raise SolverError("harmonic solution violates the discrete maximum principle")
     return ScalarField(grid=grid, values=v, boundary_values=(0.0, tau))
@@ -531,12 +548,13 @@ def _chord_newton(grid: AnnularGrid, v: np.ndarray, options: SolveOptions,
 def _nested_start(grid: AnnularGrid, tau: float, options: SolveOptions,
                   source: np.ndarray | None) -> tuple[np.ndarray, int]:
     """(start values, factorisations spent): the coarse grid's Newton iterate,
-    converged or not, prolonged onto ``grid``, or the harmonic field when the
-    grid does not coarsen.  Only the array leaves: the coarse grid and its
-    assembler are freed before ``grid`` factors."""
+    converged or not, prolonged onto ``grid``, or the ``_harmonic`` values
+    when the grid does not coarsen; no level checks a post-condition.  Only
+    the array leaves: the coarse grid and its assembler are freed before
+    ``grid`` factors."""
     coarse = _coarse_grid(grid)
     if coarse is None:
-        return solve_harmonic(grid, tau, options).values, 1
+        return _harmonic(grid, tau, options)
     if source is not None:
         source = source[1::2, ::2]  # the coarse interior nodes
     v, spent = _nested_start(coarse, tau, options, source)
@@ -556,9 +574,10 @@ def solve_minimal_graph(grid: AnnularGrid, tau: float,
     one, a grid that coarsens starts from the prolonged Newton iterate on
     every other node, converged or not (recursively, down to about
     COARSEST_GRID); otherwise from the harmonic field with the same data.
-    Coarse levels run the Newton loop only: the requested grid alone gets a
-    field and a report, and ``report.converged`` is False when the residual
-    target was not reached.
+    Coarse levels run the Newton loop only and carry no post-condition (only
+    a stalled harmonic solve raises): the requested grid alone gets a field
+    and a report, and that report is what is judged; ``report.converged``
+    is False when the residual target was not reached.
     """
     return _solve(grid, tau, options, init, None)
 

@@ -602,6 +602,22 @@ def test_levels_missing_snapshot_exits_1(tmp_path, capsys):
     assert rc == 1
     assert "snapshot" in capsys.readouterr().err
 
+# an ellipse (4, 1) around a circle of radius 0.3 at (2.5, 0): the grid
+# lines of its coarse nested levels meet far from orthogonal, and the
+# harmonic start there dips below 0, which must not veto the requested solve
+SKEWED_RING = {"outer": {"kind": "ellipse", "radii": [4.0, 1.0]},
+               "inner": {"kind": "circle", "radius": 0.3, "center": [2.5, 0.0]}}
+
+
+def test_solve_on_a_skewed_ring_exits_0(tmp_path, capsys):
+    cfg = write_config(tmp_path, ring=SKEWED_RING, grid={"ns": 65, "ntheta": 128},
+                       tau=[0.5, 1.0])
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0, capsys.readouterr().err
+    trace = json.loads((out / "trace.json").read_text())
+    assert trace["completed"] is True and trace["tau_schedule"] == [0.5, 1.0]
+    assert all(step["min_level_curvature"] > 0.0 for step in trace["steps"])
+
 
 # -- verify ---------------------------------------------------------------
 
@@ -648,6 +664,19 @@ def test_verify_failing_check_exits_3(tmp_path, capsys):
     assert report["reports"][0]["passed"] is False
     assert report["reports"][0]["margin"] == pytest.approx(-5.938, abs=1e-3)
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_on_a_skewed_ring_reports_no_error(tmp_path, capsys):
+    # every check runs; the two that fail are the README's known FAILs of
+    # this ring (a discretisation defect and an unresolved height)
+    cfg = write_config(tmp_path, ring=SKEWED_RING, grid={"ns": 33, "ntheta": 64})
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+    reports = json.loads((out / "verification.json").read_text())["reports"]
+    assert len(reports) == len(verify.SUITE_CHECKS)
+    assert [r for r in reports if "error" in r] == []
+    assert [r["name"] for r in reports if not r["passed"]] == ["supersolution", "tau-estimates"]
+    assert "ERROR" not in capsys.readouterr().out
 
 
 def test_verify_check_error_is_recorded_and_exits_3(tmp_path, capsys):
@@ -712,13 +741,22 @@ def _count_calls(monkeypatch, module, name, counts, key):
 
 @pytest.mark.parametrize("all_checks", [False, True], ids=["readme", "all-checks"])
 def test_verify_shares_one_grid_and_one_solve(all_checks, tmp_path, monkeypatch):
-    counts = {"solve": 0, "harmonic": 0, "grid": 0}
+    counts = {"solve": 0, "harmonic": 0, "linear": 0, "grid": 0}
     # continuation_solve calls the solver through the solve module
     for module in (verify, solve):
         _count_calls(monkeypatch, module, "solve_minimal_graph", counts, "solve")
-    # solve_minimal_graph without an init runs a harmonic solve of its own
+    # the public harmonic field, and every harmonic chord loop: the public
+    # one's and that of a nested start, which solve_minimal_graph without an
+    # init runs on its own
     for module in (verify, solve):
         _count_calls(monkeypatch, module, "solve_harmonic", counts, "harmonic")
+    real_newton = solve._chord_newton
+
+    def counting_newton(*args, **kwargs):
+        counts["linear"] += kwargs.get("linear", False)
+        return real_newton(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "_chord_newton", counting_newton)
     for module in (verify, cli):
         _count_calls(monkeypatch, module, "build_grid", counts, "grid")
     cfg = dict(README_CONFIG)
@@ -730,14 +768,14 @@ def test_verify_shares_one_grid_and_one_solve(all_checks, tmp_path, monkeypatch)
     if all_checks:
         # 3 oracle solves on 3 oracle grids and one continuation walk over
         # the 12 heights of the three ring checks, the README tau = 0.5 among
-        # them; harmonic solves: one per oracle solve, one at tau = 1 scaled
-        # to every tau a check needs, and one on the coarsest grid of the
-        # walk's nested first step
-        assert counts == {"solve": 15, "harmonic": 5, "grid": 4}
+        # them; one public harmonic field, at tau = 1 scaled to every tau a
+        # check needs; harmonic loops: that one, one per oracle solve's start
+        # and one on the coarsest grid of the walk's nested first step
+        assert counts == {"solve": 15, "harmonic": 1, "linear": 5, "grid": 4}
     else:
         # a walk of one step at the README tau, from the nested start, and
         # the harmonic field at tau = 1 for supersolution
-        assert counts == {"solve": 1, "harmonic": 2, "grid": 1}
+        assert counts == {"solve": 1, "harmonic": 1, "linear": 2, "grid": 1}
 
 
 # -- oracle ----------------------------------------------------------------

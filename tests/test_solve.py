@@ -551,17 +551,18 @@ def _scaled_readme_ring(scale):
 @pytest.mark.parametrize("scale, outcome", [
     (1e-30, "harmonic solve left residual max "),
     (1e-10, "harmonic solve left residual max "),
-    (1e18, (True, 0, 1)),
+    (1e18, (True, 0, 0)),
 ])
-def test_scaled_ring_ends_as_with_float64_factors(scale, outcome):
+def test_scaled_ring_ends_as_with_float64_factors(monkeypatch, scale, outcome):
     # Jacobian entries scale as scale^-2 (1e60 and 1e-36 here), past the
     # float32 range both ways: the power-of-two scaling keeps the cast
     # finite (an overflow would be a RuntimeWarning, an error under pytest,
     # and then a singular factor).  Each ring ends as it does with float64
     # factors: the absolute residual bars fail the small rings, and the
     # large one starts converged (the bars are not scale-aware, ROADMAP
-    # item 1)
+    # item 1), so no level factors and the report counts none
     grid = build_grid(_scaled_readme_ring(scale), 33, 64)
+    factorisations = _call_count(monkeypatch, solve, "_factorize")
     if isinstance(outcome, str):
         with pytest.raises(SolverError) as excinfo:
             solve_minimal_graph(grid, 1.0)
@@ -569,6 +570,7 @@ def test_scaled_ring_ends_as_with_float64_factors(scale, outcome):
     else:
         _, report = solve_minimal_graph(grid, 1.0)
         assert (report.converged, report.newton_iterations, report.factorizations) == outcome
+        assert factorisations == [report.factorizations]
 
 
 def test_float32_newton_step_matches_a_float64_solve():
@@ -849,14 +851,18 @@ def test_prescribed_curvature_nested_start_matches_harmonic_start(monkeypatch):
 
 
 def _harmonic_grids(monkeypatch):
+    """Patch the chord loop to record the grid of each harmonic (linear) run,
+    the public solve's and the nested start's alike."""
     grids = []
-    harmonic = solve.solve_harmonic
+    newton = solve._chord_newton
 
-    def counting(grid, *args, **kwargs):
-        grids.append((grid.ns, grid.ntheta))
-        return harmonic(grid, *args, **kwargs)
+    def recording(*args, **kwargs):
+        call = inspect.signature(newton).bind(*args, **kwargs)
+        if call.arguments.get("linear"):
+            grids.append((call.arguments["grid"].ns, call.arguments["grid"].ntheta))
+        return newton(*args, **kwargs)
 
-    monkeypatch.setattr(solve, "solve_harmonic", counting)
+    monkeypatch.setattr(solve, "_chord_newton", recording)
     return grids
 
 
@@ -901,6 +907,39 @@ def test_unconverged_coarse_iterate_is_still_prolonged(monkeypatch):
     assert not report.converged
     assert grids == [(17, 32)]
     assert report.factorizations == 1 + 3
+
+
+def _skewed_ring():
+    """An ellipse (4, 1) around a circle of radius 0.3 at (2.5, 0): its grid
+    lines meet at |cos| up to 0.977 at 17x32, where the 9-point stencil is
+    not monotone (two corner couplings per node take the wrong sign)."""
+    chart = SpaceFormChart(epsilon=0.0)
+    return make_ring(chart, make_curve("ellipse", radii=(4.0, 1.0)),
+                     make_curve("circle", radius=0.3, center=(2.5, 0.0)))
+
+
+@pytest.mark.parametrize("ns, ntheta", [(33, 64), (65, 128), (129, 256)])
+def test_skewed_ring_solves_on_grids_that_coarsen(ns, ntheta):
+    # the coarsest level, 17x32, has a harmonic field that dips below 0;
+    # it is only a start, so it must not veto the requested solve, whose
+    # field stays in [0, tau]
+    u, report = solve_minimal_graph(build_grid(_skewed_ring(), ns, ntheta), 0.5)
+    assert report.converged
+    assert u.values.min() >= 0.0 and u.values.max() <= 0.5
+
+
+def test_skewed_ring_undershoots_on_its_coarsest_grid():
+    # on 17x32, which does not coarsen, the scheme is not monotone: the
+    # minimal graph converges and dips to about -2.1e-4, a property of the
+    # discretisation the requested report states as it is, while the public
+    # harmonic field, which the supersolution check reads, keeps its
+    # maximum-principle contract and raises
+    grid = build_grid(_skewed_ring(), 17, 32)
+    u, report = solve_minimal_graph(grid, 0.5)
+    assert report.converged
+    assert -2.2e-4 < u.values.min() < -2.0e-4 and u.values.max() == 0.5
+    with pytest.raises(SolverError, match="discrete maximum principle"):
+        solve_harmonic(grid, 0.5)
 
 
 def test_rejected_chord_step_refactors_instead_of_ending_the_solve(monkeypatch):
